@@ -7,9 +7,8 @@ results on the segment backend, with the JSON backend measured at a tenth
 of the volume for comparison (10k individual files would take minutes on
 CI runners, which is precisely the problem the segment layout solves).
 
-The emitted numbers (``BENCH_store.json``, trajectory-append like
-``BENCH_hotpath.json``) are wall-clock and therefore recorded but **not**
-gated; the assertions gate on exact counts only -- every put must be
+The emitted numbers (``BENCH_store.json``, one trajectory point appended
+per emitting run) are wall-clock and therefore recorded but **not** gated; the assertions gate on exact counts only -- every put must be
 resumable, recovery after a simulated crash must drop exactly one record,
 and a migration must carry every entry -- so shared-runner timing noise
 cannot fail the build.

@@ -67,7 +67,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -115,37 +114,6 @@ def _applications_arg(text: str) -> List[str]:
 
 def _retentions_arg(text: str) -> tuple:
     return _adapt(QueryRequest.parse_retentions, text)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.cli.{old} has moved to repro.api.query.{new}; "
-        f"this alias will be removed in the next release",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def parse_data_policy(text: str) -> DataPolicySpec:
-    """Deprecated alias of :meth:`QueryRequest.parse_data_policy`."""
-    _deprecated("parse_data_policy", "QueryRequest.parse_data_policy")
-    return _data_policy_arg(text)
-
-
-def parse_timing_policy(text: str) -> TimingPolicyKind:
-    """Deprecated alias of :meth:`QueryRequest.parse_timing_policy`."""
-    _deprecated("parse_timing_policy", "QueryRequest.parse_timing_policy")
-    return _timing_policy_arg(text)
-
-
-def parse_applications(text: str) -> List[str]:
-    """Deprecated alias of :meth:`QueryRequest.parse_applications`.
-
-    Like the schema parser it now rejects duplicated application names
-    (they would silently double-run and double-weight every average).
-    """
-    _deprecated("parse_applications", "QueryRequest.parse_applications")
-    return _applications_arg(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

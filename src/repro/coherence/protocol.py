@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.coherence.directory import Directory
-from repro.coherence.runbuffer import RunBuffer
 from repro.coherence.messages import MessageKind
 from repro.config.parameters import ArchitectureConfig
 from repro.hierarchy.levels import CoreCaches, L3Bank
@@ -77,31 +76,11 @@ class DirectoryProtocol:
         # would dominate the staged fast path.
         self._msg_keys = {kind: kind.counter_name for kind in MessageKind}
         #: Access-path protocol invocations: one per read / write /
-        #: instruction fetch entered plus one per committed hit run.  Kept
-        #: off the :class:`Counter` deliberately -- replay modes resolve
-        #: different numbers of references per call, so putting it in the
-        #: result counters would break byte-identical equivalence.  The
-        #: simulator reports it through ``ReplayStats``.
+        #: instruction fetch entered.  Kept off the :class:`Counter`
+        #: deliberately -- it measures simulator work, not modelled
+        #: activity, so it stays out of the result counters.  The simulator
+        #: reports it through ``ReplayStats``.
         self.protocol_calls = 0
-        #: Cache-level bulk landings of pending run timestamps (see
-        #: :meth:`~repro.cpu.core.Core.land_run`); reported next to
-        #: ``protocol_calls`` so the batching factor hides nothing.
-        self.run_landings = 0
-        #: Generation counter bumped whenever a transaction mutates some
-        #: *other* core's private lines (owner recalls, coherence
-        #: invalidations, back-invalidations, refresh-policy actions on the
-        #: L2).  Any cached hit-run resolution (block -> line index /
-        #: writability) made before the bump can no longer be trusted;
-        #: everything else -- including other cores' plain misses -- leaves
-        #: resolutions valid.  A one-element list so cores can hold a
-        #: direct reference.
-        self.run_epoch = [0]
-        #: Cores holding pending run state (non-empty RunBuffer or staged
-        #: touches).  A core appends itself on entering the run path and is
-        #: removed when its run lands or commits; the run-ahead drivers
-        #: drain this instead of calling ``land_run`` on all cores, so
-        #: cores that never ran in a batch cost nothing at the barrier.
-        self.dirty_cores: list = []
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -175,47 +154,6 @@ class DirectoryProtocol:
         l2.set_state_code(l2_index, MESI_MODIFIED)
         return latency
 
-    def hit_run(self, core_id: int, buf: RunBuffer) -> None:
-        """Commit a private-cache hit run in one staged call.
-
-        The run's references were already *validated* when the run-ahead
-        driver resolved each distinct block once (L1 presence, L2 MESI
-        writability) -- validation per block instead of per reference is
-        what makes a same-line streak cheap.  This call applies everything
-        the equivalent sequence of :meth:`read` / :meth:`write` /
-        :meth:`instruction_fetch` calls would have left behind: bulk
-        LRU/timestamp updates on the :class:`~repro.mem.arrays.LineArrays`
-        vectors (:meth:`~repro.mem.cache.Cache.access_run`) and counter
-        increments by the run's tallies via pre-interned keys.  One call,
-        one ``protocol_calls`` tick, however many references the run
-        resolved.
-        """
-        caches = self.cores[core_id]
-        buf.land_touches(caches.l1d, caches.l1i, caches.l2)
-        counts = self._counts
-        if buf.l1d_reads:
-            counts["l1d_reads"] += buf.l1d_reads
-        if buf.l1d_writes:
-            counts["l1d_writes"] += buf.l1d_writes
-        if buf.l1d_hits:
-            counts["l1d_hits"] += buf.l1d_hits
-        if buf.l1d_misses:
-            counts["l1d_misses"] += buf.l1d_misses
-        if buf.l1i_reads:
-            counts["l1i_reads"] += buf.l1i_reads
-        if buf.l1i_hits:
-            counts["l1i_hits"] += buf.l1i_hits
-        if buf.l2_reads:
-            counts["l2_reads"] += buf.l2_reads
-        if buf.l2_writes:
-            counts["l2_writes"] += buf.l2_writes
-        if buf.l2_hits:
-            counts["l2_hits"] += buf.l2_hits
-        if buf.instructions:
-            counts["instructions"] += buf.instructions
-        buf.clear_tallies()
-        self.protocol_calls += 1
-
     def flush_dirty(self, cycle: int) -> None:
         """Write every dirty line back to DRAM (end-of-run accounting).
 
@@ -223,7 +161,6 @@ class DirectoryProtocol:
         back to main memory so that policies which push data off chip early
         are compared fairly against those that keep it on chip.
         """
-        self.run_epoch[0] += 1
         for caches in self.cores:
             l2 = caches.l2
             for index in l2.dirty_indices():
@@ -293,7 +230,6 @@ class DirectoryProtocol:
         caches = self.cores[core_id]
         if not line.valid:
             return
-        self.run_epoch[0] += 1
         block = caches.l2.block_address_of(set_idx, line)
         self.counters.add("l2_policy_invalidations")
         if line.state is MESIState.MODIFIED:
@@ -309,7 +245,6 @@ class DirectoryProtocol:
         caches = self.cores[core_id]
         if not line.valid or line.state is not MESIState.MODIFIED:
             return
-        self.run_epoch[0] += 1
         block = caches.l2.block_address_of(set_idx, line)
         self._writeback_l2_to_l3(core_id, block, cycle)
         self.counters.add("l2_policy_writebacks")
@@ -440,7 +375,6 @@ class DirectoryProtocol:
         self, bank: L3Bank, block: int, line: DirectoryLine, owner: int, cycle: int
     ) -> int:
         """Fetch the latest data from the owning core's L2 (M or E copy)."""
-        self.run_epoch[0] += 1
         latency = self._count_message(
             MessageKind.OWNER_FETCH, bank.vertex, owner, data=False
         )
@@ -561,7 +495,6 @@ class DirectoryProtocol:
         self, bank: L3Bank, block: int, line: DirectoryLine, core_id: int, cycle: int
     ) -> int:
         """Invalidate one core's private copies of a block (coherence)."""
-        self.run_epoch[0] += 1
         latency = self._count_message(
             MessageKind.INVALIDATE, bank.vertex, core_id, data=False
         )
@@ -597,8 +530,6 @@ class DirectoryProtocol:
         """
         dirty_above = False
         holders = sorted(Directory.sharers_other_than(line, -1))
-        if holders:
-            self.run_epoch[0] += 1
         for core_id in holders:
             self._count_message(MessageKind.INVALIDATE, bank.vertex, core_id, data=False)
             caches = self.cores[core_id]

@@ -19,14 +19,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.utils.addr import is_power_of_two
 
-#: Batch-replay kernel modes for run-ahead replay (see :mod:`repro.kernels`).
-#: "off" keeps the scalar per-reference loop; "numpy" retires whole
-#: kernel-eligible stretches through columnar ufunc chains; "numba" runs the
-#: same scan as one fused loop, ``numba.njit``-compiled when numba is
-#: installed and as plain Python when it is not.  All three are
-#: byte-identical; selection is a performance choice, never a modelling one.
-KERNEL_MODES = ("off", "numpy", "numba")
-
 
 class CellTechnology(enum.Enum):
     """Memory cell technology of a cache level."""

@@ -13,7 +13,7 @@ energy model applied afterwards.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.coherence.protocol import DirectoryProtocol
 from repro.config.parameters import ArchitectureConfig
@@ -29,10 +29,8 @@ class CacheHierarchy:
     """Private L1s/L2s, banked shared L3, torus NoC, DRAM and MESI directory.
 
     ``cache_backend`` selects the cache storage model: "array" (the default
-    struct-of-arrays fast path), "numpy" (the same layout on int64
-    ndarrays, vectorising the refresh sweeps; requires numpy) or "object"
-    (the original one-object-per-line model, kept for equivalence checks
-    and benchmarking).
+    struct-of-arrays layout) or "object" (the original one-object-per-line
+    model, kept as the test oracle).
     """
 
     def __init__(
@@ -88,15 +86,6 @@ class CacheHierarchy:
         """Instruction fetch; returns the end-to-end latency in cycles."""
         return self.protocol.instruction_fetch(core_id, address, cycle)
 
-    def commit_hit_run(self, core_id: int, buf) -> None:
-        """Commit a core's pending private-hit run in one staged call.
-
-        See :meth:`~repro.coherence.protocol.DirectoryProtocol.hit_run`;
-        the run-ahead driver and the cores call this through the hierarchy
-        so the protocol object stays an implementation detail.
-        """
-        self.protocol.hit_run(core_id, buf)
-
     @property
     def protocol_calls(self) -> int:
         """Access-path protocol invocations so far (see ``ReplayStats``)."""
@@ -107,18 +96,6 @@ class CacheHierarchy:
         self.protocol.flush_dirty(cycle)
 
     # -- refresh-subsystem hooks ----------------------------------------------
-
-    def next_disturbance_cycle(self) -> Optional[int]:
-        """Earliest future cycle at which refresh work touches an array.
-
-        A trace-replay core may execute references back-to-back up to this
-        horizon without a refresh pass (blocking, write-backs, policy
-        invalidations) interleaving.  None when the configuration has no
-        refresh subsystem (SRAM) or no timer is pending.
-        """
-        if self.refresh_wheel is None:
-            return None
-        return self.refresh_wheel.next_deadline()
 
     def all_caches(self) -> Iterator[Tuple[str, int, Cache]]:
         """Yield (level, instance id, cache) for every array on the chip.

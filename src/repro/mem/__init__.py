@@ -1,9 +1,9 @@
 """Memory structures: cache lines, set-associative caches and DRAM.
 
-Cache state is stored in struct-of-arrays vectors (:mod:`repro.mem.arrays`)
-by default; :class:`~repro.mem.cache.Cache` also supports the original
-one-object-per-line model via ``backend="object"`` for equivalence checks
-and benchmarking.
+Cache state is stored in struct-of-arrays lists (:mod:`repro.mem.arrays`)
+by default; :class:`~repro.mem.cache.Cache` also keeps the original
+one-object-per-line model via ``backend="object"`` as the test oracle the
+array layout must match byte for byte.
 """
 
 from repro.mem.arrays import ArrayCacheLine, ArrayDirectoryLine, LineArrays

@@ -31,14 +31,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-try:  # numpy is an optional accelerator, never a hard dependency.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-#: True when the optional numpy backing (``backing="numpy"``) is available.
-HAVE_NUMPY = _np is not None
-
 from repro.mem.line import (
     CacheLine,
     DirectoryLine,
@@ -53,101 +45,39 @@ from repro.mem.line import (
 )
 
 
-def last_occurrence_plan(indices, cycles, counts, tick):
-    """Plan a bulk run landing: reduce a touch run to each line's last touch.
-
-    ``(indices, cycles, counts)`` is a coalesced touch run in program order
-    (see :meth:`repro.mem.cache.Cache.access_run`).  Sequential landing
-    overwrites a line's timestamps on every entry, so only the *last*
-    occurrence of each line index is observable; its LRU stamp is the
-    cumulative tick after that entry.  Returns ``(idx, cyc, stamp,
-    new_tick)`` numpy arrays covering exactly those last occurrences --
-    free of duplicate indices, so they can land as plain fancy-indexed
-    stores with no ordering assumptions -- plus the advanced tick.
-
-    Requires numpy (the caller gates on :data:`HAVE_NUMPY` by only binding
-    the bulk landing on the numpy backend).
-    """
-    idx = _np.asarray(indices, dtype=_np.int64)
-    cyc = _np.asarray(cycles, dtype=_np.int64)
-    stamps = tick + _np.cumsum(_np.asarray(counts, dtype=_np.int64))
-    new_tick = int(stamps[-1])
-    # np.unique on the reversed indices keeps each value's first position
-    # there, i.e. its last occurrence in program order.
-    _, first_rev = _np.unique(idx[::-1], return_index=True)
-    keep = idx.size - 1 - first_rev
-    return idx[keep], cyc[keep], stamps[keep], new_tick
-
-
 class LineArrays:
     """Parallel per-field vectors for every line of one cache instance.
 
     ``tag == -1``, ``refresh_count == -1`` and ``owner == -1`` encode the
     object model's ``None``.  Directory-only vectors (``l3_state``,
-    ``sharers``, ``owner``) are ``None`` for private caches (``sharers``
-    is always a plain list of Python sets; only the integer vectors have a
-    numpy form).
-
-    ``backing`` selects the vector representation: ``"list"`` (the default)
-    keeps plain Python lists, whose single-element reads dominate the
-    per-access staged path and are ~3x faster than numpy's; ``"numpy"``
-    stores the integer fields as int64 ndarrays so the periodic group
-    sweeps and the Refrint interrupt scan become masked compares and bulk
-    timestamp rewrites -- worthwhile once refresh work on paper-sized
-    geometries outweighs the per-access penalty.  Both backings hold
-    exactly the same values (int64 covers every cycle count and tag the
-    simulator can produce), so simulation results are byte-identical.
+    ``sharers``, ``owner``) are ``None`` for private caches.
     """
 
     __slots__ = (
-        "num_lines", "directory", "backing",
+        "num_lines", "directory",
         "tag", "state", "valid", "dirty",
         "last_access_cycle", "last_refresh_cycle",
         "refresh_count", "lru_stamp",
         "l3_state", "sharers", "owner",
     )
 
-    def __init__(
-        self, num_lines: int, directory: bool = False, backing: str = "list"
-    ) -> None:
+    def __init__(self, num_lines: int, directory: bool = False) -> None:
         if num_lines < 1:
             raise ValueError("a cache needs at least one line")
-        if backing not in ("list", "numpy"):
-            raise ValueError(f"unknown array backing {backing!r}")
-        if backing == "numpy" and _np is None:
-            raise RuntimeError(
-                "backing='numpy' requested but numpy is not installed; "
-                "use the default list backing instead"
-            )
         n = num_lines
         self.num_lines = n
         self.directory = directory
-        self.backing = backing
-        if backing == "numpy":
-            self.tag = _np.full(n, -1, dtype=_np.int64)
-            self.state = _np.zeros(n, dtype=_np.int64)
-            self.valid = _np.zeros(n, dtype=_np.int64)
-            self.dirty = _np.zeros(n, dtype=_np.int64)
-            self.last_access_cycle = _np.zeros(n, dtype=_np.int64)
-            self.last_refresh_cycle = _np.zeros(n, dtype=_np.int64)
-            self.refresh_count = _np.full(n, -1, dtype=_np.int64)
-            self.lru_stamp = _np.zeros(n, dtype=_np.int64)
-        else:
-            self.tag: List[int] = [-1] * n
-            self.state: List[int] = [0] * n
-            self.valid: List[int] = [0] * n
-            self.dirty: List[int] = [0] * n
-            self.last_access_cycle: List[int] = [0] * n
-            self.last_refresh_cycle: List[int] = [0] * n
-            self.refresh_count: List[int] = [-1] * n
-            self.lru_stamp: List[int] = [0] * n
+        self.tag: List[int] = [-1] * n
+        self.state: List[int] = [0] * n
+        self.valid: List[int] = [0] * n
+        self.dirty: List[int] = [0] * n
+        self.last_access_cycle: List[int] = [0] * n
+        self.last_refresh_cycle: List[int] = [0] * n
+        self.refresh_count: List[int] = [-1] * n
+        self.lru_stamp: List[int] = [0] * n
         if directory:
-            if backing == "numpy":
-                self.l3_state = _np.zeros(n, dtype=_np.int64)
-                self.owner = _np.full(n, -1, dtype=_np.int64)
-            else:
-                self.l3_state: Optional[List[int]] = [0] * n
-                self.owner: Optional[List[int]] = [-1] * n
+            self.l3_state: Optional[List[int]] = [0] * n
+            self.owner: Optional[List[int]] = [-1] * n
             self.sharers: Optional[List[Set[int]]] = [set() for _ in range(n)]
         else:
             self.l3_state = None
@@ -180,10 +110,8 @@ class _ArrayLineFields:
 
     @property
     def tag(self) -> Optional[int]:
-        # int() keeps numpy scalars from leaking into reconstructed block
-        # addresses (a no-op for the list backing).
         value = self._arrays.tag[self._index]
-        return None if value < 0 else int(value)
+        return None if value < 0 else value
 
     @tag.setter
     def tag(self, value: Optional[int]) -> None:
@@ -220,7 +148,7 @@ class _ArrayLineFields:
     @property
     def refresh_count(self) -> Optional[int]:
         value = self._arrays.refresh_count[self._index]
-        return None if value < 0 else int(value)
+        return None if value < 0 else value
 
     @refresh_count.setter
     def refresh_count(self, value: Optional[int]) -> None:
@@ -303,7 +231,7 @@ class ArrayDirectoryLine(_ArrayLineFields, DirectoryLine):
     @property
     def owner(self) -> Optional[int]:
         value = self._arrays.owner[self._index]
-        return None if value < 0 else int(value)
+        return None if value < 0 else value
 
     @owner.setter
     def owner(self, value: Optional[int]) -> None:

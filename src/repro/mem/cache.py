@@ -7,24 +7,19 @@ protocol behaviour -- what to do on a miss, coherence actions, write-backs --
 lives in :mod:`repro.hierarchy` and :mod:`repro.coherence` so that the same
 array is reused by every level.
 
-Two storage backends share this one class:
+Two storage backends share this one class (see :data:`CACHE_BACKENDS`):
 
 * ``backend="array"`` (the default) keeps all line state in the
-  struct-of-arrays vectors of :class:`~repro.mem.arrays.LineArrays`.  The
+  struct-of-arrays lists of :class:`~repro.mem.arrays.LineArrays`.  The
   *staged* access API (:meth:`probe_index`, :meth:`access_index`,
   :meth:`choose_victim_index`, :meth:`fill_index`, ...) works in plain line
   indices -- a lookup is a few list reads and integer compares, with no
   per-access object allocation.  Thin :class:`~repro.mem.arrays.ArrayCacheLine`
   views (one per line, built once) keep the object interface alive for the
   directory's sharer sets, the refresh policies and the tests.
-* ``backend="numpy"`` is the same layout on int64 ndarrays (requires
-  numpy): the per-access staged API is shared, while the refresh-facing
-  sweeps (:meth:`bulk_refresh_range`, :meth:`refresh_due_indices`,
-  :meth:`sentry_scan_range`, ...) become masked compares and bulk
-  timestamp rewrites.
 * ``backend="object"`` preserves the original one-object-per-line model.
-  It exists so the array backends can be checked for byte-identical
-  simulation results and benchmarked against the path they replaced.
+  It is the test oracle: an independent implementation the array backend
+  must match byte for byte in simulation results.
 
 The compatibility API (:meth:`lookup`, :meth:`access`, :meth:`fill`,
 :meth:`choose_victim`, iteration helpers) behaves identically on both
@@ -37,18 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config.parameters import CacheGeometry
-from repro.mem.arrays import (
-    HAVE_NUMPY,
-    ArrayCacheLine,
-    ArrayDirectoryLine,
-    LineArrays,
-    last_occurrence_plan,
-)
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
+from repro.mem.arrays import ArrayCacheLine, ArrayDirectoryLine, LineArrays
 from repro.mem.line import (
     CacheLine,
     DirectoryLine,
@@ -57,6 +41,10 @@ from repro.mem.line import (
     MESI_STATES,
     MESIState,
 )
+
+#: Cache storage models: the struct-of-arrays layout and the original
+#: one-object-per-line model kept as the test oracle.
+CACHE_BACKENDS = ("array", "object")
 
 
 @dataclass(frozen=True)
@@ -122,8 +110,10 @@ class Cache:
             raise ValueError("index_offset must lie in [0, index_interleave)")
         if backend is None:
             backend = "object" if line_factory is not None else "array"
-        if backend not in ("array", "object", "numpy"):
-            raise ValueError(f"unknown cache backend {backend!r}")
+        if backend not in CACHE_BACKENDS:
+            raise ValueError(
+                f"unknown cache backend {backend!r}; expected one of {CACHE_BACKENDS}"
+            )
         self.geometry = geometry
         self.name = name if name is not None else geometry.name
         self.index_interleave = index_interleave
@@ -140,30 +130,15 @@ class Cache:
         self._set_mask = self._num_sets - 1
         self._set_shift = self._num_sets.bit_length() - 1
 
-        self.numpy_backed = backend == "numpy"
-        if backend in ("array", "numpy"):
+        if backend == "array":
             self.directory = directory
             self.arrays: Optional[LineArrays] = LineArrays(
-                geometry.num_lines,
-                directory=directory,
-                backing="numpy" if backend == "numpy" else "list",
+                geometry.num_lines, directory=directory
             )
             view_cls = ArrayDirectoryLine if directory else ArrayCacheLine
             self._views: List[CacheLine] = [
                 view_cls(self.arrays, i) for i in range(geometry.num_lines)
             ]
-            if backend == "numpy":
-                # The refresh sweeps become real array operations (masked
-                # compares + bulk timestamp rewrites); the per-access staged
-                # methods are shared with the list backing, since their
-                # single-element reads work identically on an ndarray.
-                self.bulk_refresh_range = self._bulk_refresh_range_numpy
-                self.refresh_due_indices = self._refresh_due_indices_numpy
-                self.min_last_refresh = self._min_last_refresh_numpy
-                self.valid_indices_in_range = self._valid_indices_in_range_numpy
-                self.stamp_invalid_range = self._stamp_invalid_range_numpy
-                self.dirty_indices = self._dirty_indices_numpy
-                self.access_run = self._access_run_numpy
         else:
             factory = line_factory if line_factory is not None else (
                 DirectoryLine if directory else CacheLine
@@ -177,7 +152,6 @@ class Cache:
             # (transliterations of the original per-line-object code).
             self.probe_index = self._probe_index_object
             self.access_index = self._access_index_object
-            self.access_run = self._access_run_object
             self.choose_victim_index = self._choose_victim_index_object
             self.fill_index = self._fill_index_object
             self.invalidate_index = self._invalidate_index_object
@@ -336,72 +310,6 @@ class Cache:
                 return index
         return -1
 
-    def access_run(
-        self,
-        indices: Sequence[int],
-        cycles: Sequence[int],
-        counts: Sequence[int],
-    ) -> None:
-        """Commit a run of staged hits in one bulk call.
-
-        The entries are parallel: entry ``k`` records that the line at
-        ``indices[k]`` was hit ``counts[k]`` consecutive times, the last at
-        cycle ``cycles[k]``.  Because consecutive hits to the same line only
-        leave the *final* timestamps and LRU stamp behind, committing the
-        coalesced run leaves the arrays byte-identical to ``sum(counts)``
-        sequential :meth:`access_index` calls (pinned by
-        ``tests/test_property_access_run.py``); the LRU tick still advances
-        once per underlying hit so stamps interleave correctly with fills
-        and with other lines' runs.
-        """
-        arrays = self.arrays
-        last_access = arrays.last_access_cycle
-        last_refresh = arrays.last_refresh_cycle
-        refresh_count = arrays.refresh_count
-        stamps = arrays.lru_stamp
-        tick = self._lru_tick
-        for k in range(len(indices)):
-            index = indices[k]
-            cycle = cycles[k]
-            last_access[index] = cycle
-            last_refresh[index] = cycle
-            refresh_count[index] = -1
-            tick += counts[k]
-            stamps[index] = tick
-        self._lru_tick = tick
-
-    #: Below this many coalesced entries the scalar loop beats the numpy
-    #: bulk landing (array conversion and unique dominate); the two are
-    #: byte-identical, so the crossover is purely a speed choice.
-    _NUMPY_RUN_MIN = 24
-
-    def _access_run_numpy(
-        self,
-        indices: Sequence[int],
-        cycles: Sequence[int],
-        counts: Sequence[int],
-    ) -> None:
-        """Numpy-backend :meth:`access_run`: land a run as array writes.
-
-        Only each line's *final* touch survives a landing (the cycle of its
-        last hit and the LRU stamp its last hit advanced the tick to), so
-        the run is reduced to last occurrences
-        (:func:`repro.mem.arrays.last_occurrence_plan`) and landed with
-        four fancy-indexed stores -- no per-entry Python iteration,
-        byte-identical to the scalar loop.
-        """
-        if len(indices) < self._NUMPY_RUN_MIN:
-            return Cache.access_run(self, indices, cycles, counts)
-        idx, cyc, stamp, tick = last_occurrence_plan(
-            indices, cycles, counts, self._lru_tick
-        )
-        arrays = self.arrays
-        arrays.last_access_cycle[idx] = cyc
-        arrays.last_refresh_cycle[idx] = cyc
-        arrays.refresh_count[idx] = -1
-        arrays.lru_stamp[idx] = stamp
-        self._lru_tick = tick
-
     def choose_victim_index(self, block_address: int) -> int:
         """Index of the LRU victim in the block's set (invalid ways first)."""
         local = block_address >> self._line_shift
@@ -510,21 +418,6 @@ class Cache:
         self._lru_tick = tick
         line.lru_stamp = tick
         return result.set_idx * self._assoc + result.way
-
-    def _access_run_object(
-        self,
-        indices: Sequence[int],
-        cycles: Sequence[int],
-        counts: Sequence[int],
-    ) -> None:
-        views = self._views
-        tick = self._lru_tick
-        for k in range(len(indices)):
-            line = views[indices[k]]
-            line.touch(cycles[k])
-            tick += counts[k]
-            line.lru_stamp = tick
-        self._lru_tick = tick
 
     def _choose_victim_index_object(self, block_address: int) -> int:
         set_idx, _ = self.set_and_tag(block_address)
@@ -676,16 +569,12 @@ class Cache:
 
     def count_valid(self) -> int:
         """Number of valid lines currently held."""
-        if self.numpy_backed:
-            return int(self.arrays.valid.sum())
         if self.arrays is not None:
             return sum(self.arrays.valid)
         return sum(1 for _ in self.valid_lines())
 
     def count_dirty(self) -> int:
         """Number of dirty lines currently held."""
-        if self.numpy_backed:
-            return int(self.arrays.dirty.sum())
         if self.arrays is not None:
             return sum(self.arrays.dirty)
         return sum(1 for _, line in self.iter_lines() if line.dirty)
@@ -832,129 +721,6 @@ class Cache:
             arrays.refresh_count[index] = count - 1
             return violation
         return -1
-
-    # -- vectorized sweeps: numpy-backend variants ------------------------------
-    #
-    # Semantically identical to the list implementations above (the
-    # equivalence suite pins all three backends to byte-identical results);
-    # every count returned to a caller is converted back to a Python int so
-    # numpy scalars never reach the counters or the JSON results.
-
-    def _bulk_refresh_range_numpy(
-        self,
-        start: int,
-        end: int,
-        cycle: int,
-        retention_cycles: int,
-        include_invalid: bool,
-    ) -> Tuple[int, int]:
-        arrays = self.arrays
-        valid = arrays.valid[start:end]
-        refreshed = arrays.last_refresh_cycle[start:end]
-        num_valid = int(valid.sum())
-        violations = 0
-        if num_valid:
-            limit = cycle - retention_cycles
-            violations = int(((refreshed < limit) & (valid == 1)).sum())
-        refreshed[:] = cycle
-        processed = (end - start) if include_invalid else num_valid
-        return processed, violations
-
-    def _refresh_due_indices_numpy(
-        self, start: int, end: int, cutoff: int, include_invalid: bool
-    ) -> List[int]:
-        arrays = self.arrays
-        due = arrays.last_refresh_cycle[start:end] <= cutoff
-        if not include_invalid:
-            due &= arrays.valid[start:end] == 1
-        return [int(i) + start for i in _np.nonzero(due)[0]]
-
-    def _min_last_refresh_numpy(
-        self, start: int, end: int, include_invalid: bool
-    ) -> Optional[int]:
-        arrays = self.arrays
-        refreshed = arrays.last_refresh_cycle[start:end]
-        if include_invalid:
-            return int(refreshed.min()) if end > start else None
-        valid = arrays.valid[start:end] == 1
-        if not valid.any():
-            return None
-        return int(refreshed[valid].min())
-
-    def _valid_indices_in_range_numpy(self, start: int, end: int) -> List[int]:
-        valid = self.arrays.valid[start:end] == 1
-        return [int(i) + start for i in _np.nonzero(valid)[0]]
-
-    def _stamp_invalid_range_numpy(self, start: int, end: int, cycle: int) -> None:
-        arrays = self.arrays
-        invalid = arrays.valid[start:end] == 0
-        arrays.last_refresh_cycle[start:end][invalid] = cycle
-
-    def _dirty_indices_numpy(self) -> List[int]:
-        return [int(i) for i in _np.nonzero(self.arrays.dirty)[0]]
-
-    def sentry_scan_range(
-        self,
-        start: int,
-        end: int,
-        cycle: int,
-        cutoff: int,
-        limit: int,
-        kind: str,
-        include_invalid: bool,
-        dirty_budget: int = 0,
-        clean_budget: int = 0,
-    ) -> Tuple[int, int, List[int], Optional[int]]:
-        """One Refrint group interrupt as masked array operations.
-
-        The numpy-backed equivalent of the controller's fused single-pass
-        scan: classify every line of ``[start, end)``, take the refresh
-        ticks in place (timestamp rewrite, and for WB(n, m) the Count
-        seed/decrement), and report what the controller needs --
-        ``(refreshed, violations, slow line indices, min not-due stamp)``.
-        ``kind`` is the controller's policy classification ("all", "valid",
-        "dirty" or "wb"); ``cutoff``/``limit`` are the sentry-decay and
-        line-decay thresholds.  Only available on the numpy backend.
-        """
-        arrays = self.arrays
-        stamps = arrays.last_refresh_cycle[start:end]
-        valid = arrays.valid[start:end] == 1
-        due = stamps <= cutoff
-        slow: List[int] = []
-        if kind in ("valid", "all"):
-            mask = due if include_invalid else (due & valid)
-            refreshed = int(mask.sum())
-            violations = int((valid & due & (stamps < limit)).sum())
-            considered = ~due if include_invalid else (valid & ~due)
-            min_not_due = (
-                int(stamps[considered].min()) if considered.any() else None
-            )
-            stamps[mask] = cycle
-            return refreshed, violations, slow, min_not_due
-
-        due &= valid
-        if kind == "dirty":
-            dirty = arrays.dirty[start:end] == 1
-            take = due & dirty
-            slow_mask = due & ~dirty
-        else:  # wb
-            counts = arrays.refresh_count[start:end]
-            dirty = arrays.dirty[start:end] == 1
-            seeded = _np.where(
-                counts < 0, _np.where(dirty, dirty_budget, clean_budget), counts
-            )
-            take = due & (seeded >= 1)
-            slow_mask = due & ~take
-        refreshed = int(take.sum())
-        violations = int((take & (stamps < limit)).sum())
-        if kind == "wb" and refreshed:
-            counts[take] = seeded[take] - 1
-        stamps[take] = cycle
-        if slow_mask.any():
-            slow = [int(i) + start for i in _np.nonzero(slow_mask)[0]]
-        considered = valid & ~due
-        min_not_due = int(stamps[considered].min()) if considered.any() else None
-        return refreshed, violations, slow, min_not_due
 
     # -- vectorized sweeps: object-backend variants -----------------------------
 

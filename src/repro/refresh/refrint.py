@@ -80,14 +80,11 @@ class RefrintRefreshController(RefreshController):
             for start in range(0, num_lines, group_size)
         ]
         # The single-pass handler fuses the due scan, the refresh ticks and
-        # the next-fire computation over the raw state vectors -- as masked
-        # array operations on the numpy backend, as one int-compare loop on
-        # the list backend; the object backend and plugged-in policies keep
+        # the next-fire computation into one int-compare loop over the raw
+        # state vectors; the object backend and plugged-in policies keep
         # the generic two-pass walk.
         if self._policy_kind == "custom" or self.cache.arrays is None:
             self._handler = self._on_group_interrupt
-        elif self.cache.numpy_backed:
-            self._handler = self._on_group_interrupt_vector
         else:
             self._handler = self._on_group_interrupt_fast
         # An empty cache has nothing due before one full sentry retention.
@@ -112,8 +109,8 @@ class RefrintRefreshController(RefreshController):
         reschedule; the return value is exactly the fire time the handler
         would have armed (earliest last-refresh plus the sentry retention,
         capped one retention out), so skipping the scan is unobservable.
-        Shared by all three handler variants, whose no-due-work reschedule
-        logic is identical.
+        Shared by both handler variants, whose no-due-work reschedule logic
+        is identical.
         """
         sentry_retention = self._sentry_retention
         earliest = self.cache.min_last_refresh(
@@ -261,60 +258,6 @@ class RefrintRefreshController(RefreshController):
         self.wheel.schedule(
             next_time, next_time + self._slack,
             self._on_group_interrupt_fast, payload=payload,
-            probe=self._group_probe,
-        )
-
-    def _on_group_interrupt_vector(self, cycle: int, payload: Any) -> None:
-        """Group interrupt as masked array operations (numpy backend).
-
-        Delegates the scan, the in-place refresh ticks and the next-fire
-        computation to :meth:`~repro.mem.cache.Cache.sentry_scan_range`;
-        only write-backs / invalidations walk their line views.  Behaviour
-        is identical to :meth:`_on_group_interrupt_fast` (the equivalence
-        suite pins all backends against each other).
-        """
-        start, end = payload
-        kind = self._policy_kind
-        refreshed, violations, slow, min_not_due = self.cache.sentry_scan_range(
-            start,
-            end,
-            cycle,
-            cycle - self._sentry_retention,
-            cycle - self.config.retention_cycles,
-            kind,
-            self._include_invalid,
-            self._dirty_budget if kind == "wb" else 0,
-            self._clean_budget if kind == "wb" else 0,
-        )
-        processed = refreshed
-        if slow:
-            cache = self.cache
-            assoc = cache.geometry.associativity
-            for i in slow:
-                action = self.apply_policy(i // assoc, cache.view(i), cycle)
-                if action is not PolicyAction.SKIP:
-                    processed += 1
-        stat_counts = self._raw_counts
-        if refreshed:
-            stat_counts[self._refresh_counter] += refreshed
-        if violations:
-            stat_counts["decay_violations"] += violations
-        if processed:
-            self.block_array(cycle, processed)
-            stat_counts[self._interrupt_counter] += 1
-        sentry_retention = self._sentry_retention
-        horizon = cycle + sentry_retention
-        if min_not_due is None:
-            next_time = horizon
-        else:
-            next_time = min_not_due + sentry_retention
-            if next_time > horizon:
-                next_time = horizon
-            elif next_time <= cycle:
-                next_time = cycle + 1
-        self.wheel.schedule(
-            next_time, next_time + self._slack,
-            self._on_group_interrupt_vector, payload=payload,
             probe=self._group_probe,
         )
 

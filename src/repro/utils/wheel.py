@@ -44,7 +44,7 @@ would have armed.
 Determinism: drains happen at exact deadline cycles, entries are processed
 in (bucket index, insertion order) order, and the wheel itself never
 consults wall-clock state -- so simulations are reproducible and identical
-across cache backends and replay modes.
+across cache backends.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Counter-based validation of simulation results.
 
 The simulator's CI currency is exact counters (events popped, protocol
-calls, kernel coverage); this package validates those counters against what
-the WB(n, m) model says they *must* satisfy:
+calls, wheel scans, activity counters); this package validates those
+counters against what the WB(n, m) model says they *must* satisfy:
 
 * :mod:`repro.validate.invariants` -- closed-form per-run invariants
   (energy ledgers, refresh cadence bounds, counter conservation laws)

@@ -7,7 +7,7 @@ per-op energy of :mod:`repro.energy.tables`; the number of refreshes a level
 can perform is bounded by its (level-scaled) retention period and the run
 length; counter conservation laws (DRAM reads + writes == DRAM accesses,
 router hops == link hops, hits + misses never exceeding accesses) must hold
-on every backend and replay mode.
+on every cache backend.
 
 The engine works on any :class:`~repro.core.results.SimulationResult`:
 
@@ -21,8 +21,9 @@ The engine works on any :class:`~repro.core.results.SimulationResult`:
   ledgers run.
 
 ``check_replay_stats`` validates the event-loop side
-(:class:`~repro.core.simulator.ReplayStats`): kernel coverage conservation
-and the refresh wheel's ``skips <= scans`` law.
+(:class:`~repro.core.simulator.ReplayStats`): every queue event is a
+refresh-wheel drain, every reference walks the protocol, and the wheel's
+``skips <= scans`` law.
 """
 
 from __future__ import annotations
@@ -396,31 +397,21 @@ def _check_timing(collect: _Collector, result: SimulationResult) -> None:
 def check_replay_stats(stats: ReplayStats) -> List[InvariantCheck]:
     """Event-loop invariants for one live run's :class:`ReplayStats`.
 
-    Covers the reference-stream conservation law (every data reference is
-    either a slow protocol walk or a private hit, and the kernel can only
-    retire private hits) and the refresh wheel's scan accounting
-    (``skips <= scans``: a probe can only skip an entry the drain actually
-    examined; every drain is one popped queue event).
+    The refresh wheel is the event queue's only producer, so every popped
+    event is one wheel drain.  Every data reference is one protocol walk
+    (real instruction fetches add more), so protocol calls cover the
+    references.  A wheel probe can only skip an entry the drain actually
+    examined, so skips never exceed scans.
     """
     collect = _Collector()
-    collect.bounded(
-        "slow-references-within-references", stats.slow_references, stats.references
+    collect.require(
+        "events-are-wheel-drains",
+        stats.events_popped == stats.wheel_drains,
+        f"{stats.events_popped} events popped but {stats.wheel_drains} "
+        f"wheel drains",
     )
     collect.bounded(
-        "kernel-accesses-within-private-hits",
-        stats.kernel_accesses,
-        stats.private_hit_references,
-    )
-    collect.bounded(
-        "kernel-batches-within-accesses", stats.kernel_batches, stats.kernel_accesses
-    )
-    collect.bounded(
-        "references-conservation",
-        stats.slow_references + stats.kernel_accesses,
-        stats.references,
+        "protocol-calls-cover-references", stats.references, stats.protocol_calls
     )
     collect.bounded("wheel-skips-within-scans", stats.wheel_skips, stats.wheel_scans)
-    collect.bounded(
-        "wheel-drains-within-events", stats.wheel_drains, stats.events_popped
-    )
     return collect.checks

@@ -1,22 +1,34 @@
-"""Byte-level equivalence of the cache backends and replay modes.
+"""Byte-level equivalence of the two cache backends against golden results.
 
-The struct-of-arrays backend, its optional numpy backing, and the run-ahead
-replay loop are all *optimisations*, not remodels: for every configuration
-the simulator must produce a :class:`SimulationResult` whose JSON form is
-byte-identical to the original one-object-per-line backend replayed one
-heap event per reference.  The matrix here runs five configuration
-families (SRAM baseline, periodic eDRAM schemes covering the bulk and
-per-line sweeps, and the paper's headline Refrint-WB(32,32)) over two
-applications through every backend x replay combination and compares the
-canonical JSON dumps byte for byte -- counters, cycle counts and energy
-included.
+The struct-of-arrays backend is an *optimisation*, not a remodel: for every
+configuration the simulator must produce a :class:`SimulationResult` whose
+JSON form is byte-identical to the original one-object-per-line backend.
+Two kinds of evidence pin that down:
+
+* **Golden pins.**  ``golden_results.json`` holds the SHA-256 of the
+  canonical JSON of every cell of the equivalence matrix -- seven
+  configuration families (SRAM baseline, periodic eDRAM schemes covering
+  the bulk and per-line sweeps, and Refrint under Valid, Dirty and the
+  paper's headline WB(32,32)) over all eleven applications -- and of the
+  deadline-aligned horizon traces below.  They were recorded with the
+  object backend replaying one queue event per reference, the
+  simulator's original reference loop, and are keyed by trace-generator
+  provenance because the numpy and scalar generators draw different
+  (equally valid) traces.  Both backends must reproduce them.
+* **Random traces.**  A hypothesis property runs random 16-core traces
+  under tight retention and heavy sharing through both backends and
+  compares the canonical JSON dumps byte for byte.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.config.parameters import (
     DataPolicySpec,
@@ -27,34 +39,33 @@ from repro.config.parameters import (
 from repro.config.presets import scaled_architecture, scaled_retention_cycles
 from repro.core.simulator import RefrintSimulator
 from repro.cpu.trace import MemoryOperation, TraceRecord, TraceStream
-from repro.mem.arrays import HAVE_NUMPY
+from repro.mem.cache import CACHE_BACKENDS
 from repro.validate import check_result
-from repro.workloads.suite import build_application
+from repro.workloads.suite import (
+    APPLICATION_NAMES,
+    ApplicationWorkload,
+    build_application,
+)
+from repro.workloads.synthetic import TRACE_GENERATOR_PROVENANCE
 
 #: Short but non-trivial traces: every config exercises fills, evictions,
 #: coherence traffic and (for eDRAM) refresh actions.
 LENGTH_SCALE = 0.1
 
-APPLICATIONS = ("fft", "blackscholes")
+APPLICATIONS = APPLICATION_NAMES
 
-#: Every cache backend crossed with every replay mode and every batch
-#: kernel, compared against the (object, event, off) reference.  The numpy
-#: backend and the kernel modes ride along when numpy is installed and are
-#: skipped (not failed) when it is absent; kernels only combine with
-#: run-ahead replay (the simulator rejects them under event replay).
-BACKENDS = ("object", "array") + (("numpy",) if HAVE_NUMPY else ())
-KERNELS = ("off",) + (("numpy", "numba") if HAVE_NUMPY else ())
-VARIANTS = [
-    (backend, replay, kernel)
-    for backend in BACKENDS
-    for replay in ("event", "runahead")
-    for kernel in (KERNELS if replay == "runahead" else ("off",))
-    if (backend, replay, kernel) != ("object", "event", "off")
-]
+CONFIG_LABELS = (
+    "SRAM", "P.all", "P.valid", "P.WB(32,32)",
+    "R.valid", "R.dirty", "R.WB(32,32)",
+)
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_results.json").read_text(encoding="utf-8")
+)[TRACE_GENERATOR_PROVENANCE]
 
 
-def _edram_config(architecture, timing, data):
-    retention = scaled_retention_cycles(50.0)
+def _edram_config(architecture, timing, data, retention_us=50.0):
+    retention = scaled_retention_cycles(retention_us)
     refresh = RefreshConfig(
         retention_cycles=retention,
         sentry_margin_cycles=RefreshConfig.derive_sentry_margin(
@@ -83,8 +94,9 @@ def _config_matrix(architecture):
     # Chosen to cover every backend-specialised refresh path: P.all and
     # P.valid take the bulk slice sweep (invalid lines included/excluded),
     # P.WB takes the periodic per-line walk (valid_indices_in_range +
-    # stamp_invalid_range + process_indices), and R.WB takes the fused
-    # sentry interrupt scan.
+    # stamp_invalid_range + process_indices), and the three Refrint points
+    # take each policy branch of the fused sentry interrupt scan (valid,
+    # dirty with its clean-line invalidations, and WB's Count ageing).
     return {
         "SRAM": SimulationConfig.sram(architecture),
         "P.all": _edram_config(
@@ -96,6 +108,12 @@ def _config_matrix(architecture):
         "P.WB(32,32)": _edram_config(
             architecture, TimingPolicyKind.PERIODIC, DataPolicySpec.writeback(32, 32)
         ),
+        "R.valid": _edram_config(
+            architecture, TimingPolicyKind.REFRINT, DataPolicySpec.valid()
+        ),
+        "R.dirty": _edram_config(
+            architecture, TimingPolicyKind.REFRINT, DataPolicySpec.dirty()
+        ),
         "R.WB(32,32)": _edram_config(
             architecture, TimingPolicyKind.REFRINT, DataPolicySpec.writeback(32, 32)
         ),
@@ -106,38 +124,22 @@ def _canonical_bytes(result) -> bytes:
     return json.dumps(result.to_dict(), sort_keys=True).encode("utf-8")
 
 
-@pytest.fixture(scope="module")
-def reference_results(architecture, workloads):
-    """The (object backend, event replay) result for every matrix cell."""
-    configs = _config_matrix(architecture)
-    return {
-        (config_label, application): _canonical_bytes(
-            RefrintSimulator(
-                configs[config_label], cache_backend="object", replay="event"
-            ).run(workloads[application])
-        )
-        for config_label in configs
-        for application in APPLICATIONS
-    }
+def _digest(result) -> str:
+    return hashlib.sha256(_canonical_bytes(result)).hexdigest()
 
 
-@pytest.mark.parametrize("backend,replay,kernel", VARIANTS)
-@pytest.mark.parametrize(
-    "config_label", ["SRAM", "P.all", "P.valid", "P.WB(32,32)", "R.WB(32,32)"]
-)
+@pytest.mark.parametrize("backend", CACHE_BACKENDS)
+@pytest.mark.parametrize("config_label", CONFIG_LABELS)
 @pytest.mark.parametrize("application", APPLICATIONS)
-def test_all_backends_and_replays_are_byte_identical(
-    architecture, workloads, reference_results, config_label, application,
-    backend, replay, kernel,
+def test_matrix_cell_matches_golden_pin(
+    architecture, workloads, config_label, application, backend
 ):
     config = _config_matrix(architecture)[config_label]
-    simulator = RefrintSimulator(
-        config, cache_backend=backend, replay=replay, kernel=kernel
-    )
+    simulator = RefrintSimulator(config, cache_backend=backend)
     result = simulator.run(workloads[application])
-    assert _canonical_bytes(result) == reference_results[(config_label, application)]
+    assert _digest(result) == GOLDEN["matrix"][f"{config_label}/{application}"]
     # Every cell of the matrix must also hold the analytic invariants --
-    # byte-identity alone would let a bug shared by all backends through.
+    # byte-identity alone would let a bug shared by both backends through.
     validation = check_result(
         result, config=config, replay_stats=simulator.last_replay_stats
     )
@@ -146,51 +148,57 @@ def test_all_backends_and_replays_are_byte_identical(
     ]
 
 
-def test_runahead_pops_far_fewer_events(architecture, workloads):
-    """Run-ahead inlines every reference: only refresh drains hit the heap."""
-    config = _config_matrix(architecture)["R.WB(32,32)"]
-    stats = {}
-    for replay in ("event", "runahead"):
-        simulator = RefrintSimulator(config, replay=replay)
-        simulator.run(workloads["fft"])
-        stats[replay] = simulator.last_replay_stats
-    assert stats["event"].references == stats["runahead"].references
-    assert stats["runahead"].events_popped * 5 <= stats["event"].events_popped
+def test_golden_pins_cover_the_matrix():
+    """Both generators' pin sets hold exactly the cells the tests read."""
+    pins = json.loads(
+        (Path(__file__).parent / "golden_results.json").read_text(encoding="utf-8")
+    )
+    cells = {f"{c}/{a}" for c in CONFIG_LABELS for a in APPLICATIONS}
+    horizon = {
+        f"{case}/gap{gap}" for case in TestHorizonBoundary.CASES for gap in (0, 7)
+    }
+    assert set(pins) == {"numpy", "scalar"}
+    for provenance in pins.values():
+        assert set(provenance["matrix"]) == cells
+        assert set(provenance["horizon"]) == horizon
 
 
 def test_backend_selection_is_plumbed_through(architecture):
     """The hierarchy really builds the requested backend on every cache."""
     from repro.hierarchy.hierarchy import CacheHierarchy
 
-    backends = ("array", "object") + (("numpy",) if HAVE_NUMPY else ())
-    for backend in backends:
+    for backend in CACHE_BACKENDS:
         hierarchy = CacheHierarchy(architecture, cache_backend=backend)
         for _, _, cache in hierarchy.all_caches():
             assert cache.backend == backend
-            assert (cache.arrays is not None) == (backend != "object")
-            assert cache.numpy_backed == (backend == "numpy")
+            assert (cache.arrays is not None) == (backend == "array")
 
 
-def test_numpy_backend_requires_numpy(architecture):
-    if HAVE_NUMPY:
-        pytest.skip("numpy installed; the rejection path needs it absent")
+def test_unknown_backend_is_rejected(architecture):
     from repro.mem.cache import Cache
 
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="unknown cache backend 'numpy'"):
         Cache(architecture.l1d, backend="numpy")
 
 
 class TestHorizonBoundary:
     """References landing exactly on a refresh deadline.
 
-    The run-ahead loop batches references strictly *before* its horizon; a
-    reference issued at exactly the horizon cycle must yield to the queue
-    so the refresh pass (and its array blocking) executes first, just as
-    the (time, seq) heap order would.  These traces are built so that core
-    0's references land exactly on the periodic group passes' nominal
-    cycles (multiples of the stagger stride), with the other cores idle and
-    busy respectively.
+    The replay loop executes references back to back strictly *before* its
+    horizon; a reference issued at exactly the horizon cycle must yield to
+    the queue so the refresh pass (and its array blocking) executes first,
+    just as the (time, seq) heap order would.  These traces are built so
+    that core 0's references land exactly on the periodic group passes'
+    nominal cycles (multiples of the stagger stride), with the other cores
+    idle and busy respectively.
     """
+
+    CASES = {
+        "periodic-all": (TimingPolicyKind.PERIODIC, DataPolicySpec.all_lines()),
+        "refrint-wb(2,2)": (
+            TimingPolicyKind.REFRINT, DataPolicySpec.writeback(2, 2)
+        ),
+    }
 
     @staticmethod
     def _aligned_workload(architecture, stride, other_gap):
@@ -227,39 +235,87 @@ class TestHorizonBoundary:
             )
             for t in range(1, architecture.num_cores)
         ]
-        from repro.workloads.suite import ApplicationWorkload
+        return ApplicationWorkload(spec=fft.spec, traces=(aligned, *others))
 
-        return ApplicationWorkload(
-            spec=fft.spec, traces=(aligned, *others)
-        )
-
-    @pytest.mark.parametrize("timing,data", [
-        (TimingPolicyKind.PERIODIC, DataPolicySpec.all_lines()),
-        (TimingPolicyKind.REFRINT, DataPolicySpec.writeback(2, 2)),
-    ])
+    @pytest.mark.parametrize("backend", CACHE_BACKENDS)
+    @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("other_gap", [0, 7])
-    def test_boundary_reference_is_ordered_like_event_replay(
-        self, architecture, timing, data, other_gap
+    def test_boundary_reference_matches_golden_pin(
+        self, architecture, case, other_gap, backend
     ):
+        timing, data = self.CASES[case]
         config = _edram_config(architecture, timing, data)
         stride = (
             config.refresh.retention_cycles
             // architecture.l3_bank.num_refresh_groups
         )
         workload = self._aligned_workload(architecture, stride, other_gap)
-        # Kernel scans cap stretches at the same boundaries the scalar
-        # run-ahead loop yields at, so every kernel mode must reproduce the
-        # event ordering on deadline-aligned references too.
-        variants = [("event", "off"), ("runahead", "off")]
-        variants += [("runahead", kernel) for kernel in KERNELS[1:]]
-        results = {
-            (replay, kernel): _canonical_bytes(
-                RefrintSimulator(config, replay=replay, kernel=kernel).run(
-                    workload
+        result = RefrintSimulator(config, cache_backend=backend).run(workload)
+        assert _digest(result) == GOLDEN["horizon"][f"{case}/gap{other_gap}"]
+
+
+# -- random traces ------------------------------------------------------------
+
+
+@st.composite
+def random_workloads(draw):
+    """Per-core traces mixing private streaks with a shared contended pool."""
+    num_cores = 16
+    line = 64
+    shared_blocks = [0x1000_0000 + i * line for i in range(8)]
+    traces = []
+    for core in range(num_cores):
+        length = draw(st.integers(0, 24))
+        records = []
+        private_base = 0x8000_0000 + core * 0x10_000
+        for _ in range(length):
+            kind = draw(st.integers(0, 3))
+            if kind == 0:  # shared, contended: upgrades and owner recalls
+                address = draw(st.sampled_from(shared_blocks))
+            else:  # private streak with word-level spatial locality
+                address = private_base + draw(st.integers(0, 63)) * 8
+            records.append(
+                TraceRecord(
+                    address=address,
+                    operation=(
+                        MemoryOperation.WRITE
+                        if draw(st.booleans())
+                        else MemoryOperation.READ
+                    ),
+                    gap_instructions=draw(st.integers(0, 6)),
                 )
             )
-            for replay, kernel in variants
-        }
-        reference = results[("event", "off")]
-        for key, produced in results.items():
-            assert produced == reference, key
+        traces.append(TraceStream(records, thread_id=core))
+    return traces
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(traces=random_workloads(), retention_us=st.sampled_from([5.0, 50.0]))
+def test_random_traces_are_byte_identical_across_backends(traces, retention_us):
+    """Array and object backends agree under refresh and coherence pressure.
+
+    The 5 us retention point drives the refresh wheel hard: sentry timers
+    fire constantly, arrays go refresh-busy (references queue behind the
+    blocked arrays), and WB(2, 2) exhausts its Count quickly so policy
+    write-backs and invalidations interleave with the references.
+    """
+    architecture = scaled_architecture()
+    spec = build_application("fft", architecture, length_scale=0.01).spec
+    workload = ApplicationWorkload(spec=spec, traces=tuple(traces))
+    config = _edram_config(
+        architecture,
+        TimingPolicyKind.REFRINT,
+        DataPolicySpec.writeback(2, 2),
+        retention_us=retention_us,
+    )
+    array, reference = (
+        _canonical_bytes(
+            RefrintSimulator(config, cache_backend=backend).run(workload)
+        )
+        for backend in ("array", "object")
+    )
+    assert array == reference

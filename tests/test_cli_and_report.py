@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 
 import pytest
 
-from repro.cli import (
-    main,
-    parse_applications,
-    parse_data_policy,
-    parse_timing_policy,
-)
+from repro.cli import build_parser, main
 from repro.config.parameters import DataPolicyKind, TimingPolicyKind
 from repro.config.presets import scaled_architecture
 from repro.core.sweep import PolicyPoint, run_sweep
@@ -23,27 +17,46 @@ from repro.workloads.suite import build_suite
 
 
 class TestArgumentParsing:
-    def test_parse_data_policy(self):
-        assert parse_data_policy("valid").kind is DataPolicyKind.VALID
-        assert parse_data_policy("all").kind is DataPolicyKind.ALL
-        assert parse_data_policy("dirty").kind is DataPolicyKind.DIRTY
-        wb = parse_data_policy("WB(16,8)")
+    """Policy and application arguments parse through the query schema.
+
+    A bad value is a usage error: exit status 2, with the value named on
+    stderr.
+    """
+
+    @staticmethod
+    def rejects(capsys, argv, bad):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv, out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert bad in capsys.readouterr().err
+
+    def test_parse_data_policy(self, capsys):
+        parse = build_parser().parse_args
+        for text, kind in (
+            ("valid", DataPolicyKind.VALID),
+            ("all", DataPolicyKind.ALL),
+            ("dirty", DataPolicyKind.DIRTY),
+        ):
+            assert parse(["simulate", "--data", text]).data.kind is kind
+        wb = parse(["simulate", "--data", "WB(16,8)"]).data
         assert wb.kind is DataPolicyKind.WRITEBACK
         assert (wb.dirty_refreshes, wb.clean_refreshes) == (16, 8)
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_data_policy("smart")
+        self.rejects(capsys, ["simulate", "--data", "smart"], "smart")
 
-    def test_parse_timing_policy(self):
-        assert parse_timing_policy("periodic") is TimingPolicyKind.PERIODIC
-        assert parse_timing_policy("R") is TimingPolicyKind.REFRINT
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_timing_policy("lazy")
+    def test_parse_timing_policy(self, capsys):
+        parse = build_parser().parse_args
+        timing = parse(["simulate", "--timing", "periodic"]).timing
+        assert timing is TimingPolicyKind.PERIODIC
+        assert parse(["simulate", "--timing", "R"]).timing is TimingPolicyKind.REFRINT
+        self.rejects(capsys, ["simulate", "--timing", "lazy"], "lazy")
 
-    def test_parse_applications(self):
-        assert parse_applications("fft, lu") == ["fft", "lu"]
-        assert len(parse_applications("all")) == 11
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_applications("fft,doom")
+    def test_parse_applications(self, capsys):
+        parse = build_parser().parse_args
+        assert parse(["sweep", "--applications", "fft, lu"]).applications == [
+            "fft", "lu",
+        ]
+        assert len(parse(["sweep", "--applications", "all"]).applications) == 11
+        self.rejects(capsys, ["sweep", "--applications", "fft,doom"], "doom")
 
 
 class TestCommands:

@@ -7,7 +7,6 @@ import pytest
 from repro.cpu.core import Core
 from repro.cpu.trace import MemoryOperation, TraceRecord, TraceStream
 from repro.hierarchy.hierarchy import CacheHierarchy
-from repro.utils.events import EventQueue
 
 
 class TestTraceRecord:
@@ -50,13 +49,18 @@ class TestTraceStream:
         assert stream.read_fraction() == 0.0
 
 
+def replay(core: Core) -> None:
+    """Drive one core through its whole trace, reference by reference."""
+    cycle = core.begin(0)
+    while cycle is not None:
+        cycle = core.step(cycle)
+
+
 class TestCore:
     def run_core(self, architecture, records):
         hierarchy = CacheHierarchy(architecture)
-        events = EventQueue()
-        core = Core(0, TraceStream(records), hierarchy, events)
-        core.start(0)
-        events.run()
+        core = Core(0, TraceStream(records), hierarchy)
+        replay(core)
         return core, hierarchy
 
     def test_core_completes_its_trace(self, tiny_architecture):
@@ -100,22 +104,7 @@ class TestCore:
         assert core.finished
         assert core.stats.references_completed == 0
 
-    def test_on_finish_callback(self, tiny_architecture):
-        hierarchy = CacheHierarchy(tiny_architecture)
-        events = EventQueue()
-        seen = []
-        core = Core(
-            3,
-            TraceStream([TraceRecord(0x40, MemoryOperation.READ, 0)]),
-            hierarchy,
-            events,
-            on_finish=lambda cycle, c: seen.append((cycle, c.core_id)),
-        )
-        core.start(0)
-        events.run()
-        assert seen and seen[0][1] == 3
-
     def test_invalid_ifetch_interval_rejected(self, tiny_architecture):
         hierarchy = CacheHierarchy(tiny_architecture)
         with pytest.raises(ValueError):
-            Core(0, TraceStream([]), hierarchy, EventQueue(), ifetch_interval=0)
+            Core(0, TraceStream([]), hierarchy, ifetch_interval=0)

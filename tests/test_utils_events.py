@@ -35,20 +35,6 @@ def test_schedule_in_past_rejected():
         queue.schedule(5, lambda t, p: None)
 
 
-def test_schedule_after_uses_current_time():
-    queue = EventQueue()
-    seen = []
-    queue.schedule(10, lambda t, p: queue.schedule_after(5, lambda t2, p2: seen.append(t2)))
-    queue.run()
-    assert seen == [15]
-
-
-def test_negative_delay_rejected():
-    queue = EventQueue()
-    with pytest.raises(ValueError):
-        queue.schedule_after(-1, lambda t, p: None)
-
-
 def test_cancelled_events_are_skipped():
     queue = EventQueue()
     fired = []
@@ -83,46 +69,30 @@ def test_run_max_events_limit():
     assert fired == [0, 1, 2]
 
 
-def test_pop_advances_clock_without_executing():
-    queue = EventQueue()
-    fired = []
-    queue.schedule(7, lambda t, p: fired.append(t))
-    event = queue.pop()
-    assert event is not None
-    assert queue.now == 7
-    assert fired == []
-
-
 def test_len_counts_only_live_events():
     queue = EventQueue()
     first = queue.schedule(1, lambda t, p: None)
     queue.schedule(2, lambda t, p: None)
     first.cancel()
     assert len(queue) == 1
-    assert not queue.empty()
 
 
-def test_empty_queue_pop_returns_none():
-    queue = EventQueue()
-    assert queue.pop() is None
-    assert queue.empty()
-
-
-def test_len_is_tracked_across_schedule_cancel_pop():
+def test_len_is_tracked_across_schedule_cancel_run():
     queue = EventQueue()
     events = [queue.schedule(time, lambda t, p: None) for time in range(4)]
     assert len(queue) == 4
     events[0].cancel()
     events[0].cancel()  # double cancel must not decrement twice
     assert len(queue) == 3
-    popped = queue.pop()  # skips the cancelled event, pops the live one at t=1
-    assert popped.time == 1
+    # Skips the cancelled event, executes the live one at t=1.
+    assert queue.run(max_events=1) == 1
+    assert queue.now == 1
     assert len(queue) == 2
-    # Cancelling an already-popped event must not affect the counter.
-    popped.cancel()
+    # Cancelling an already-executed event must not affect the counter.
+    events[1].cancel()
     assert len(queue) == 2
     queue.run()
-    assert len(queue) == 0 and queue.empty()
+    assert len(queue) == 0
 
 
 def test_len_is_tracked_through_run():
@@ -135,16 +105,6 @@ def test_len_is_tracked_through_run():
     queue.run()
     assert cancelled == []
     assert len(queue) == 0
-
-
-def test_peek_key_skips_cancelled_and_reports_earliest():
-    queue = EventQueue()
-    assert queue.peek_key() is None
-    first = queue.schedule(5, lambda t, p: None)
-    queue.schedule(9, lambda t, p: None)
-    assert queue.peek_key() == (5, 0)
-    first.cancel()
-    assert queue.peek_key() == (9, 1)
 
 
 def test_run_until_key_executes_strictly_before_the_key():
@@ -160,24 +120,6 @@ def test_run_until_key_executes_strictly_before_the_key():
     assert queue.now == 10
     queue.run()
     assert fired[-1] == (10, "c")
-
-
-def test_claim_seq_interleaves_with_scheduled_events():
-    queue = EventQueue()
-    queue.schedule(3, lambda t, p: None)  # seq 0
-    assert queue.claim_seq() == 1
-    event = queue.schedule(3, lambda t, p: None)
-    assert event.seq == 2
-
-
-def test_advance_clock_moves_forward_only():
-    queue = EventQueue()
-    queue.advance_clock(12)
-    assert queue.now == 12
-    with pytest.raises(ValueError):
-        queue.advance_clock(11)
-    with pytest.raises(ValueError):
-        queue.schedule(5, lambda t, p: None)
 
 
 def test_popped_events_counts_only_executed_events():

@@ -161,32 +161,39 @@ class TestInvariantEngine:
 class TestReplayStats:
     def test_consistent_stats_pass(self):
         stats = ReplayStats(
-            events_popped=10,
+            events_popped=8,
             references=100,
-            slow_references=30,
-            kernel_accesses=50,
-            kernel_batches=5,
+            protocol_calls=130,
             wheel_drains=8,
             wheel_skips=3,
             wheel_scans=12,
         )
         checks = check_replay_stats(stats)
-        assert all(check.ok for check in checks)
+        assert checks and all(check.ok for check in checks)
+
+    def test_every_reference_walks_the_protocol(self):
+        stats = ReplayStats(events_popped=0, references=10, protocol_calls=10)
+        assert stats.slow_references == stats.references
 
     def test_skips_beyond_scans_fail(self):
         stats = ReplayStats(
-            events_popped=10, references=10, wheel_skips=5, wheel_scans=2
+            events_popped=0, references=10, protocol_calls=10,
+            wheel_skips=5, wheel_scans=2,
         )
         failed = {c.name for c in check_replay_stats(stats) if not c.ok}
-        assert "wheel-skips-within-scans" in failed
+        assert failed == {"wheel-skips-within-scans"}
 
-    def test_kernel_cannot_retire_more_than_private_hits(self):
+    def test_events_other_than_wheel_drains_fail(self):
         stats = ReplayStats(
-            events_popped=1, references=10, slow_references=8, kernel_accesses=5
+            events_popped=10, references=10, protocol_calls=10, wheel_drains=8
         )
         failed = {c.name for c in check_replay_stats(stats) if not c.ok}
-        assert "kernel-accesses-within-private-hits" in failed
-        assert "references-conservation" in failed
+        assert failed == {"events-are-wheel-drains"}
+
+    def test_references_beyond_protocol_calls_fail(self):
+        stats = ReplayStats(events_popped=0, references=10, protocol_calls=9)
+        failed = {c.name for c in check_replay_stats(stats) if not c.ok}
+        assert failed == {"protocol-calls-cover-references"}
 
 
 class TestNetworkCounters:
