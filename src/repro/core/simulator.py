@@ -118,10 +118,13 @@ class RefrintSimulator:
             wheel_skips=wheel.skips if wheel is not None else 0,
             wheel_scans=wheel.scans if wheel is not None else 0,
         )
+        if wheel is not None:
+            # Replay is over, so no timer can fire again.
+            wheel.clear()
 
-        execution_cycles = max(
-            core.stats.finish_cycle or events.now for core in cores
-        )
+        # _replay runs every core to completion, so every finish cycle is
+        # set (an empty trace finishes at cycle 0).
+        execution_cycles = max(core.stats.finish_cycle for core in cores)
         if self.config.flush_dirty_at_end:
             hierarchy.flush_dirty(execution_cycles)
 
@@ -144,9 +147,7 @@ class RefrintSimulator:
             busy_core_cycles=busy_core_cycles,
             counters=hierarchy.counters.as_dict(),
             energy=account.breakdown(),
-            per_core_finish_cycles=[
-                core.stats.finish_cycle or execution_cycles for core in cores
-            ],
+            per_core_finish_cycles=[core.stats.finish_cycle for core in cores],
         )
 
     # -- internals ----------------------------------------------------------------

@@ -30,13 +30,15 @@ class CoreCaches:
     def invalidate_l1_copies(self, block_address: int) -> int:
         """Invalidate any L1 copy of a block (inclusion with the L2).
 
-        Returns the number of copies dropped (0, 1 or 2).
+        Returns the number of copies dropped (0, 1 or 2).  Staged: no line
+        view is built for the dropped copies.
         """
         dropped = 0
-        if self.l1d.invalidate(block_address) is not None:
-            dropped += 1
-        if self.l1i.invalidate(block_address) is not None:
-            dropped += 1
+        for l1 in (self.l1d, self.l1i):
+            index = l1.probe_index(block_address)
+            if index >= 0:
+                l1.invalidate_index(index)
+                dropped += 1
         return dropped
 
     def __repr__(self) -> str:

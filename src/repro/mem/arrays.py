@@ -15,10 +15,11 @@ Two thin view classes, :class:`ArrayCacheLine` and
 :class:`ArrayDirectoryLine`, expose one line of the arrays through the
 exact :class:`~repro.mem.line.CacheLine` / ``DirectoryLine`` interface
 (they are subclasses, so ``isinstance`` checks and the inherited
-``fill`` / ``touch`` / ``mark_dirty`` state machines keep working).  Views
-are materialised once per line at cache construction and live as long as
-the cache, so holding one across mutations always reads live state; the
-staged fast path never touches them.
+``fill`` / ``touch`` / ``mark_dirty`` state machines keep working).  A view
+is built the first time its line is asked for
+(:meth:`~repro.mem.cache.Cache.view`) and then lives as long as the cache,
+so holding one across mutations always reads live state; the staged fast
+path never touches them, and a cache nobody inspects builds none.
 
 Invariants: ``valid[i]`` and ``dirty[i]`` are derived caches of the state
 code (MESI for private caches, L3 state for directory caches) and are kept
@@ -50,7 +51,10 @@ class LineArrays:
 
     ``tag == -1``, ``refresh_count == -1`` and ``owner == -1`` encode the
     object model's ``None``.  Directory-only vectors (``l3_state``,
-    ``sharers``, ``owner``) are ``None`` for private caches.
+    ``sharers``, ``owner``) are ``None`` for private caches.  A ``sharers``
+    entry is ``None`` until its set is first read through a view (a line
+    never filled, or emptied by a fill or invalidation, has no sharers), so
+    a fresh directory cache allocates no per-line sets.
     """
 
     __slots__ = (
@@ -78,7 +82,7 @@ class LineArrays:
         if directory:
             self.l3_state: Optional[List[int]] = [0] * n
             self.owner: Optional[List[int]] = [-1] * n
-            self.sharers: Optional[List[Set[int]]] = [set() for _ in range(n)]
+            self.sharers: Optional[List[Optional[Set[int]]]] = [None] * n
         else:
             self.l3_state = None
             self.sharers = None
@@ -222,7 +226,11 @@ class ArrayDirectoryLine(_ArrayLineFields, DirectoryLine):
 
     @property
     def sharers(self) -> Set[int]:
-        return self._arrays.sharers[self._index]
+        sharers = self._arrays.sharers
+        value = sharers[self._index]
+        if value is None:
+            value = sharers[self._index] = set()
+        return value
 
     @sharers.setter
     def sharers(self, value: Set[int]) -> None:

@@ -15,11 +15,15 @@ Two storage backends share this one class (see :data:`CACHE_BACKENDS`):
   :meth:`choose_victim_index`, :meth:`fill_index`, ...) works in plain line
   indices -- a lookup is a few list reads and integer compares, with no
   per-access object allocation.  Thin :class:`~repro.mem.arrays.ArrayCacheLine`
-  views (one per line, built once) keep the object interface alive for the
-  directory's sharer sets, the refresh policies and the tests.
+  views keep the object interface alive for the directory's sharer sets,
+  the refresh policies and the tests; :meth:`Cache.view` builds a line's
+  view the first time it is asked for, so building a cache costs a handful
+  of lists whatever its line count.
 * ``backend="object"`` preserves the original one-object-per-line model.
   It is the test oracle: an independent implementation the array backend
-  must match byte for byte in simulation results.
+  must match byte for byte in simulation results.  ``Cache(...,
+  backend="object")`` returns a :class:`_ObjectCache`, the subclass whose
+  staged methods walk the line objects.
 
 The compatibility API (:meth:`lookup`, :meth:`access`, :meth:`fill`,
 :meth:`choose_victim`, iteration helpers) behaves identically on both
@@ -45,6 +49,18 @@ from repro.mem.line import (
 #: Cache storage models: the struct-of-arrays layout and the original
 #: one-object-per-line model kept as the test oracle.
 CACHE_BACKENDS = ("array", "object")
+
+
+def _resolve_backend(backend: Optional[str], line_factory) -> str:
+    """The storage model a cache is built with; an explicit
+    ``line_factory`` implies the object backend."""
+    if backend is None:
+        backend = "object" if line_factory is not None else "array"
+    if backend not in CACHE_BACKENDS:
+        raise ValueError(
+            f"unknown cache backend {backend!r}; expected one of {CACHE_BACKENDS}"
+        )
+    return backend
 
 
 @dataclass(frozen=True)
@@ -94,6 +110,24 @@ class Cache:
     backend L3 directory state per line.
     """
 
+    def __new__(
+        cls,
+        geometry: CacheGeometry,
+        line_factory: Optional[Callable[[], CacheLine]] = None,
+        name: Optional[str] = None,
+        index_interleave: int = 1,
+        index_offset: int = 0,
+        backend: Optional[str] = None,
+        directory: bool = False,
+    ) -> "Cache":
+        # The object backend overrides the staged methods in a subclass:
+        # bound methods stored on the instance would make every cache a
+        # reference cycle, leaving it (and its thousands of line objects)
+        # to the cyclic garbage collector.
+        if _resolve_backend(backend, line_factory) == "object":
+            cls = _ObjectCache
+        return super().__new__(cls)
+
     def __init__(
         self,
         geometry: CacheGeometry,
@@ -108,12 +142,7 @@ class Cache:
             raise ValueError("index_interleave must be >= 1")
         if not 0 <= index_offset < index_interleave:
             raise ValueError("index_offset must lie in [0, index_interleave)")
-        if backend is None:
-            backend = "object" if line_factory is not None else "array"
-        if backend not in CACHE_BACKENDS:
-            raise ValueError(
-                f"unknown cache backend {backend!r}; expected one of {CACHE_BACKENDS}"
-            )
+        backend = _resolve_backend(backend, line_factory)
         self.geometry = geometry
         self.name = name if name is not None else geometry.name
         self.index_interleave = index_interleave
@@ -135,10 +164,9 @@ class Cache:
             self.arrays: Optional[LineArrays] = LineArrays(
                 geometry.num_lines, directory=directory
             )
-            view_cls = ArrayDirectoryLine if directory else ArrayCacheLine
-            self._views: List[CacheLine] = [
-                view_cls(self.arrays, i) for i in range(geometry.num_lines)
-            ]
+            self._view_cls = ArrayDirectoryLine if directory else ArrayCacheLine
+            # Filled in by view() on first use.
+            self._views: List[Optional[CacheLine]] = [None] * geometry.num_lines
         else:
             factory = line_factory if line_factory is not None else (
                 DirectoryLine if directory else CacheLine
@@ -148,23 +176,6 @@ class Cache:
                 self._views[0], DirectoryLine
             )
             self.arrays = None
-            # Rebind the staged API to the object-model implementations
-            # (transliterations of the original per-line-object code).
-            self.probe_index = self._probe_index_object
-            self.access_index = self._access_index_object
-            self.choose_victim_index = self._choose_victim_index_object
-            self.fill_index = self._fill_index_object
-            self.invalidate_index = self._invalidate_index_object
-            self.state_code = self._state_code_object
-            self.set_state_code = self._set_state_code_object
-            self.valid_at = self._valid_at_object
-            self.dirty_at = self._dirty_at_object
-            self.bulk_refresh_range = self._bulk_refresh_range_object
-            self.refresh_due_indices = self._refresh_due_indices_object
-            self.min_last_refresh = self._min_last_refresh_object
-            self.valid_indices_in_range = self._valid_indices_in_range_object
-            self.stamp_invalid_range = self._stamp_invalid_range_object
-            self.dirty_indices = self._dirty_indices_object
 
         # Refresh blocking state.  ``busy_until`` blocks the whole array
         # (used for the short Refrint interrupt bursts); ``group_busy_until``
@@ -247,7 +258,7 @@ class Cache:
             if tag < 0:
                 raise ValueError("line has never been filled")
         else:
-            line_tag = self._views[index].tag
+            line_tag = self.view(index).tag
             if line_tag is None:
                 raise ValueError("line has never been filled")
             tag = line_tag
@@ -263,11 +274,18 @@ class Cache:
         block_number = local_number * self.index_interleave + self.index_offset
         return block_number << self._line_shift
 
-    # -- staged fast path (array backend; object variants bound in __init__) --
+    # -- staged fast path (array backend; _ObjectCache overrides it) ----------
 
     def view(self, index: int) -> CacheLine:
-        """The persistent line view (or line object) at a global index."""
-        return self._views[index]
+        """The persistent line view (or line object) at a global index.
+
+        On the array backend the view is built on the first call for its
+        line and the same object is returned from then on.
+        """
+        view = self._views[index]
+        if view is None:
+            view = self._views[index] = self._view_cls(self.arrays, index)
+        return view
 
     def probe_index(self, block_address: int) -> int:
         """Line index holding a block, or -1; replacement state untouched."""
@@ -353,7 +371,7 @@ class Cache:
             arrays.l3_state[index] = 1
             arrays.valid[index] = 1
             arrays.dirty[index] = 0
-            arrays.sharers[index] = set()
+            arrays.sharers[index] = None
             arrays.owner[index] = -1
         else:
             arrays.valid[index] = 1 if state_code else 0
@@ -377,7 +395,7 @@ class Cache:
         arrays.dirty[index] = 0
         if arrays.directory:
             arrays.l3_state[index] = 0
-            arrays.sharers[index] = set()
+            arrays.sharers[index] = None
             arrays.owner[index] = -1
 
     def state_code(self, index: int) -> int:
@@ -399,87 +417,30 @@ class Cache:
         """True when the line at ``index`` is dirty."""
         return bool(self.arrays.dirty[index])
 
-    # -- staged fast path: object-backend variants ----------------------------
-
-    def _probe_index_object(self, block_address: int) -> int:
-        result = self.lookup(block_address)
-        if not result.hit:
-            return -1
-        return result.set_idx * self._assoc + result.way
-
-    def _access_index_object(self, block_address: int, cycle: int) -> int:
-        # The original access path, result dataclass and all.
-        result = self.lookup(block_address)
-        if not result.hit:
-            return -1
-        line = result.line
-        line.touch(cycle)
-        tick = self._lru_tick + 1
-        self._lru_tick = tick
-        line.lru_stamp = tick
-        return result.set_idx * self._assoc + result.way
-
-    def _choose_victim_index_object(self, block_address: int) -> int:
-        set_idx, _ = self.set_and_tag(block_address)
-        base = set_idx * self._assoc
-        ways = self._views[base:base + self._assoc]
-        for way, line in enumerate(ways):
-            if not line.valid:
-                return base + way
-        victim_way = min(range(self._assoc), key=lambda w: ways[w].lru_stamp)
-        return base + victim_way
-
-    def _fill_index_object(
-        self, index: int, block_address: int, state_code: int, cycle: int
-    ) -> None:
-        _, tag = self.set_and_tag(block_address)
-        line = self._views[index]
-        line.fill(tag, MESI_STATES[state_code], cycle)
-        tick = self._lru_tick + 1
-        self._lru_tick = tick
-        line.lru_stamp = tick
-
-    def _invalidate_index_object(self, index: int) -> None:
-        self._views[index].invalidate()
-
-    def _state_code_object(self, index: int) -> int:
-        return MESI_CODES[self._views[index].state]
-
-    def _set_state_code_object(self, index: int, code: int) -> None:
-        self._views[index].state = MESI_STATES[code]
-
-    def _valid_at_object(self, index: int) -> bool:
-        return self._views[index].valid
-
-    def _dirty_at_object(self, index: int) -> bool:
-        return self._views[index].dirty
-
     # -- compatibility API (shared by both backends) ---------------------------
 
     def lookup(self, block_address: int) -> LookupResult:
         """Find a block without modifying replacement or refresh state."""
-        set_idx, tag = self.set_and_tag(block_address)
-        base = set_idx * self._assoc
-        for way in range(self._assoc):
-            line = self._views[base + way]
-            if line.valid and line.tag == tag:
-                return LookupResult(hit=True, line=line, set_idx=set_idx, way=way)
-        return LookupResult(hit=False, line=None, set_idx=set_idx, way=None)
+        return self._lookup_result(block_address, self.probe_index(block_address))
 
     def probe(self, block_address: int) -> Optional[CacheLine]:
         """Return the line holding ``block_address`` if present, else None."""
         index = self.probe_index(block_address)
-        return self._views[index] if index >= 0 else None
+        return self.view(index) if index >= 0 else None
 
     def access(self, block_address: int, cycle: int) -> LookupResult:
         """Look up a block and, on a hit, update LRU and refresh the cells."""
-        index = self.access_index(block_address, cycle)
+        return self._lookup_result(
+            block_address, self.access_index(block_address, cycle)
+        )
+
+    def _lookup_result(self, block_address: int, index: int) -> LookupResult:
         set_idx, _ = self.set_and_tag(block_address)
         if index < 0:
             return LookupResult(hit=False, line=None, set_idx=set_idx, way=None)
         return LookupResult(
             hit=True,
-            line=self._views[index],
+            line=self.view(index),
             set_idx=set_idx,
             way=index - set_idx * self._assoc,
         )
@@ -489,7 +450,7 @@ class Cache:
     def choose_victim(self, block_address: int) -> EvictionResult:
         """Pick the LRU victim in the block's set (preferring invalid ways)."""
         index = self.choose_victim_index(block_address)
-        line = self._views[index]
+        line = self.view(index)
         block = self.block_address_at(index) if line.tag is not None else 0
         return EvictionResult(
             line=line,
@@ -516,7 +477,7 @@ class Cache:
         else:
             index = self.choose_victim_index(block_address)
         self.fill_index(index, block_address, MESI_CODES[state], cycle)
-        return self._views[index]
+        return self.view(index)
 
     def invalidate(self, block_address: int) -> Optional[CacheLine]:
         """Invalidate the line holding ``block_address`` if present."""
@@ -524,15 +485,15 @@ class Cache:
         if index < 0:
             return None
         self.invalidate_index(index)
-        return self._views[index]
+        return self.view(index)
 
     # -- iteration for the refresh machinery ----------------------------------
 
     def iter_lines(self) -> Iterator[Tuple[int, CacheLine]]:
         """Yield (set index, line) for every line in the cache."""
         assoc = self._assoc
-        for index, line in enumerate(self._views):
-            yield index // assoc, line
+        for index in range(self.geometry.num_lines):
+            yield index // assoc, self.view(index)
 
     def refresh_group_line_range(self, group: int) -> Tuple[int, int]:
         """Contiguous ``[start, end)`` global line range of one refresh group.
@@ -559,13 +520,13 @@ class Cache:
         """
         start, end = self.refresh_group_line_range(group)
         assoc = self._assoc
-        return [(index // assoc, self._views[index]) for index in range(start, end)]
+        return [(index // assoc, self.view(index)) for index in range(start, end)]
 
     def valid_lines(self) -> Iterator[Tuple[int, CacheLine]]:
         """Yield (set index, line) for every valid line."""
-        for set_idx, line in self.iter_lines():
-            if line.valid:
-                yield set_idx, line
+        assoc = self._assoc
+        for index in self.valid_indices_in_range(0, self.geometry.num_lines):
+            yield index // assoc, self.view(index)
 
     def count_valid(self) -> int:
         """Number of valid lines currently held."""
@@ -722,9 +683,86 @@ class Cache:
             return violation
         return -1
 
-    # -- vectorized sweeps: object-backend variants -----------------------------
+    def __repr__(self) -> str:
+        return (
+            f"Cache(name={self.name!r}, sets={self.num_sets}, "
+            f"ways={self.geometry.associativity}, valid={self.count_valid()}, "
+            f"backend={self.backend!r})"
+        )
 
-    def _bulk_refresh_range_object(
+
+class _ObjectCache(Cache):
+    """The one-object-per-line backend (``Cache(..., backend="object")``).
+
+    Its staged and sweep methods are transliterations of the original
+    per-line-object code, walking the line objects that are the storage;
+    everything else is inherited from :class:`Cache`.
+    """
+
+    def lookup(self, block_address: int) -> LookupResult:
+        """Find a block without modifying replacement or refresh state."""
+        set_idx, tag = self.set_and_tag(block_address)
+        base = set_idx * self._assoc
+        for way in range(self._assoc):
+            line = self._views[base + way]
+            if line.valid and line.tag == tag:
+                return LookupResult(hit=True, line=line, set_idx=set_idx, way=way)
+        return LookupResult(hit=False, line=None, set_idx=set_idx, way=None)
+
+    def probe_index(self, block_address: int) -> int:
+        result = self.lookup(block_address)
+        if not result.hit:
+            return -1
+        return result.set_idx * self._assoc + result.way
+
+    def access_index(self, block_address: int, cycle: int) -> int:
+        # The original access path, result dataclass and all.
+        result = self.lookup(block_address)
+        if not result.hit:
+            return -1
+        line = result.line
+        line.touch(cycle)
+        tick = self._lru_tick + 1
+        self._lru_tick = tick
+        line.lru_stamp = tick
+        return result.set_idx * self._assoc + result.way
+
+    def choose_victim_index(self, block_address: int) -> int:
+        set_idx, _ = self.set_and_tag(block_address)
+        base = set_idx * self._assoc
+        ways = self._views[base:base + self._assoc]
+        for way, line in enumerate(ways):
+            if not line.valid:
+                return base + way
+        victim_way = min(range(self._assoc), key=lambda w: ways[w].lru_stamp)
+        return base + victim_way
+
+    def fill_index(
+        self, index: int, block_address: int, state_code: int, cycle: int
+    ) -> None:
+        _, tag = self.set_and_tag(block_address)
+        line = self._views[index]
+        line.fill(tag, MESI_STATES[state_code], cycle)
+        tick = self._lru_tick + 1
+        self._lru_tick = tick
+        line.lru_stamp = tick
+
+    def invalidate_index(self, index: int) -> None:
+        self._views[index].invalidate()
+
+    def state_code(self, index: int) -> int:
+        return MESI_CODES[self._views[index].state]
+
+    def set_state_code(self, index: int, code: int) -> None:
+        self._views[index].state = MESI_STATES[code]
+
+    def valid_at(self, index: int) -> bool:
+        return self._views[index].valid
+
+    def dirty_at(self, index: int) -> bool:
+        return self._views[index].dirty
+
+    def bulk_refresh_range(
         self,
         start: int,
         end: int,
@@ -748,7 +786,7 @@ class Cache:
                 line.last_refresh_cycle = cycle
         return processed, violations
 
-    def _refresh_due_indices_object(
+    def refresh_due_indices(
         self, start: int, end: int, cutoff: int, include_invalid: bool
     ) -> List[int]:
         views = self._views
@@ -758,7 +796,7 @@ class Cache:
             and views[i].last_refresh_cycle <= cutoff
         ]
 
-    def _min_last_refresh_object(
+    def min_last_refresh(
         self, start: int, end: int, include_invalid: bool
     ) -> Optional[int]:
         stamps = [
@@ -768,22 +806,15 @@ class Cache:
         ]
         return min(stamps) if stamps else None
 
-    def _valid_indices_in_range_object(self, start: int, end: int) -> List[int]:
+    def valid_indices_in_range(self, start: int, end: int) -> List[int]:
         views = self._views
         return [i for i in range(start, end) if views[i].valid]
 
-    def _stamp_invalid_range_object(self, start: int, end: int, cycle: int) -> None:
+    def stamp_invalid_range(self, start: int, end: int, cycle: int) -> None:
         for i in range(start, end):
             line = self._views[i]
             if not line.valid:
                 line.last_refresh_cycle = cycle
 
-    def _dirty_indices_object(self) -> List[int]:
+    def dirty_indices(self) -> List[int]:
         return [i for i, line in enumerate(self._views) if line.dirty]
-
-    def __repr__(self) -> str:
-        return (
-            f"Cache(name={self.name!r}, sets={self.num_sets}, "
-            f"ways={self.geometry.associativity}, valid={self.count_valid()}, "
-            f"backend={self.backend!r})"
-        )

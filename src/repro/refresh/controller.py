@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import List, Optional
+import functools
+from typing import Dict, List, Optional
 
 from repro.config.parameters import RefreshConfig, SimulationConfig, TimingPolicyKind
 from repro.hierarchy.hierarchy import CacheHierarchy
@@ -112,15 +113,6 @@ class RefreshController(abc.ABC):
     @abc.abstractmethod
     def start(self, cycle: int) -> None:
         """Schedule this controller's first event(s) at or after ``cycle``."""
-
-    def next_disturbance_cycle(self) -> Optional[int]:
-        """Earliest future cycle at which this controller must act.
-
-        Trace-replay cores use this (through the event queue the wheel arms
-        itself on) as the horizon up to which references can be executed
-        back-to-back without a refresh pass interleaving.
-        """
-        return self.wheel.next_deadline()
 
     # -- shared action machinery ---------------------------------------------
 
@@ -251,6 +243,24 @@ class RefreshController(abc.ABC):
         self.cache.busy_until = max(self.cache.busy_until, cycle + busy_for)
 
 
+@functools.lru_cache(maxsize=None)
+def _paper_line_counts() -> Dict[str, int]:
+    """Line count of each level of Table 5.1's full-size geometry.
+
+    Built once: every eDRAM job asks for it once per cache.  Callers must
+    not mutate the shared dict.
+    """
+    from repro.config.presets import paper_architecture
+
+    paper = paper_architecture()
+    return {
+        "l1i": paper.l1i.num_lines,
+        "l1d": paper.l1d.num_lines,
+        "l2": paper.l2.num_lines,
+        "l3": paper.l3_bank.num_lines,
+    }
+
+
 def level_refresh_config(
     config: SimulationConfig, level: str, cache: "Cache | int"
 ) -> RefreshConfig:
@@ -280,19 +290,10 @@ def level_refresh_config(
     refresh = config.refresh
     if level == "l3":
         return refresh
-    from repro.config.presets import paper_architecture
-
     num_lines = getattr(cache, "num_lines", cache)
-    paper = paper_architecture()
-    paper_lines = {
-        "l1i": paper.l1i.num_lines,
-        "l1d": paper.l1d.num_lines,
-        "l2": paper.l2.num_lines,
-    }[level]
-    paper_l3_lines = paper.l3_bank.num_lines
-    actual_l3_lines = config.architecture.l3_bank.num_lines
-    level_scale = paper_lines / num_lines
-    l3_scale = paper_l3_lines / actual_l3_lines
+    paper_lines = _paper_line_counts()
+    level_scale = paper_lines[level] / num_lines
+    l3_scale = paper_lines["l3"] / config.architecture.l3_bank.num_lines
     multiplier = max(1.0, l3_scale / level_scale)
     retention = max(2, int(round(refresh.retention_cycles * multiplier)))
     margin = min(num_lines, retention - 1)

@@ -38,7 +38,7 @@ touched until a line is actually due.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.refresh.controller import RefreshController
 from repro.refresh.policies import AllPolicy, PolicyAction
@@ -79,23 +79,30 @@ class RefrintRefreshController(RefreshController):
             (start, min(start + group_size, num_lines))
             for start in range(0, num_lines, group_size)
         ]
-        # The single-pass handler fuses the due scan, the refresh ticks and
-        # the next-fire computation into one int-compare loop over the raw
-        # state vectors; the object backend and plugged-in policies keep
-        # the generic two-pass walk.
-        if self._policy_kind == "custom" or self.cache.arrays is None:
-            self._handler = self._on_group_interrupt
-        else:
-            self._handler = self._on_group_interrupt_fast
         # An empty cache has nothing due before one full sentry retention.
         wheel = self.wheel
         slack = self._slack
+        handler = self._handler
         probe = self._group_probe
         first = cycle + self._sentry_retention
         for group in self.groups:
             wheel.schedule(
-                first, first + slack, self._handler, payload=group, probe=probe
+                first, first + slack, handler, payload=group, probe=probe
             )
+
+    @property
+    def _handler(self) -> Callable[[int, Any], None]:
+        """The group-interrupt handler this controller's timers run.
+
+        The single-pass handler fuses the due scan, the refresh ticks and
+        the next-fire computation into one int-compare loop over the raw
+        state vectors; the object backend and plugged-in policies keep the
+        generic two-pass walk.  A property, not an attribute: a bound
+        method stored on the controller would be a reference cycle.
+        """
+        if self._policy_kind == "custom" or self.cache.arrays is None:
+            return self._on_group_interrupt
+        return self._on_group_interrupt_fast
 
     # -- event handling --------------------------------------------------------
 
@@ -281,7 +288,3 @@ class RefrintRefreshController(RefreshController):
             self._on_group_interrupt, payload=group,
             probe=self._group_probe,
         )
-
-    def _refreshes_invalid_lines(self) -> bool:
-        """True when the data policy acts on invalid lines too (All only)."""
-        return isinstance(self.policy, AllPolicy)

@@ -106,7 +106,12 @@ class EventQueue:
         """Called by :meth:`Event.cancel` when a tracked event is cancelled."""
         self._live -= 1
         self._cancelled += 1
-        if (
+        if not self._live:
+            # Every entry left is cancelled: drop them all (in place, as in
+            # _compact), so an idle queue holds no callbacks.
+            self._heap.clear()
+            self._cancelled = 0
+        elif (
             self._cancelled >= self._COMPACT_MIN_CANCELLED
             and self._cancelled * 2 > len(self._heap)
         ):

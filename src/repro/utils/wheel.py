@@ -144,6 +144,22 @@ class RefreshWheel:
         earliest_bucket = min(self._buckets)
         return min(entry[1] for entry in self._buckets[earliest_bucket])
 
+    def clear(self) -> None:
+        """Drop every pending timer and cancel the armed queue event.
+
+        For a simulation that is over: its timers can never fire again, and
+        their callbacks (bound methods of the refresh controllers, which
+        hold the hierarchy that holds this wheel) would otherwise keep the
+        whole chip alive in a reference cycle until the garbage collector
+        finds it.  The diagnostic counters are kept.
+        """
+        if self._armed is not None:
+            self._armed.cancel()
+        self._armed = None
+        self._armed_time = None
+        self._buckets.clear()
+        self._len = 0
+
     # -- internals -----------------------------------------------------------
 
     def _arm(self, time: int) -> None:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.parameters import CacheGeometry
+from repro.mem.arrays import ArrayCacheLine
 from repro.mem.cache import Cache
-from repro.mem.line import DirectoryLine, MESIState
+from repro.mem.line import DirectoryLine, MESI_MODIFIED, MESI_SHARED, MESIState
 
 
 def small_geometry(**overrides) -> CacheGeometry:
@@ -163,6 +166,50 @@ class TestDirectoryLineFactory:
         cache = Cache(small_geometry(), line_factory=DirectoryLine)
         line = cache.fill(0x40, MESIState.SHARED, cycle=0)
         assert isinstance(line, DirectoryLine)
+
+
+def live_instances(cls) -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
+
+
+class TestLazyLineViews:
+    """The array backend builds line objects on first use, not per line."""
+
+    def test_view_is_built_once_and_reads_and_writes_the_vectors(self):
+        before = live_instances(ArrayCacheLine)
+        cache = Cache(small_geometry())
+        assert live_instances(ArrayCacheLine) == before
+        index = cache.fill_block(0x40, MESI_SHARED, cycle=3)
+        view = cache.view(index)
+        assert cache.view(index) is view
+        assert cache.probe(0x40) is view
+        assert live_instances(ArrayCacheLine) == before + 1
+        assert view.valid and view.state is MESIState.SHARED
+        assert view.last_refresh_cycle == 3
+        cache.set_state_code(index, MESI_MODIFIED)
+        assert view.dirty
+        view.refresh(9)
+        assert cache.arrays.last_refresh_cycle[index] == 9
+        view.invalidate()
+        assert not cache.valid_at(index)
+        assert cache.probe(0x40) is None
+
+    def test_directory_sharer_sets_are_built_on_first_read(self):
+        cache = Cache(small_geometry(), directory=True)
+        sharers = cache.arrays.sharers
+        assert sharers == [None] * cache.num_lines
+        assert cache.view(0).sharers == set()  # never filled
+        index = cache.fill_block(0x40, MESI_SHARED, cycle=0)
+        line = cache.view(index)
+        assert line.sharers == set()
+        line.sharers.add(3)
+        assert cache.view(index).sharers == {3}
+        cache.invalidate_index(index)
+        assert sharers[index] is None
+        assert line.sharers == set()
+        line.sharers.add(5)
+        cache.fill_index(index, 0x40, MESI_SHARED, cycle=1)
+        assert line.sharers == set()
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,21 @@ class TestBasicRuns:
         with pytest.raises(ValueError):
             RefrintSimulator(bad).run(short)
 
+    def test_empty_trace_core_finishes_at_cycle_zero(self, tiny_architecture):
+        from repro.cpu.trace import TraceStream
+        from repro.workloads.suite import ApplicationWorkload
+
+        workload = build_application("fft", tiny_architecture, length_scale=0.05)
+        traces = list(workload.traces)
+        traces[3] = TraceStream([], thread_id=3)
+        workload = ApplicationWorkload(spec=workload.spec, traces=tuple(traces))
+        config = SimulationConfig.edram(
+            make_refresh_config(tiny_architecture), tiny_architecture
+        )
+        result = RefrintSimulator(config).run(workload)
+        assert result.per_core_finish_cycles[3] == 0
+        assert result.execution_cycles == max(result.per_core_finish_cycles) > 0
+
 
 class TestPaperInvariants:
     """The qualitative claims of Section 6 that must hold on any run."""

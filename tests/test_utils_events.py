@@ -148,3 +148,20 @@ def test_heap_compacts_when_cancelled_entries_dominate():
     queue.schedule(5, lambda t, p: fired.append(t))
     queue.run()
     assert fired == [5]
+
+
+def test_cancelling_the_last_live_event_empties_the_heap():
+    queue = EventQueue()
+    events = [queue.schedule(i + 1, lambda t, p: None) for i in range(3)]
+    for event in events[:2]:
+        event.cancel()
+    assert len(queue._heap) == 3
+    events[2].cancel()
+    # Nothing live is left, so no cancelled entry -- nor the callback it
+    # holds -- stays behind.
+    assert len(queue) == 0
+    assert queue._heap == []
+    fired = []
+    queue.schedule(5, lambda t, p: fired.append(t))
+    queue.run()
+    assert fired == [5]

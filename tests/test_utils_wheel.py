@@ -43,6 +43,20 @@ class TestScheduling:
         assert len(wheel) == 2
         assert wheel.next_deadline() == 30
 
+    def test_clear_drops_every_timer_and_the_armed_event(self, queue):
+        wheel = RefreshWheel(queue, bucket_cycles=16)
+        fired = []
+        wheel.schedule(20, 20, lambda t, p: fired.append(t))
+        wheel.schedule(40, 50, lambda t, p: fired.append(t))
+        queue.run(until=20)
+        wheel.clear()
+        assert len(wheel) == 0
+        assert wheel.next_deadline() is None
+        assert len(queue) == 0
+        queue.run()
+        assert fired == [20]
+        assert wheel.drains == 1
+
     def test_earlier_deadline_rearms_the_queue_event(self, queue):
         wheel = RefreshWheel(queue, bucket_cycles=16)
         fired = []
@@ -166,7 +180,7 @@ class TestControllerIntegration:
         )
         assert controller.wheel is not None
         controller.start(0)
-        assert controller.next_disturbance_cycle() is not None
+        assert controller.wheel.next_deadline() is not None
 
 
 class TestDueProbe:
