@@ -79,9 +79,3 @@ class Directory:
         """Forget copies held by several cores at once."""
         for core in cores:
             Directory.remove_core(line, core)
-
-    @staticmethod
-    def reset(line: DirectoryLine) -> None:
-        """Clear the whole directory entry (the block left the chip)."""
-        line.sharers = set()
-        line.owner = None

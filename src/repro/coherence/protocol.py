@@ -18,9 +18,11 @@ policy_invalidate_l2 / policy_writeback_l2``.
 The common-case path (an L1 or L2 hit) is *staged*: it asks the cache for a
 packed line index (:meth:`~repro.mem.cache.Cache.access_index`) and reads
 the MESI state as an integer code, so a hit costs a handful of list reads
-and no allocation.  Rarer transactions (misses, directory actions,
-refresh-policy callbacks) materialise the per-line views, whose object
-interface carries the directory's sharer sets.
+and no allocation.  The refresh-policy entry points, inclusion
+back-invalidations and the L3 victim path work the same way, from line
+indices.  Rarer access transactions (misses, directory actions)
+materialise the per-line views, whose object interface carries the
+directory's sharer sets.
 
 Every cache access, network message and DRAM access is recorded in a shared
 :class:`~repro.utils.statistics.Counter`, from which the energy model builds
@@ -180,15 +182,13 @@ class DirectoryProtocol:
         for bank in self.banks:
             for index in bank.cache.dirty_indices():
                 self.dram.write(0)
-                bank.cache.view(index).mark_clean()
+                bank.cache.mark_clean_index(index)
 
     # ------------------------------------------------------------------
     # Refresh-policy entry points
     # ------------------------------------------------------------------
 
-    def policy_invalidate_l3(
-        self, bank: L3Bank, set_idx: int, line: DirectoryLine, cycle: int
-    ) -> None:
+    def policy_invalidate_l3(self, bank: L3Bank, index: int, cycle: int) -> None:
         """Invalidate an L3 line on behalf of a refresh policy.
 
         Dirty data (at the L3 or in an upper-level M copy) is written back to
@@ -196,60 +196,60 @@ class DirectoryProtocol:
         inclusion.  The extra messages and DRAM accesses are the cost the
         Dirty / WB(n, m) policies pay for letting lines decay (Section 3.1).
         """
-        if not line.valid:
+        cache = bank.cache
+        if not cache.valid_at(index):
             return
-        block = bank.cache.block_address_of(set_idx, line)
+        block = cache.block_address_at(index)
         self.counters.add("l3_policy_invalidations")
-        dirty_above = self._back_invalidate(bank, block, line, cycle)
-        if line.dirty or dirty_above:
+        dirty_above = self._back_invalidate(bank, block, index, cycle)
+        if cache.dirty_at(index) or dirty_above:
             self.dram.write(block)
             self.counters.add("l3_policy_writebacks_to_dram")
-        line.invalidate()
+        cache.invalidate_index(index)
 
-    def policy_writeback_l3(
-        self, bank: L3Bank, set_idx: int, line: DirectoryLine, cycle: int
-    ) -> None:
+    def policy_writeback_l3(self, bank: L3Bank, index: int, cycle: int) -> None:
         """Write a dirty L3 line back to DRAM and mark it valid-clean.
 
         Used by the WB(n, m) policy when a dirty line has exhausted its n
         refreshes: the write-back itself recharges the eDRAM cells, so the
         line stays valid (now clean) for another retention period.
         """
-        if not line.dirty:
+        cache = bank.cache
+        if not cache.dirty_at(index):
             return
-        block = bank.cache.block_address_of(set_idx, line)
-        self.dram.write(block)
+        self.dram.write(cache.block_address_at(index))
         self.counters.add("l3_policy_writebacks")
-        line.mark_clean()
-        line.refresh(cycle)
+        cache.mark_clean_index(index)
+        cache.refresh_index(index, cycle)
 
-    def policy_invalidate_l2(
-        self, core_id: int, set_idx: int, line, cycle: int
-    ) -> None:
+    def policy_invalidate_l2(self, core_id: int, index: int, cycle: int) -> None:
         """Invalidate an L2 line on behalf of a refresh policy."""
         caches = self.cores[core_id]
-        if not line.valid:
+        l2 = caches.l2
+        if not l2.valid_at(index):
             return
-        block = caches.l2.block_address_of(set_idx, line)
+        block = l2.block_address_at(index)
         self.counters.add("l2_policy_invalidations")
-        if line.state is MESIState.MODIFIED:
+        if l2.state_code(index) == MESI_MODIFIED:
             self._writeback_l2_to_l3(core_id, block, cycle)
         self._notify_clean_eviction(core_id, block, cycle)
         caches.invalidate_l1_copies(block)
-        line.invalidate()
+        l2.invalidate_index(index)
 
-    def policy_writeback_l2(
-        self, core_id: int, set_idx: int, line, cycle: int
-    ) -> None:
-        """Write a dirty L2 line back to the L3 and keep it valid-clean."""
-        caches = self.cores[core_id]
-        if not line.valid or line.state is not MESIState.MODIFIED:
+    def policy_writeback_l2(self, core_id: int, index: int, cycle: int) -> None:
+        """Write a dirty L2 line back to the L3 and keep it valid-clean.
+
+        The core keeps the block, now Exclusive, so the directory keeps it
+        as owner: it may silently upgrade its copy to Modified again.
+        """
+        l2 = self.cores[core_id].l2
+        if l2.state_code(index) != MESI_MODIFIED:
             return
-        block = caches.l2.block_address_of(set_idx, line)
-        self._writeback_l2_to_l3(core_id, block, cycle)
+        block = l2.block_address_at(index)
+        self._writeback_l2_to_l3(core_id, block, cycle, keeps_exclusive=True)
         self.counters.add("l2_policy_writebacks")
-        line.state = MESIState.EXCLUSIVE
-        line.refresh(cycle)
+        l2.set_state_code(index, MESI_EXCLUSIVE)
+        l2.refresh_index(index, cycle)
 
     # ------------------------------------------------------------------
     # Load path (data and instruction)
@@ -409,19 +409,18 @@ class DirectoryProtocol:
     ) -> DirectoryLine:
         """Bring a block on chip, evicting (and back-invalidating) a victim."""
         self.dram.read(block)
-        victim = bank.cache.choose_victim(block)
-        if victim.was_valid:
-            victim_line = victim.line
-            assert isinstance(victim_line, DirectoryLine)
+        cache = bank.cache
+        victim = cache.choose_victim_index(block)
+        if cache.valid_at(victim):
+            victim_block = cache.block_address_at(victim)
             self.counters.add("l3_evictions")
-            dirty_above = self._back_invalidate(
-                bank, victim.block_address, victim_line, cycle
-            )
-            if victim_line.dirty or dirty_above:
-                self.dram.write(victim.block_address)
+            dirty_above = self._back_invalidate(bank, victim_block, victim, cycle)
+            if cache.dirty_at(victim) or dirty_above:
+                self.dram.write(victim_block)
                 self.counters.add("l3_eviction_writebacks")
-        line = bank.cache.fill(block, MESIState.SHARED, cycle, victim)
+        cache.fill_index(victim, block, MESI_SHARED, cycle)
         self.counters.add("l3_writes")
+        line = cache.view(victim)
         assert isinstance(line, DirectoryLine)
         return line
 
@@ -449,8 +448,15 @@ class DirectoryProtocol:
         )
         return latency
 
-    def _writeback_l2_to_l3(self, core_id: int, block: int, cycle: int) -> None:
-        """Send a dirty L2 line to its home bank (off the critical path)."""
+    def _writeback_l2_to_l3(
+        self, core_id: int, block: int, cycle: int, keeps_exclusive: bool = False
+    ) -> None:
+        """Send a dirty L2 line to its home bank (off the critical path).
+
+        ``keeps_exclusive``: the core keeps the block in E (a refresh-policy
+        write-back), so it stays the directory's owner instead of being
+        demoted to a sharer.
+        """
         bank = self.home_bank(block)
         self._count_message(MessageKind.WRITEBACK, core_id, bank.vertex, data=True)
         self._array_access(
@@ -460,7 +466,8 @@ class DirectoryProtocol:
         if isinstance(line, DirectoryLine) and line.valid:
             line.mark_dirty()
             line.refresh(cycle)
-            Directory.clear_owner(line)
+            if not keeps_exclusive:
+                Directory.clear_owner(line)
         else:
             # Inclusion means the block should be present; if the refresh
             # policy already discarded it, the data goes straight to DRAM.
@@ -521,30 +528,32 @@ class DirectoryProtocol:
         return latency
 
     def _back_invalidate(
-        self, bank: L3Bank, block: int, line: DirectoryLine, cycle: int
+        self, bank: L3Bank, block: int, index: int, cycle: int
     ) -> bool:
         """Invalidate every upper-level copy of a block leaving the L3.
 
-        Returns True if any upper-level copy was dirty (its data must then be
-        written back to DRAM by the caller, since the L3 line is going away).
+        ``index`` is the block's line in ``bank``; the caller invalidates
+        or refills that line next, which clears its directory entry.
+        Returns True if any upper-level copy was dirty (its data must then
+        be written back to DRAM by the caller, since the L3 line is going
+        away).
         """
         dirty_above = False
-        holders = sorted(Directory.sharers_other_than(line, -1))
-        for core_id in holders:
+        for core_id in bank.cache.holders_at(index):
             self._count_message(MessageKind.INVALIDATE, bank.vertex, core_id, data=False)
             caches = self.cores[core_id]
-            l2_line = caches.l2.probe(block)
-            if l2_line is not None and l2_line.valid:
-                if l2_line.state is MESIState.MODIFIED:
+            l2 = caches.l2
+            l2_index = l2.probe_index(block)
+            if l2_index >= 0:
+                if l2.state_code(l2_index) == MESI_MODIFIED:
                     dirty_above = True
                     self._count_message(
                         MessageKind.WRITEBACK, core_id, bank.vertex, data=True
                     )
-                l2_line.invalidate()
+                l2.invalidate_index(l2_index)
             caches.invalidate_l1_copies(block)
             self._count_message(MessageKind.ACK, core_id, bank.vertex, data=False)
             self.counters.add("back_invalidations")
-        Directory.reset(line)
         return dirty_above
 
     # ------------------------------------------------------------------

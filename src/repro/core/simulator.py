@@ -48,8 +48,9 @@ class ReplayStats:
         protocol_calls: access-path protocol invocations: one per data
             reference plus one per real instruction fetch.
         wheel_drains / wheel_skips / wheel_scans: refresh-wheel activity of
-            the run (queue events fired, probe-skipped scans, entries
-            examined).  All zero for SRAM runs, which build no wheel.
+            the run (queue events fired, served entries whose handler found
+            nothing due, entries served).  All zero for SRAM runs, which
+            build no wheel.
 
     :func:`repro.validate.invariants.check_replay_stats` checks the laws
     relating these counts.

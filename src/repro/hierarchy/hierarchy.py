@@ -124,37 +124,35 @@ class CacheHierarchy:
         raise KeyError(f"unknown cache level {level!r}")
 
     def policy_invalidate(
-        self, level: str, instance: int, set_idx: int, line, cycle: int
+        self, level: str, instance: int, index: int, cycle: int
     ) -> None:
-        """Invalidate a line on behalf of a refresh policy.
+        """Invalidate the line at ``index`` on behalf of a refresh policy.
 
         Dispatches to the protocol so that inclusion and dirty data are
         handled correctly for the level in question; L1 lines are always
         clean (write-through) and can be dropped silently.
         """
         if level == "l3":
-            self.protocol.policy_invalidate_l3(
-                self.banks[instance], set_idx, line, cycle
-            )
+            self.protocol.policy_invalidate_l3(self.banks[instance], index, cycle)
         elif level == "l2":
-            self.protocol.policy_invalidate_l2(instance, set_idx, line, cycle)
+            self.protocol.policy_invalidate_l2(instance, index, cycle)
         elif level in ("l1i", "l1d"):
-            if line.valid:
+            cache = self.cache_instance(level, instance)
+            if cache.valid_at(index):
                 self.counters.add(f"{level}_policy_invalidations")
-                line.invalidate()
+                cache.invalidate_index(index)
         else:
             raise KeyError(f"unknown cache level {level!r}")
 
     def policy_writeback(
-        self, level: str, instance: int, set_idx: int, line, cycle: int
+        self, level: str, instance: int, index: int, cycle: int
     ) -> None:
-        """Write a dirty line back one level on behalf of a refresh policy."""
+        """Write the dirty line at ``index`` back one level for a refresh
+        policy."""
         if level == "l3":
-            self.protocol.policy_writeback_l3(
-                self.banks[instance], set_idx, line, cycle
-            )
+            self.protocol.policy_writeback_l3(self.banks[instance], index, cycle)
         elif level == "l2":
-            self.protocol.policy_writeback_l2(instance, set_idx, line, cycle)
+            self.protocol.policy_writeback_l2(instance, index, cycle)
         elif level in ("l1i", "l1d"):
             # Write-through L1 lines are never dirty; nothing to do.
             return

@@ -16,7 +16,7 @@ Two storage backends share this one class (see :data:`CACHE_BACKENDS`):
   indices -- a lookup is a few list reads and integer compares, with no
   per-access object allocation.  Thin :class:`~repro.mem.arrays.ArrayCacheLine`
   views keep the object interface alive for the directory's sharer sets,
-  the refresh policies and the tests; :meth:`Cache.view` builds a line's
+  plugged-in refresh policies and the tests; :meth:`Cache.view` builds a line's
   view the first time it is asked for, so building a cache costs a handful
   of lists whatever its line count.
 * ``backend="object"`` preserves the original one-object-per-line model.
@@ -33,13 +33,14 @@ backends; the staged API is what the protocol's hot path uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.config.parameters import CacheGeometry
 from repro.mem.arrays import ArrayCacheLine, ArrayDirectoryLine, LineArrays
 from repro.mem.line import (
     CacheLine,
     DirectoryLine,
+    L3_CLEAN,
     MESI_CODES,
     MESI_MODIFIED,
     MESI_STATES,
@@ -417,6 +418,27 @@ class Cache:
         """True when the line at ``index`` is dirty."""
         return bool(self.arrays.dirty[index])
 
+    def refresh_index(self, index: int, cycle: int) -> None:
+        """Record an explicit refresh of the line at ``index`` (Count kept)."""
+        self.arrays.last_refresh_cycle[index] = cycle
+
+    def mark_clean_index(self, index: int) -> None:
+        """Mark the valid L3 line at ``index`` as matching DRAM."""
+        arrays = self.arrays
+        arrays.l3_state[index] = L3_CLEAN
+        arrays.dirty[index] = 0
+
+    def holders_at(self, index: int) -> List[int]:
+        """Cores the directory entry at ``index`` lists (sharers and owner),
+        in ascending order."""
+        arrays = self.arrays
+        sharers = arrays.sharers[index]
+        holders = set(sharers) if sharers else set()
+        owner = arrays.owner[index]
+        if owner >= 0:
+            holders.add(owner)
+        return sorted(holders)
+
     # -- compatibility API (shared by both backends) ---------------------------
 
     def lookup(self, block_address: int) -> LookupResult:
@@ -512,16 +534,6 @@ class Cache:
         )
         return start_set * self._assoc, end_set * self._assoc
 
-    def lines_in_refresh_group(self, group: int) -> Sequence[Tuple[int, CacheLine]]:
-        """Lines belonging to periodic-refresh group ``group``.
-
-        Groups partition the cache by consecutive sets, mimicking the
-        per-sub-array grouping the paper takes from CACTI.
-        """
-        start, end = self.refresh_group_line_range(group)
-        assoc = self._assoc
-        return [(index // assoc, self.view(index)) for index in range(start, end)]
-
     def valid_lines(self) -> Iterator[Tuple[int, CacheLine]]:
         """Yield (set index, line) for every valid line."""
         assoc = self._assoc
@@ -612,76 +624,9 @@ class Cache:
         valid = self.arrays.valid
         return [i for i in range(start, end) if valid[i]]
 
-    def stamp_invalid_range(self, start: int, end: int, cycle: int) -> None:
-        """Advance the refresh timestamp of invalid lines in ``[start, end)``.
-
-        The periodic controller's SKIP semantics for data policies that act
-        per line (Dirty, WB): nothing is read or written, but lazy sentry
-        timers must not keep finding the same invalid line due.
-        """
-        arrays = self.arrays
-        valid = arrays.valid
-        refreshed = arrays.last_refresh_cycle
-        for i in range(start, end):
-            if not valid[i]:
-                refreshed[i] = cycle
-
     def dirty_indices(self) -> List[int]:
         """Global indices of all dirty lines, in line order."""
         return [i for i, dirty in enumerate(self.arrays.dirty) if dirty]
-
-    # -- staged per-line refresh ticks (array backend only) ---------------------
-    #
-    # The refresh controllers use these to process a *due* line without
-    # materialising its view or a PolicyDecision; the object backend keeps
-    # the original per-line-object policy walk instead (the controllers
-    # dispatch on ``cache.arrays``).
-
-    def refresh_line_checked(self, index: int, cycle: int, retention_cycles: int) -> int:
-        """Recharge one line's cells; returns 1 if it had already decayed.
-
-        The decay check only applies to valid lines (an invalid line holds
-        nothing worth protecting), mirroring the controller's sanity check.
-        """
-        arrays = self.arrays
-        violation = (
-            1
-            if arrays.valid[index]
-            and arrays.last_refresh_cycle[index] < cycle - retention_cycles
-            else 0
-        )
-        arrays.last_refresh_cycle[index] = cycle
-        return violation
-
-    def wb_tick(
-        self,
-        index: int,
-        cycle: int,
-        retention_cycles: int,
-        dirty_budget: int,
-        clean_budget: int,
-    ) -> int:
-        """One WB(n, m) refresh opportunity for a valid line (Fig. 4.1).
-
-        If the line still has Count budget it is refreshed and its Count
-        decremented; returns the decay-violation flag (0/1).  Returns -1
-        when the budget is exhausted and the controller must take the slow
-        write-back / invalidate path through the line view.
-        """
-        arrays = self.arrays
-        count = arrays.refresh_count[index]
-        if count < 0:
-            count = dirty_budget if arrays.dirty[index] else clean_budget
-        if count >= 1:
-            violation = (
-                1
-                if arrays.last_refresh_cycle[index] < cycle - retention_cycles
-                else 0
-            )
-            arrays.last_refresh_cycle[index] = cycle
-            arrays.refresh_count[index] = count - 1
-            return violation
-        return -1
 
     def __repr__(self) -> str:
         return (
@@ -762,6 +707,19 @@ class _ObjectCache(Cache):
     def dirty_at(self, index: int) -> bool:
         return self._views[index].dirty
 
+    def refresh_index(self, index: int, cycle: int) -> None:
+        self._views[index].refresh(cycle)
+
+    def mark_clean_index(self, index: int) -> None:
+        self._views[index].mark_clean()
+
+    def holders_at(self, index: int) -> List[int]:
+        line = self._views[index]
+        holders = set(line.sharers)
+        if line.owner is not None:
+            holders.add(line.owner)
+        return sorted(holders)
+
     def bulk_refresh_range(
         self,
         start: int,
@@ -809,12 +767,6 @@ class _ObjectCache(Cache):
     def valid_indices_in_range(self, start: int, end: int) -> List[int]:
         views = self._views
         return [i for i in range(start, end) if views[i].valid]
-
-    def stamp_invalid_range(self, start: int, end: int, cycle: int) -> None:
-        for i in range(start, end):
-            line = self._views[i]
-            if not line.valid:
-                line.last_refresh_cycle = cycle
 
     def dirty_indices(self) -> List[int]:
         return [i for i, line in enumerate(self._views) if line.dirty]

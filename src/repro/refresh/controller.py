@@ -2,11 +2,20 @@
 
 A refresh controller is attached to one physical cache array (one private
 cache or one L3 bank).  It owns the *timing* side of refresh -- when lines
-are considered for refresh -- and delegates the *data* side to a
-:class:`~repro.refresh.policies.DataPolicy`.  Its actions go through the
-hierarchy's policy entry points so that write-backs, inclusion
-back-invalidations and DRAM traffic are accounted exactly like those caused
-by normal execution.
+are considered for refresh -- and applies a
+:class:`~repro.refresh.policies.DataPolicy` for the *data* side.  Its
+actions go through the hierarchy's policy entry points, by line index, so
+that write-backs, inclusion back-invalidations and DRAM traffic are
+accounted exactly like those caused by normal execution.
+
+On the array backend the four paper policies (All, Valid, Dirty, WB(n, m))
+are applied as index arithmetic over the cache's state vectors: the
+refresh ticks happen in place, and the verdict for a line that cannot be
+refreshed is already known (:meth:`RefreshController._take_policy_actions`),
+so no :class:`~repro.refresh.policies.PolicyDecision` is built.  The object
+backend and plugged-in policies go through :meth:`DataPolicy.decide
+<repro.refresh.policies.DataPolicy.decide>` line by line
+(:meth:`RefreshController.apply_policy`).
 
 Two concrete controllers exist:
 
@@ -23,12 +32,11 @@ from __future__ import annotations
 import abc
 import dataclasses
 import functools
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.config.parameters import RefreshConfig, SimulationConfig, TimingPolicyKind
 from repro.hierarchy.hierarchy import CacheHierarchy
 from repro.mem.cache import Cache
-from repro.mem.line import CacheLine
 from repro.refresh.policies import (
     AllPolicy,
     DataPolicy,
@@ -48,7 +56,8 @@ class RefreshController(abc.ABC):
 
     Refresh timers (periodic group passes, lazy sentry interrupts) are
     scheduled through a :class:`~repro.utils.wheel.RefreshWheel` rather than
-    as individual heap events.  :func:`build_refresh_controllers` hands
+    as individual heap events; a timer's handler returns its next ready
+    cycle and the wheel re-arms it.  :func:`build_refresh_controllers` hands
     every controller of a simulation the same wheel so their timers drain
     from one queue event per deadline; a controller constructed standalone
     (unit tests, external tooling) builds a private wheel on its queue.
@@ -88,11 +97,11 @@ class RefreshController(abc.ABC):
     def _setup_policy_dispatch(self) -> None:
         """Classify the data policy for the staged per-line fast path.
 
-        On the array backend, the overwhelmingly common refresh decision
-        (REFRESH under Valid/All, a Count decrement under WB(n, m)) is pure
-        index arithmetic; only write-backs and invalidations go through the
-        line views and the hierarchy entry points.  Exact types only: a
-        subclassed policy falls back to the generic per-line walk.
+        On the array backend the refresh decisions of the paper policies
+        (REFRESH under Valid/All, a Count decrement under WB(n, m)) are
+        pure index arithmetic, and only write-backs and invalidations go
+        through the hierarchy entry points.  Exact types only: a subclassed
+        policy falls back to the generic :meth:`apply_policy` walk.
         """
         policy_type = type(self.policy)
         if policy_type is AllPolicy:
@@ -116,26 +125,29 @@ class RefreshController(abc.ABC):
 
     # -- shared action machinery ---------------------------------------------
 
-    def apply_policy(self, set_idx: int, line: CacheLine, cycle: int) -> PolicyAction:
+    def apply_policy(self, index: int, cycle: int) -> PolicyAction:
         """Ask the data policy about one line and carry out its verdict.
 
+        The generic path, for the object backend and plugged-in policies.
         Returns the action taken, so the timing controllers can decide how
-        many controller cycles the pass consumed and whether the line still
-        needs a future refresh event.
+        many controller cycles the pass consumed.
         """
+        line = self.cache.view(index)
         decision = self.policy.decide(line)
         action = decision.action
         if action is PolicyAction.REFRESH:
-            self._refresh_line(line, cycle)
+            if line.valid and line.is_expired(cycle, self.config.retention_cycles):
+                # The controller failed to reach this line before its
+                # retention ran out; counted so tests can assert this never
+                # happens.
+                self.counters.add("decay_violations")
+            line.refresh(cycle)
+            self.counters.add(self._refresh_counter)
         elif action is PolicyAction.WRITEBACK:
-            self.hierarchy.policy_writeback(
-                self.level, self.instance, set_idx, line, cycle
-            )
+            self.hierarchy.policy_writeback(self.level, self.instance, index, cycle)
             self.counters.add(self._writeback_counter)
         elif action is PolicyAction.INVALIDATE:
-            self.hierarchy.policy_invalidate(
-                self.level, self.instance, set_idx, line, cycle
-            )
+            self.hierarchy.policy_invalidate(self.level, self.instance, index, cycle)
             self.counters.add(self._invalidate_counter)
         else:
             # SKIP: nothing holds useful data here.  Advance the refresh
@@ -146,89 +158,41 @@ class RefreshController(abc.ABC):
             line.refresh_count = decision.new_count
         return action
 
-    def process_indices(self, indices: List[int], cycle: int) -> int:
-        """Apply the data policy to the lines at ``indices`` (all due).
+    def process_indices(self, indices: Iterable[int], cycle: int) -> int:
+        """:meth:`apply_policy` on each line at ``indices``, in order.
 
-        The staged equivalent of calling :meth:`apply_policy` per line:
-        refresh decisions run as index arithmetic on the state vectors, and
-        only write-backs / invalidations materialise a view.  On the object
-        backend (``cache.arrays is None``) or for a plugged-in policy the
-        generic per-line walk is used instead.  Returns the number of lines
-        processed (non-SKIP actions).
+        Returns the number of lines processed (non-SKIP actions).
         """
-        cache = self.cache
-        kind = self._policy_kind
-        if not indices:
-            return 0
-        if cache.arrays is None or kind == "custom":
-            processed = 0
-            assoc = cache.geometry.associativity
-            for index in indices:
-                action = self.apply_policy(
-                    index // assoc, cache.view(index), cycle
-                )
-                if action is not PolicyAction.SKIP:
-                    processed += 1
-            return processed
-
-        retention = self.config.retention_cycles
-        counters = self.counters
-        if kind in ("valid", "all"):
-            violations = 0
-            for index in indices:
-                violations += cache.refresh_line_checked(index, cycle, retention)
-            counters.add(self._refresh_counter, len(indices))
-            if violations:
-                counters.add("decay_violations", violations)
-            return len(indices)
-
-        assoc = cache.geometry.associativity
         processed = 0
-        refreshed = 0
-        violations = 0
-        if kind == "dirty":
-            for index in indices:
-                if cache.dirty_at(index):
-                    violations += cache.refresh_line_checked(index, cycle, retention)
-                    refreshed += 1
-                    processed += 1
-                else:
-                    action = self.apply_policy(
-                        index // assoc, cache.view(index), cycle
-                    )
-                    if action is not PolicyAction.SKIP:
-                        processed += 1
-        else:  # WB(n, m)
-            dirty_budget = self._dirty_budget
-            clean_budget = self._clean_budget
-            for index in indices:
-                tick = cache.wb_tick(
-                    index, cycle, retention, dirty_budget, clean_budget
-                )
-                if tick >= 0:
-                    violations += tick
-                    refreshed += 1
-                    processed += 1
-                else:
-                    action = self.apply_policy(
-                        index // assoc, cache.view(index), cycle
-                    )
-                    if action is not PolicyAction.SKIP:
-                        processed += 1
-        if refreshed:
-            counters.add(self._refresh_counter, refreshed)
-        if violations:
-            counters.add("decay_violations", violations)
+        for index in indices:
+            if self.apply_policy(index, cycle) is not PolicyAction.SKIP:
+                processed += 1
         return processed
 
-    def _refresh_line(self, line: CacheLine, cycle: int) -> None:
-        """Recharge one line's cells, with a decay sanity check."""
-        if line.valid and line.is_expired(cycle, self.config.retention_cycles):
-            # The controller failed to reach this line before its retention
-            # ran out; count it so tests can assert this never happens.
-            self.counters.add("decay_violations")
-        line.refresh(cycle)
-        self.counters.add(self._refresh_counter)
+    def _take_policy_actions(self, indices: List[int], cycle: int) -> None:
+        """Write back or invalidate lines a staged pass could not refresh.
+
+        Array backend, Dirty and WB(n, m) only; the verdict is known from
+        the line's state (Table 3.1, Fig. 4.1).  Under WB(n, m) these are
+        the lines whose Count ran out: a dirty one is written back and gets
+        a fresh Count of m for its valid-clean life, a clean one is
+        invalidated.  Under Dirty they are the due valid-clean lines, which
+        are invalidated.
+        """
+        hierarchy = self.hierarchy
+        level = self.level
+        instance = self.instance
+        arrays = self.cache.arrays
+        dirty = arrays.dirty
+        stat_counts = self._raw_counts
+        for index in indices:
+            if dirty[index]:  # WB(n, m) only: Dirty refreshes its dirty lines
+                hierarchy.policy_writeback(level, instance, index, cycle)
+                stat_counts[self._writeback_counter] += 1
+                arrays.refresh_count[index] = self._clean_budget
+            else:
+                hierarchy.policy_invalidate(level, instance, index, cycle)
+                stat_counts[self._invalidate_counter] += 1
 
     def block_array(self, cycle: int, lines_processed: int) -> None:
         """Block the array while ``lines_processed`` lines are handled.

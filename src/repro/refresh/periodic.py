@@ -14,19 +14,23 @@ Periodic-All refreshes everything (the naive baseline configuration),
 Periodic-Valid skips invalid lines, and Periodic-Dirty / Periodic-WB(n, m)
 invalidate or write back lines exactly as they do under Refrint timing.
 
-A refresh group is a contiguous range of line indices, so the All and Valid
-passes -- which touch no per-line policy state -- run as one slice operation
-over the cache's timestamp vectors (:meth:`~repro.mem.cache.Cache.bulk_refresh_range`)
-instead of a per-line object walk; only the per-line policies (Dirty,
-WB(n, m)) still visit their group's *valid* lines individually.
+A refresh group is a contiguous range of line indices, computed once per
+controller.  The All and Valid passes -- which touch no per-line policy
+state -- run as one slice operation over the cache's timestamp vectors
+(:meth:`~repro.mem.cache.Cache.bulk_refresh_range`).  On the array backend
+a Dirty or WB(n, m) pass is one walk of its range over the state vectors:
+it stamps the invalid lines, takes the refresh ticks (and Count
+decrements) in place, and collects the lines that need a write-back or an
+invalidation, which are then carried out by line index.  The object
+backend and plugged-in policies judge every line of the group through the
+policy's ``decide()``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, List
 
 from repro.refresh.controller import RefreshController
-from repro.refresh.policies import PolicyAction
 
 
 class PeriodicRefreshController(RefreshController):
@@ -47,8 +51,11 @@ class PeriodicRefreshController(RefreshController):
         # classification from the base class): a subclassed policy must keep
         # the generic every-line walk so its decide() overrides are honoured.
         self._include_invalid = self._policy_kind == "all"
-        self._bulk_policy = self._policy_kind in ("all", "valid")
-        num_groups = self.cache.geometry.num_refresh_groups
+        cache = self.cache
+        num_groups = cache.geometry.num_refresh_groups
+        self._ranges = [
+            cache.refresh_group_line_range(group) for group in range(num_groups)
+        ]
         stride = max(1, self.config.retention_cycles // num_groups)
         for group in range(num_groups):
             when = cycle + group * stride
@@ -61,17 +68,17 @@ class PeriodicRefreshController(RefreshController):
 
     # -- event handling --------------------------------------------------------
 
-    def _on_group_event(self, cycle: int, payload: Any) -> None:
+    def _on_group_event(self, cycle: int, payload: Any) -> int:
+        """One group pass; returns the cycle of the group's next pass."""
         group: int = payload
         processed = self._walk_group(group, cycle)
         # The pass keeps the sub-array (refresh group) busy for one cycle per
         # line handled; the other sub-arrays of the cache stay accessible.
         if processed:
-            busy_for = processed * self.config.refresh_cycles_per_line
+            busy_for = processed * self._refresh_cycles_per_line
             self.cache.block_group(group, cycle + busy_for)
-        self.counters.add(self._pass_counter)
-        when = cycle + self.config.retention_cycles
-        self.wheel.schedule(when, when, self._on_group_event, payload=group)
+        self._raw_counts[self._pass_counter] += 1
+        return cycle + self.config.retention_cycles
 
     def _walk_group(self, group: int, cycle: int) -> int:
         """Apply the data policy to every line in the group.
@@ -80,20 +87,11 @@ class PeriodicRefreshController(RefreshController):
         (refresh, write back or invalidate); skipped lines cost no array
         time because nothing is read or written.
         """
-        start, end = self.cache.refresh_group_line_range(group)
+        start, end = self._ranges[group]
         if start >= end:
             return 0
-        if self._policy_kind == "custom":
-            # A plugged-in policy: the original walk, every line of the
-            # group through decide() -- custom policies may act on invalid
-            # lines too, so no bulk stamping or valid-only filtering.
-            processed = 0
-            for set_idx, line in self.cache.lines_in_refresh_group(group):
-                action = self.apply_policy(set_idx, line, cycle)
-                if action is not PolicyAction.SKIP:
-                    processed += 1
-            return processed
-        if self._bulk_policy:
+        kind = self._policy_kind
+        if kind == "all" or kind == "valid":
             processed, violations = self.cache.bulk_refresh_range(
                 start, end, cycle, self.config.retention_cycles,
                 self._include_invalid,
@@ -106,10 +104,65 @@ class PeriodicRefreshController(RefreshController):
                 # happens.
                 self.counters.add("decay_violations", violations)
             return processed
-        # Per-line policies: snapshot the valid lines, advance the refresh
-        # timestamp of the skipped (invalid) ones in bulk, then let the
-        # policy judge each valid line.
-        cache = self.cache
-        valid_indices = cache.valid_indices_in_range(start, end)
-        cache.stamp_invalid_range(start, end, cycle)
-        return self.process_indices(valid_indices, cycle)
+        if kind == "custom" or self.cache.arrays is None:
+            # Every line of the group through decide(): plugged-in policies
+            # may act on invalid lines too, and a SKIP advances an invalid
+            # line's refresh timestamp.
+            return self.process_indices(range(start, end), cycle)
+        return self._staged_pass(start, end, cycle)
+
+    def _staged_pass(self, start: int, end: int, cycle: int) -> int:
+        """One Dirty or WB(n, m) pass over ``[start, end)`` (array backend).
+
+        Invalid lines hold nothing: their timestamp is advanced, so lazy
+        sentry timers never find them due, and they cost no array time.
+        A valid line is refreshed in place (Dirty: if dirty; WB: while its
+        Count lasts, decrementing it); the rest are collected and written
+        back or invalidated by :meth:`_take_policy_actions`.
+        """
+        arrays = self.cache.arrays
+        valid = arrays.valid
+        dirty = arrays.dirty
+        last_refresh = arrays.last_refresh_cycle
+        limit = cycle - self.config.retention_cycles
+        refreshed = 0
+        violations = 0
+        slow: List[int] = []
+        if self._policy_kind == "wb":
+            counts = arrays.refresh_count
+            dirty_budget = self._dirty_budget
+            clean_budget = self._clean_budget
+            for i in range(start, end):
+                if not valid[i]:
+                    last_refresh[i] = cycle
+                    continue
+                count = counts[i]
+                if count < 0:
+                    count = dirty_budget if dirty[i] else clean_budget
+                if count >= 1:
+                    if last_refresh[i] < limit:
+                        violations += 1
+                    last_refresh[i] = cycle
+                    counts[i] = count - 1
+                    refreshed += 1
+                else:
+                    slow.append(i)
+        else:  # dirty
+            for i in range(start, end):
+                if not valid[i]:
+                    last_refresh[i] = cycle
+                elif dirty[i]:
+                    if last_refresh[i] < limit:
+                        violations += 1
+                    last_refresh[i] = cycle
+                    refreshed += 1
+                else:
+                    slow.append(i)
+        if slow:
+            self._take_policy_actions(slow, cycle)
+        stat_counts = self._raw_counts
+        if refreshed:
+            stat_counts[self._refresh_counter] += refreshed
+        if violations:
+            stat_counts["decay_violations"] += violations
+        return refreshed + len(slow)

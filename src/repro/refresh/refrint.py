@@ -22,26 +22,30 @@ and may be served up to ``margin - 1`` cycles after its predicted decay
 (the margin is precisely the headroom the hardware budgets between a
 Sentry bit's decay and the line's own), which lets one wheel drain serve
 many groups -- and many controllers -- at once.  When a timer is served,
-lines whose Sentry bit has actually decayed are processed and the timer is
-re-armed for the group's next earliest decay.  A line that was accessed
-(and therefore recharged) after the timer was armed is simply not due yet
-and is picked up by a later drain, so no per-access cancellation is needed.
+lines whose Sentry bit has actually decayed are processed, and the handler
+returns the group's next earliest decay, which the wheel re-arms the timer
+at.  A line that was accessed (and therefore recharged) after the timer
+was armed is simply not due yet and is picked up by a later drain, so no
+per-access cancellation is needed; a pass that finds no due line at all
+does nothing but compute that next fire time, and is counted as a wheel
+skip.
 
 A sentry group is a contiguous ``[start, end)`` range of line indices
-(mirroring the wired-OR of adjacent sentry outputs in hardware), so the
-"which lines have decayed" question and the "when does this group fire
-next" question are both answered by compares over the cache's last-refresh
-vector (:meth:`~repro.mem.cache.Cache.refresh_due_indices` /
-:meth:`~repro.mem.cache.Cache.min_last_refresh`) -- no per-line objects are
-touched until a line is actually due.
+(mirroring the wired-OR of adjacent sentry outputs in hardware).  On the
+array backend one walk of the range over the cache's state vectors answers
+"which lines have decayed", takes their refresh ticks in place and finds
+"when does this group fire next"; the lines a tick cannot keep (a WB(n, m)
+Count that ran out, a clean line under Dirty) are written back or
+invalidated by index, with no per-line objects.  The object backend and
+plugged-in policies walk the due lines through the policy's ``decide()``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.refresh.controller import RefreshController
-from repro.refresh.policies import AllPolicy, PolicyAction
+from repro.refresh.policies import AllPolicy
 from repro.refresh.sentry import SentryBit
 
 
@@ -83,15 +87,12 @@ class RefrintRefreshController(RefreshController):
         wheel = self.wheel
         slack = self._slack
         handler = self._handler
-        probe = self._group_probe
         first = cycle + self._sentry_retention
         for group in self.groups:
-            wheel.schedule(
-                first, first + slack, handler, payload=group, probe=probe
-            )
+            wheel.schedule(first, first + slack, handler, payload=group)
 
     @property
-    def _handler(self) -> Callable[[int, Any], None]:
+    def _handler(self) -> Callable[[int, Any], int]:
         """The group-interrupt handler this controller's timers run.
 
         The single-pass handler fuses the due scan, the refresh ticks and
@@ -106,57 +107,45 @@ class RefrintRefreshController(RefreshController):
 
     # -- event handling --------------------------------------------------------
 
-    def _group_probe(self, cycle: int, payload: Any) -> Any:
-        """Per-group due-time check consulted by the wheel before a scan.
-
-        Returns None when the group holds at least one line whose Sentry
-        bit has decayed by ``cycle`` -- the interrupt must be served.
-        Otherwise every predicted-decayed line was recharged by an access
-        since the timer was armed, and the handler would do nothing but
-        reschedule; the return value is exactly the fire time the handler
-        would have armed (earliest last-refresh plus the sentry retention,
-        capped one retention out), so skipping the scan is unobservable.
-        Shared by both handler variants, whose no-due-work reschedule logic
-        is identical.
-        """
-        sentry_retention = self._sentry_retention
-        earliest = self.cache.min_last_refresh(
-            payload[0], payload[1], self._include_invalid
-        )
-        horizon = cycle + sentry_retention
-        if earliest is None:
-            return horizon
-        if earliest <= cycle - sentry_retention:
-            return None
-        next_time = earliest + sentry_retention
-        return horizon if next_time > horizon else next_time
-
-    def _on_group_interrupt(self, cycle: int, payload: Any) -> None:
+    def _on_group_interrupt(self, cycle: int, payload: Any) -> int:
+        """Generic group interrupt; returns the group's next fire time."""
         start, end = payload
         include_invalid = self._include_invalid
+        sentry_retention = self._sentry_retention
+        cache = self.cache
         # The controller walks the group's due lines (one per cycle through
         # the priority encoder); a line accessed since the event was armed
         # had its Sentry bit recharged and is simply not due yet.  This is
         # what makes Refrint cheaper than the eager periodic walk.
-        due = self.cache.refresh_due_indices(
-            start, end, cycle - self._sentry_retention, include_invalid
+        due = cache.refresh_due_indices(
+            start, end, cycle - sentry_retention, include_invalid
         )
-        processed = self.process_indices(due, cycle)
-        if processed:
-            self.block_array(cycle, processed)
-            self.counters.add(self._interrupt_counter)
-        self._reschedule(payload, cycle, include_invalid)
+        if due:
+            processed = self.process_indices(due, cycle)
+            if processed:
+                self.block_array(cycle, processed)
+                self.counters.add(self._interrupt_counter)
+        else:
+            self.wheel.skips += 1
+        # Next fire: the group's earliest future decay, capped at one
+        # sentry retention from now (so newly filled lines are never
+        # missed).
+        horizon = cycle + sentry_retention
+        earliest = cache.min_last_refresh(start, end, include_invalid)
+        if earliest is None:
+            return horizon
+        return max(cycle + 1, min(earliest + sentry_retention, horizon))
 
-    def _on_group_interrupt_fast(self, cycle: int, payload: Any) -> None:
+    def _on_group_interrupt_fast(self, cycle: int, payload: Any) -> int:
         """Single-pass group interrupt over the state vectors (array backend).
 
         One walk of ``[start, end)`` classifies every line: due lines take
         their refresh tick in place (a timestamp store plus, for WB(n, m), a
         Count decrement), lines needing a write-back or invalidation are
-        collected for the slow per-view path, and the earliest last-refresh
-        among the not-due lines is tracked for the reschedule -- so the
-        whole interrupt costs one loop of int compares instead of building
-        due lists and re-scanning for the next fire time.  Behaviour is
+        collected for :meth:`_take_policy_actions`, and the earliest
+        last-refresh among the not-due lines is tracked for the next fire
+        time, which is returned -- so the whole interrupt, including the
+        "nothing due" case, costs one loop of int compares.  Behaviour is
         identical to :meth:`_on_group_interrupt`; the equivalence suite
         pins the two paths against each other.
         """
@@ -168,10 +157,9 @@ class RefrintRefreshController(RefreshController):
         cutoff = cycle - sentry_retention
         limit = cycle - self.config.retention_cycles
         kind = self._policy_kind
-        processed = 0
         refreshed = 0
         violations = 0
-        slow = None
+        slow: Optional[List[int]] = None
         min_not_due = None
         if kind == "wb":
             counts = arrays.refresh_count
@@ -231,12 +219,10 @@ class RefrintRefreshController(RefreshController):
                     min_not_due = stamp
         processed = refreshed
         if slow:
-            cache = self.cache
-            assoc = cache.geometry.associativity
-            for i in slow:
-                action = self.apply_policy(i // assoc, cache.view(i), cycle)
-                if action is not PolicyAction.SKIP:
-                    processed += 1
+            self._take_policy_actions(slow, cycle)
+            processed += len(slow)
+        elif not refreshed:
+            self.wheel.skips += 1
         stat_counts = self._raw_counts  # distinct from the WB Count vector
         if refreshed:
             stat_counts[self._refresh_counter] += refreshed
@@ -248,43 +234,15 @@ class RefrintRefreshController(RefreshController):
             if until > cache.busy_until:
                 cache.busy_until = until
             stat_counts[self._interrupt_counter] += 1
-        # Reschedule: lines handled this pass carry last_refresh == cycle,
+        # Next fire: lines handled this pass carry last_refresh == cycle,
         # i.e. exactly the horizon; only the not-due lines can fire earlier.
         # The horizon cap matters even so: the protocol's functionally
         # atomic transactions stamp lines at cycle + latency, so a not-due
         # line's refresh timestamp can lie in the future.
         horizon = cycle + sentry_retention
         if min_not_due is None:
-            next_time = horizon
-        else:
-            next_time = min_not_due + sentry_retention
-            if next_time > horizon:
-                next_time = horizon
-            elif next_time <= cycle:
-                next_time = cycle + 1
-        self.wheel.schedule(
-            next_time, next_time + self._slack,
-            self._on_group_interrupt_fast, payload=payload,
-            probe=self._group_probe,
-        )
-
-    def _reschedule(
-        self, group: Tuple[int, int], cycle: int, include_invalid: bool
-    ) -> None:
-        """Arm the group's next event: its earliest future decay, capped at
-        one sentry retention from now (so newly filled lines are never
-        missed)."""
-        horizon = cycle + self._sentry_retention
-        earliest_refresh = self.cache.min_last_refresh(
-            group[0], group[1], include_invalid
-        )
-        if earliest_refresh is None:
-            earliest = horizon
-        else:
-            earliest = min(earliest_refresh + self._sentry_retention, horizon)
-        next_time = max(cycle + 1, earliest)
-        self.wheel.schedule(
-            next_time, next_time + self._slack,
-            self._on_group_interrupt, payload=group,
-            probe=self._group_probe,
-        )
+            return horizon
+        # A not-due stamp exceeds cycle - sentry_retention, so this is
+        # always a future cycle.
+        next_time = min_not_due + sentry_retention
+        return horizon if next_time > horizon else next_time

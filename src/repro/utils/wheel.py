@@ -30,16 +30,18 @@ cause a cancel + re-arm; the queue's heap compaction (see
 :meth:`~repro.utils.events.EventQueue._note_cancelled`) keeps those
 cancelled entries from accumulating.
 
-An entry may carry a *due probe*: a cheap predicate consulted when the
-entry comes up in a drain.  If the probe reports that the entry's group has
-no due work (its predicted earliest decay was pushed out by ordinary
-accesses recharging the lines) it returns the group's new earliest service
-time and the wheel re-buckets the entry without invoking the callback --
-the per-group due-time index that lets the Refrint interrupt scans skip
-groups with nothing to serve.  A probe must answer exactly as the callback
-would have: return None whenever the callback would perform any observable
-work at this cycle, and otherwise the same next fire time the callback
-would have armed.
+A timer re-arms itself: its callback returns the next cycle at which it
+must be ready again (or None to stop), and the drain re-buckets the entry
+with the entry's own slack (``deadline - ready``).  A periodic pass returns
+one retention period on; a Refrint group interrupt returns its group's next
+earliest decay, whether or not the pass found anything due -- deciding
+"nothing due" is the handler's job, done in the same walk that computes the
+next fire time, and the handler counts such a pass in :attr:`RefreshWheel.skips`.
+
+Pending bucket ids are kept in a heap beside the bucket dict, so a drain
+pops exactly the buckets at or below ``cycle // bucket_cycles`` and
+:meth:`RefreshWheel.next_deadline` reads the top bucket, instead of
+scanning every pending bucket key.
 
 Determinism: drains happen at exact deadline cycles, entries are processed
 in (bucket index, insertion order) order, and the wheel itself never
@@ -49,6 +51,7 @@ across cache backends.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.utils.events import Event, EventQueue
@@ -59,14 +62,12 @@ from repro.utils.events import Event, EventQueue
 #: coalesce into one queue event.
 DEFAULT_BUCKET_CYCLES = 64
 
-#: An entry: (ready cycle, deadline cycle, callback, payload, probe).
-#: ``probe`` is None for always-served entries; otherwise
-#: ``probe(cycle, payload)`` returns None to serve the entry now, or the
-#: next cycle at which the entry's group can possibly have due work.
-WheelEntry = Tuple[
-    int, int, Callable[[int, Any], None], Any,
-    Optional[Callable[[int, Any], Optional[int]]],
-]
+#: A timer callback: ``callback(cycle, payload)`` does the timer's work and
+#: returns the next cycle at which it must be ready again, or None to stop.
+TimerCallback = Callable[[int, Any], Optional[int]]
+
+#: An entry: (ready cycle, deadline cycle, callback, payload).
+WheelEntry = Tuple[int, int, TimerCallback, Any]
 
 
 class RefreshWheel:
@@ -88,18 +89,21 @@ class RefreshWheel:
         self.events = events
         self.bucket_cycles = bucket_cycles
         self._buckets: Dict[int, List[WheelEntry]] = {}
+        #: Every key of ``_buckets`` exactly once, as a min-heap.
+        self._bucket_heap: List[int] = []
         self._armed: Optional[Event] = None
         self._armed_time: Optional[int] = None
         self._len = 0
         self._draining = False
         #: Number of times the queue event fired (drains), for diagnostics.
         self.drains = 0
-        #: Entries re-bucketed by their due probe instead of being served
-        #: (group interrupt scans skipped), for diagnostics.
+        #: Served entries whose handler found nothing due (a Refrint group
+        #: whose predicted decays were all recharged by accesses), counted
+        #: by the handlers, for diagnostics.
         self.skips = 0
-        #: Entries examined by drains (served or probe-skipped).  Every skip
-        #: is an examined entry, so ``skips <= scans`` always -- one of the
-        #: invariants repro.validate checks per run.
+        #: Entries served by drains.  A skip is a served entry, so
+        #: ``skips <= scans`` always -- one of the invariants
+        #: repro.validate checks per run.
         self.scans = 0
 
     def __len__(self) -> int:
@@ -109,26 +113,24 @@ class RefreshWheel:
         self,
         ready: int,
         deadline: int,
-        callback: Callable[[int, Any], None],
+        callback: TimerCallback,
         payload: Any = None,
-        probe: Optional[Callable[[int, Any], Optional[int]]] = None,
     ) -> None:
         """Add a timer servable anywhere in ``[ready, deadline]`` cycles.
 
         ``callback(cycle, payload)`` runs during some drain at a cycle in
         that window.  Periodic (exact) timers pass ``deadline == ready``.
-        ``probe``, if given, is consulted first at service time: returning
-        None serves the entry, returning a cycle re-buckets it there (with
-        the same slack) without running the callback.
+        Its return value re-arms the timer (see :data:`TimerCallback`).
         """
         if deadline < ready:
             raise ValueError(f"deadline {deadline} precedes ready {ready}")
         bucket = deadline // self.bucket_cycles
         entries = self._buckets.get(bucket)
         if entries is None:
-            self._buckets[bucket] = [(ready, deadline, callback, payload, probe)]
+            self._buckets[bucket] = [(ready, deadline, callback, payload)]
+            heappush(self._bucket_heap, bucket)
         else:
-            entries.append((ready, deadline, callback, payload, probe))
+            entries.append((ready, deadline, callback, payload))
         self._len += 1
         # During a drain the handler re-arms once at the end; outside one,
         # pull the armed event earlier if this deadline precedes it.
@@ -139,10 +141,9 @@ class RefreshWheel:
 
     def next_deadline(self) -> Optional[int]:
         """Earliest cycle by which some pending timer must be served."""
-        if not self._buckets:
+        if not self._bucket_heap:
             return None
-        earliest_bucket = min(self._buckets)
-        return min(entry[1] for entry in self._buckets[earliest_bucket])
+        return min(entry[1] for entry in self._buckets[self._bucket_heap[0]])
 
     def clear(self) -> None:
         """Drop every pending timer and cancel the armed queue event.
@@ -158,6 +159,7 @@ class RefreshWheel:
         self._armed = None
         self._armed_time = None
         self._buckets.clear()
+        self._bucket_heap.clear()
         self._len = 0
 
     # -- internals -----------------------------------------------------------
@@ -169,55 +171,67 @@ class RefreshWheel:
         self._armed_time = time
 
     def _drain(self, cycle: int, _payload: Any) -> None:
-        """Serve every ready entry, then re-arm at the next deadline.
+        """Serve every ready entry, re-bucket it, then re-arm once.
 
         The armed event fires at the earliest pending deadline, so nothing
         is ever served late(r than its deadline); entries whose ``ready``
         has passed ride along in the same drain even if their deadline lies
         further out (that is the batching).  Buckets are visited in index
         order and entries in insertion order, which keeps the simulation
-        deterministic.
+        deterministic.  The due list is fixed before any callback runs, so
+        a timer re-armed into an already visited bucket waits for the next
+        drain.
         """
         self._armed = None
         self._armed_time = None
         self.drains += 1
+        buckets = self._buckets
+        heap = self._bucket_heap
         max_bucket = cycle // self.bucket_cycles
         due: List[WheelEntry] = []
-        for bucket in sorted(b for b in self._buckets if b <= max_bucket):
-            entries = self._buckets[bucket]
+        waiting: List[int] = []
+        while heap and heap[0] <= max_bucket:
+            bucket = heappop(heap)
+            entries = buckets[bucket]
             keep = [entry for entry in entries if entry[0] > cycle]
-            if len(keep) == len(entries):
+            if not keep:
+                del buckets[bucket]
+                due += entries
                 continue
-            if keep:
-                self._buckets[bucket] = keep
-            else:
-                del self._buckets[bucket]
-            due.extend(entry for entry in entries if entry[0] <= cycle)
+            waiting.append(bucket)
+            if len(keep) < len(entries):
+                buckets[bucket] = keep
+                due += [entry for entry in entries if entry[0] <= cycle]
+        for bucket in waiting:
+            heappush(heap, bucket)
         self._len -= len(due)
         self.scans += len(due)
-        # Callbacks reschedule their groups through schedule(); defer the
-        # re-arm until every handler has run so the whole burst costs one
-        # queue operation.  An entry with a due probe is asked first: if
-        # its group has nothing due (every predicted-decayed line was
-        # recharged by an access since the timer was armed), the entry is
-        # re-bucketed at the group's new earliest possible decay and the
-        # scan is skipped entirely.
+        # Each callback returns its timer's next ready cycle; the entry is
+        # re-bucketed right away (so insertion order follows service
+        # order) with its own slack, and the queue event is re-armed once
+        # for the whole burst.  Entries that stop are dropped.
+        width = self.bucket_cycles
+        rearmed = 0
         self._draining = True
-        schedule = self.schedule
         try:
-            for ready, deadline, callback, payload, probe in due:
-                if probe is not None:
-                    next_ready = probe(cycle, payload)
-                    if next_ready is not None:
-                        self.skips += 1
-                        schedule(
-                            next_ready, next_ready + (deadline - ready),
-                            callback, payload, probe,
-                        )
-                        continue
-                callback(cycle, payload)
+            for ready, deadline, callback, payload in due:
+                next_ready = callback(cycle, payload)
+                if next_ready is None:
+                    continue
+                rearmed += 1
+                next_deadline = next_ready + (deadline - ready)
+                bucket = next_deadline // width
+                entries = buckets.get(bucket)
+                if entries is None:
+                    buckets[bucket] = [
+                        (next_ready, next_deadline, callback, payload)
+                    ]
+                    heappush(heap, bucket)
+                else:
+                    entries.append((next_ready, next_deadline, callback, payload))
         finally:
             self._draining = False
+            self._len += rearmed
         next_deadline = self.next_deadline()
         if next_deadline is not None:
             self._arm(next_deadline)

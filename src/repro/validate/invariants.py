@@ -400,8 +400,8 @@ def check_replay_stats(stats: ReplayStats) -> List[InvariantCheck]:
     The refresh wheel is the event queue's only producer, so every popped
     event is one wheel drain.  Every data reference is one protocol walk
     (real instruction fetches add more), so protocol calls cover the
-    references.  A wheel probe can only skip an entry the drain actually
-    examined, so skips never exceed scans.
+    references.  A skip is a served wheel entry whose handler found
+    nothing due, so skips never exceed scans.
     """
     collect = _Collector()
     collect.require(

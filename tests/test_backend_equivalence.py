@@ -6,13 +6,12 @@ JSON form is byte-identical to the original one-object-per-line backend.
 Two kinds of evidence pin that down:
 
 * **Golden pins.**  ``golden_results.json`` holds the SHA-256 of the
-  canonical JSON of every cell of the equivalence matrix -- seven
-  configuration families (SRAM baseline, periodic eDRAM schemes covering
-  the bulk and per-line sweeps, and Refrint under Valid, Dirty and the
-  paper's headline WB(32,32)) over all eleven applications -- and of the
-  deadline-aligned horizon traces below.  They were recorded with the
-  object backend replaying one queue event per reference, the
-  simulator's original reference loop, and are keyed by trace-generator
+  canonical JSON of every cell of the equivalence matrix -- eleven
+  configuration families (SRAM baseline, Periodic under All, Valid,
+  Dirty, WB(4,4) and WB(32,32), and Refrint under All, Valid, Dirty,
+  WB(4,4) and the paper's headline WB(32,32)) over all eleven
+  applications -- and of the deadline-aligned horizon traces below.  They
+  were recorded with the object backend and are keyed by trace-generator
   provenance because the numpy and scalar generators draw different
   (equally valid) traces.  Both backends must reproduce them.
 * **Random traces.**  A hypothesis property runs random 16-core traces
@@ -55,8 +54,8 @@ LENGTH_SCALE = 0.1
 APPLICATIONS = APPLICATION_NAMES
 
 CONFIG_LABELS = (
-    "SRAM", "P.all", "P.valid", "P.WB(32,32)",
-    "R.valid", "R.dirty", "R.WB(32,32)",
+    "SRAM", "P.all", "P.valid", "P.dirty", "P.WB(4,4)", "P.WB(32,32)",
+    "R.all", "R.valid", "R.dirty", "R.WB(4,4)", "R.WB(32,32)",
 )
 
 GOLDEN = json.loads(
@@ -91,33 +90,28 @@ def workloads(architecture):
 
 
 def _config_matrix(architecture):
-    # Chosen to cover every backend-specialised refresh path: P.all and
+    # Chosen to cover every refresh path of both controllers: P.all and
     # P.valid take the bulk slice sweep (invalid lines included/excluded),
-    # P.WB takes the periodic per-line walk (valid_indices_in_range +
-    # stamp_invalid_range + process_indices), and the three Refrint points
-    # take each policy branch of the fused sentry interrupt scan (valid,
-    # dirty with its clean-line invalidations, and WB's Count ageing).
-    return {
-        "SRAM": SimulationConfig.sram(architecture),
-        "P.all": _edram_config(
-            architecture, TimingPolicyKind.PERIODIC, DataPolicySpec.all_lines()
-        ),
-        "P.valid": _edram_config(
-            architecture, TimingPolicyKind.PERIODIC, DataPolicySpec.valid()
-        ),
-        "P.WB(32,32)": _edram_config(
-            architecture, TimingPolicyKind.PERIODIC, DataPolicySpec.writeback(32, 32)
-        ),
-        "R.valid": _edram_config(
-            architecture, TimingPolicyKind.REFRINT, DataPolicySpec.valid()
-        ),
-        "R.dirty": _edram_config(
-            architecture, TimingPolicyKind.REFRINT, DataPolicySpec.dirty()
-        ),
-        "R.WB(32,32)": _edram_config(
-            architecture, TimingPolicyKind.REFRINT, DataPolicySpec.writeback(32, 32)
-        ),
+    # P.dirty and P.WB the one-pass per-group walk, and the Refrint points
+    # each policy branch of the fused sentry interrupt scan.  At this
+    # length WB(32,32) never runs a Count out, so the Dirty and WB(4,4)
+    # cells are the ones where policy write-backs and invalidations fire.
+    policies = {
+        "all": DataPolicySpec.all_lines(),
+        "valid": DataPolicySpec.valid(),
+        "dirty": DataPolicySpec.dirty(),
+        "WB(4,4)": DataPolicySpec.writeback(4, 4),
+        "WB(32,32)": DataPolicySpec.writeback(32, 32),
     }
+    matrix = {"SRAM": SimulationConfig.sram(architecture)}
+    for label in CONFIG_LABELS[1:]:
+        timing, policy = label.split(".", 1)
+        matrix[label] = _edram_config(
+            architecture,
+            TimingPolicyKind.PERIODIC if timing == "P" else TimingPolicyKind.REFRINT,
+            policies[policy],
+        )
+    return matrix
 
 
 def _canonical_bytes(result) -> bytes:
@@ -146,6 +140,40 @@ def test_matrix_cell_matches_golden_pin(
     assert validation.ok, [
         (check.name, check.detail) for check in validation.violations
     ]
+
+
+#: Refresh-wheel activity (drains, scans, skips) of two matrix cells, by
+#: trace-generator provenance; both backends must reproduce it.
+REPLAY_PINS = {
+    "numpy": {
+        "P.WB(4,4)/barnes": (39, 1008, 0),
+        "R.WB(4,4)/barnes": (354, 21646, 8354),
+    },
+    "scalar": {
+        "P.WB(4,4)/barnes": (41, 1088, 0),
+        "R.WB(4,4)/barnes": (367, 23431, 9674),
+    },
+}[TRACE_GENERATOR_PROVENANCE]
+
+
+@pytest.mark.parametrize("backend", CACHE_BACKENDS)
+@pytest.mark.parametrize("cell", sorted(REPLAY_PINS))
+def test_wheel_activity_matches_pin(architecture, workloads, cell, backend):
+    """Drains, scans and skips are part of the result contract.
+
+    A Refrint interrupt that finds no due line counts as a skip; moving
+    that check between the wheel and the handler must not change when
+    the wheel drains, what it examines or what it counts.
+    """
+    config_label, application = cell.split("/")
+    simulator = RefrintSimulator(
+        _config_matrix(architecture)[config_label], cache_backend=backend
+    )
+    simulator.run(workloads[application])
+    stats = simulator.last_replay_stats
+    assert (
+        stats.wheel_drains, stats.wheel_scans, stats.wheel_skips
+    ) == REPLAY_PINS[cell]
 
 
 def test_golden_pins_cover_the_matrix():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.coherence.directory import Directory
 from repro.hierarchy.hierarchy import CacheHierarchy
+from repro.mem.cache import CACHE_BACKENDS
 from repro.mem.line import DirectoryLine, L3State, MESIState
 
 
@@ -153,12 +154,10 @@ class TestPolicyEntryPoints:
         hierarchy.write(0, ADDR, cycle=0)
         block = hierarchy.protocol.block_of(ADDR)
         bank = hierarchy.protocol.home_bank(block)
-        result = bank.cache.lookup(block)
+        index = bank.cache.probe_index(block)
         dram_before = hierarchy.counters["dram_writes"]
-        hierarchy.policy_invalidate(
-            "l3", bank.bank_id, result.set_idx, result.line, cycle=100
-        )
-        assert not result.line.valid
+        hierarchy.policy_invalidate("l3", bank.bank_id, index, cycle=100)
+        assert not bank.cache.valid_at(index)
         # The modified data held above was flushed to DRAM.
         assert hierarchy.counters["dram_writes"] == dram_before + 1
         l2_line = hierarchy.cores[0].l2.probe(block)
@@ -170,20 +169,23 @@ class TestPolicyEntryPoints:
         hierarchy.read(1, ADDR, cycle=10)  # forces write-back into L3 (dirty)
         block = hierarchy.protocol.block_of(ADDR)
         bank = hierarchy.protocol.home_bank(block)
-        result = bank.cache.lookup(block)
-        assert result.line.dirty
+        index = bank.cache.probe_index(block)
+        assert bank.cache.dirty_at(index)
         dram_before = hierarchy.counters["dram_writes"]
-        hierarchy.policy_writeback("l3", bank.bank_id, result.set_idx, result.line, 50)
-        assert result.line.valid and not result.line.dirty
+        hierarchy.policy_writeback("l3", bank.bank_id, index, 50)
+        line = bank.cache.view(index)
+        assert line.valid and not line.dirty
+        assert line.last_refresh_cycle == 50
         assert hierarchy.counters["dram_writes"] == dram_before + 1
 
     def test_policy_invalidate_l2_writes_dirty_data_down(self, hierarchy):
         hierarchy.write(0, ADDR, cycle=0)
         block = hierarchy.protocol.block_of(ADDR)
-        result = hierarchy.cores[0].l2.lookup(block)
-        assert result.line.state is MESIState.MODIFIED
-        hierarchy.policy_invalidate("l2", 0, result.set_idx, result.line, cycle=50)
-        assert not result.line.valid
+        l2 = hierarchy.cores[0].l2
+        index = l2.probe_index(block)
+        assert l2.view(index).state is MESIState.MODIFIED
+        hierarchy.policy_invalidate("l2", 0, index, cycle=50)
+        assert not l2.valid_at(index)
         bank = hierarchy.protocol.home_bank(block)
         assert bank.cache.probe(block).l3_state is L3State.DIRTY
         assert hierarchy.check_inclusion() == []
@@ -191,11 +193,37 @@ class TestPolicyEntryPoints:
     def test_policy_invalidate_l1_is_silent(self, hierarchy):
         hierarchy.read(0, ADDR, cycle=0)
         block = hierarchy.protocol.block_of(ADDR)
-        result = hierarchy.cores[0].l1d.lookup(block)
+        l1d = hierarchy.cores[0].l1d
+        index = l1d.probe_index(block)
         dram_before = hierarchy.counters["dram_accesses"]
-        hierarchy.policy_invalidate("l1d", 0, result.set_idx, result.line, cycle=10)
-        assert not result.line.valid
+        hierarchy.policy_invalidate("l1d", 0, index, cycle=10)
+        assert not l1d.valid_at(index)
         assert hierarchy.counters["dram_accesses"] == dram_before
+
+    @pytest.mark.parametrize("backend", CACHE_BACKENDS)
+    def test_policy_writeback_l2_keeps_the_core_as_owner(
+        self, tiny_architecture, backend
+    ):
+        # The written-back L2 copy stays Exclusive, so its core may upgrade
+        # it to Modified again without telling the directory; the directory
+        # must therefore still fetch from it before serving another core.
+        hierarchy = CacheHierarchy(tiny_architecture, cache_backend=backend)
+        hierarchy.write(0, ADDR, cycle=0)
+        block = hierarchy.protocol.block_of(ADDR)
+        l2 = hierarchy.cores[0].l2
+        index = l2.probe_index(block)
+        hierarchy.policy_writeback("l2", 0, index, cycle=50)
+        assert l2.view(index).state is MESIState.EXCLUSIVE
+        bank = hierarchy.protocol.home_bank(block)
+        assert bank.cache.probe(block).owner == 0
+        hierarchy.write(0, ADDR, cycle=100)  # silent E -> M
+        assert l2.view(index).state is MESIState.MODIFIED
+        fetches = hierarchy.counters["msg_owner_fetch"]
+        hierarchy.read(1, ADDR, cycle=200)
+        assert hierarchy.counters["msg_owner_fetch"] == fetches + 1
+        assert l2.view(index).state is MESIState.SHARED
+        assert hierarchy.cores[1].l2.probe(block).state is MESIState.SHARED
+        assert bank.cache.probe(block).l3_state is L3State.DIRTY
 
     def test_flush_dirty_writes_everything_to_dram(self, hierarchy):
         for i in range(8):

@@ -124,23 +124,24 @@ class TestRefreshGroups:
     def test_groups_partition_all_lines(self):
         geometry = small_geometry()
         cache = Cache(geometry)
-        seen = set()
+        seen = []
         for group in range(geometry.num_refresh_groups):
-            for set_idx, line in cache.lines_in_refresh_group(group):
-                seen.add((set_idx, id(line)))
-        assert len(seen) == geometry.num_lines
+            start, end = cache.refresh_group_line_range(group)
+            seen.extend(range(start, end))
+        assert seen == list(range(geometry.num_lines))
 
     def test_group_of_set_matches_partition(self):
         geometry = small_geometry()
         cache = Cache(geometry)
         for group in range(geometry.num_refresh_groups):
-            for set_idx, _ in cache.lines_in_refresh_group(group):
-                assert cache.refresh_group_of_set(set_idx) == group
+            start, end = cache.refresh_group_line_range(group)
+            for index in range(start, end):
+                assert cache.refresh_group_of_set(cache.set_of_index(index)) == group
 
     def test_bad_group_rejected(self):
         cache = Cache(small_geometry())
         with pytest.raises(ValueError):
-            cache.lines_in_refresh_group(99)
+            cache.refresh_group_line_range(99)
 
     def test_group_blocking_delays_only_that_group(self):
         geometry = small_geometry()

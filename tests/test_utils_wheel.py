@@ -183,121 +183,79 @@ class TestControllerIntegration:
         assert controller.wheel.next_deadline() is not None
 
 
-class TestDueProbe:
-    """Per-group due-time probes: skip-and-rearm instead of serving."""
+class TestRearmByReturnValue:
+    """A callback's return value re-arms its own timer."""
 
-    def test_probe_none_serves_the_entry(self, queue):
+    def test_returned_cycle_rearms_with_the_entrys_own_slack(self, queue):
         wheel = RefreshWheel(queue, bucket_cycles=16)
         fired = []
-        wheel.schedule(
-            20, 25, lambda t, p: fired.append((t, p)), payload="g",
-            probe=lambda cycle, payload: None,
-        )
-        queue.run()
-        assert fired == [(25, "g")]
-        assert wheel.skips == 0
 
-    def test_probe_reschedules_without_serving(self, queue):
-        wheel = RefreshWheel(queue, bucket_cycles=16)
-        fired = []
-        answers = iter([90, None])  # first service: nothing due until 90
+        def handler(cycle, payload):
+            fired.append((cycle, payload))
+            return 90 if len(fired) == 1 else None
 
-        def probe(cycle, payload):
-            return next(answers)
-
-        wheel.schedule(
-            20, 24, lambda t, p: fired.append((t, p)), payload="g", probe=probe
-        )
+        wheel.schedule(20, 24, handler, payload="g")
         queue.run(until=50)
-        assert fired == []
-        assert wheel.skips == 1
+        assert fired == [(24, "g")]
         assert len(wheel) == 1
-        # Slack (deadline - ready == 4) is preserved across the re-bucket.
+        # Slack (deadline - ready == 4) is carried over to the new entry.
         assert wheel.next_deadline() == 94
         queue.run()
-        assert fired == [(94, "g")]
+        assert fired == [(24, "g"), (94, "g")]
 
-    def test_skipped_entry_keeps_payload_and_probe(self, queue):
-        wheel = RefreshWheel(queue, bucket_cycles=8)
-        seen = []
-
-        def probe(cycle, payload):
-            seen.append((cycle, payload))
-            return cycle + 30 if len(seen) < 3 else None
-
-        fired = []
-        wheel.schedule(10, 10, lambda t, p: fired.append(p), "grp", probe)
-        queue.run()
-        assert [p for _, p in seen] == ["grp", "grp", "grp"]
-        assert wheel.skips == 2
-        assert fired == ["grp"]
-
-    def test_entries_without_probe_are_unaffected(self, queue):
+    def test_none_drops_the_entry(self, queue):
         wheel = RefreshWheel(queue, bucket_cycles=16)
         fired = []
-        wheel.schedule(10, 10, lambda t, p: fired.append("plain"))
-        wheel.schedule(
-            10, 10, lambda t, p: fired.append("probed"),
-            probe=lambda cycle, payload: None,
-        )
+        wheel.schedule(10, 10, lambda t, p: fired.append(t))
+        assert queue.run() == 1
+        assert fired == [10]
+        assert len(wheel) == 0
+        assert wheel.next_deadline() is None
+        assert len(queue) == 0
+
+    def test_rearm_into_a_visited_bucket_waits_for_the_next_drain(self, queue):
+        wheel = RefreshWheel(queue, bucket_cycles=64)
+        served = []
+
+        def handler(cycle, payload):
+            served.append((wheel.drains, cycle))
+            # Ready again at once, in the bucket this drain just emptied.
+            return cycle if len(served) == 1 else None
+
+        wheel.schedule(40, 40, handler)
         queue.run()
-        assert fired == ["plain", "probed"]
+        assert served == [(1, 40), (2, 40)]
 
+    def test_bucket_then_insertion_order_holds_across_rearms(self, queue):
+        wheel = RefreshWheel(queue, bucket_cycles=16)
+        order = []
 
-class TestRefrintProbeEquivalence:
-    """The Refrint group probe skips exactly the no-due-work scans."""
+        def handler(cycle, payload):
+            order.append((cycle, payload))
+            return cycle + 16 if cycle < 32 else None
 
-    def test_probe_skips_are_unobservable(self, tiny_architecture, monkeypatch):
-        # A simulation with due probes active must be byte-identical to the
-        # same simulation with every entry forced through the handlers
-        # (probe disabled), and the probed run must actually skip scans --
-        # otherwise an over-eager probe could diverge identically in every
-        # replay mode and no equivalence test would notice.
-        import json
+        for label in ("a", "b", "c"):
+            wheel.schedule(16, 16, handler, payload=label)
+        # Bucket 2, inserted before a, b and c are re-armed into it.
+        wheel.schedule(20, 40, handler, payload="d")
+        queue.run()
+        assert order == [
+            (16, "a"), (16, "b"), (16, "c"),
+            (32, "d"), (32, "a"), (32, "b"), (32, "c"),
+        ]
 
-        from repro.config.parameters import (
-            DataPolicySpec, RefreshConfig, SimulationConfig, TimingPolicyKind,
-        )
-        from repro.config.presets import scaled_retention_cycles
-        from repro.core.simulator import RefrintSimulator
-        from repro.refresh.refrint import RefrintRefreshController
-        from repro.workloads.suite import build_application
-
-        architecture = tiny_architecture
-        retention = scaled_retention_cycles(50.0)
-        refresh = RefreshConfig(
-            retention_cycles=retention,
-            sentry_margin_cycles=RefreshConfig.derive_sentry_margin(
-                architecture.l3_bank.num_lines, retention
-            ),
-            timing_policy=TimingPolicyKind.REFRINT,
-            l3_data_policy=DataPolicySpec.writeback(4, 4),
-        )
-        config = SimulationConfig.edram(refresh, architecture)
-        workload = build_application("fft", architecture, length_scale=0.02)
-
-        wheels = []
-        original_init = RefreshWheel.__init__
-
-        def tracking_init(self, *args, **kwargs):
-            original_init(self, *args, **kwargs)
-            wheels.append(self)
-
-        monkeypatch.setattr(RefreshWheel, "__init__", tracking_init)
-
-        probed = RefrintSimulator(config).run(workload)
-        assert wheels and sum(w.skips for w in wheels) > 0, (
-            "the probe never skipped a scan; the test exercises nothing"
-        )
-
-        wheels.clear()
-        monkeypatch.setattr(
-            RefrintRefreshController,
-            "_group_probe",
-            lambda self, cycle, payload: None,  # always serve the handler
-        )
-        unprobed = RefrintSimulator(config).run(workload)
-        assert wheels and sum(w.skips for w in wheels) == 0
-
-        canonical = lambda r: json.dumps(r.to_dict(), sort_keys=True)  # noqa: E731
-        assert canonical(probed) == canonical(unprobed)
+    def test_next_deadline_and_clear_follow_the_bucket_heap(self, queue):
+        wheel = RefreshWheel(queue, bucket_cycles=8)
+        for deadline in (50, 17, 33, 18):
+            wheel.schedule(deadline - 2, deadline, lambda t, p: None)
+        assert wheel.next_deadline() == 17
+        queue.run(until=17)  # serves bucket 2: deadlines 17 and 18
+        assert len(wheel) == 2
+        assert wheel.next_deadline() == 33
+        wheel.clear()
+        assert wheel.next_deadline() is None
+        fired = []
+        wheel.schedule(60, 60, lambda t, p: fired.append(t))
+        assert wheel.next_deadline() == 60
+        queue.run()
+        assert fired == [60]
