@@ -116,35 +116,6 @@ def group_jobs_by_workload(
     return grouped
 
 
-def batch_jobs_by_workload(
-    jobs: Sequence[Job],
-    max_workers: int,
-    groups: Optional[Mapping] = None,
-) -> "list[list[Job]]":
-    """Split jobs into per-workload batches (static pre-split form).
-
-    Jobs sharing a (workload recipe, architecture) key land in the same
-    batch; large groups are split into up to ``max_workers`` batches so a
-    single-application campaign still spreads over the whole pool, and the
-    submission order of jobs within a group is preserved.  ``groups``
-    accepts a precomputed :func:`group_jobs_by_workload` mapping so callers
-    that already grouped the jobs don't pay a second pass.
-
-    The streaming executor no longer pre-splits (it deals bounded chunks
-    with work-stealing refill); this remains for callers that want a static
-    partition of a job list.
-    """
-    grouped = groups if groups is not None else group_jobs_by_workload(jobs)
-    batches: "list[list[Job]]" = []
-    for group in grouped.values():
-        num_batches = min(max_workers, len(group))
-        size = -(-len(group) // num_batches)  # ceil division
-        batches.extend(
-            group[start:start + size] for start in range(0, len(group), size)
-        )
-    return batches
-
-
 def plan_chunk(
     queues: Sequence[Deque[Job]], max_workers: int, chunk_cap: int = CHUNK_CAP
 ) -> "list[Job]":

@@ -31,8 +31,8 @@ from repro.refresh.controller import build_refresh_controllers
 from repro.utils.events import EventQueue
 from repro.workloads.suite import ApplicationWorkload
 
-#: Safety valve on the refresh drains, in queue events, to guarantee
-#: termination even if a configuration error kept the timers re-arming.
+#: Safety valve on the refresh drains to guarantee termination even if a
+#: configuration error kept the timers re-arming.
 MAX_EVENTS = 200_000_000
 
 
@@ -41,22 +41,18 @@ class ReplayStats:
     """Event-loop and protocol traffic of one simulation run.
 
     Attributes:
-        events_popped: events executed through the queue's heap.  The
-            refresh wheel is the queue's only producer, so this equals
-            ``wheel_drains``.
         references: data references executed by the cores.
         protocol_calls: access-path protocol invocations: one per data
             reference plus one per real instruction fetch.
-        wheel_drains / wheel_skips / wheel_scans: refresh-wheel activity of
-            the run (queue events fired, served entries whose handler found
-            nothing due, entries served).  All zero for SRAM runs, which
-            build no wheel.
+        wheel_drains / wheel_skips / wheel_scans: refresh-timer activity of
+            the run, read from the :class:`~repro.utils.events.EventQueue`
+            (drains run, served timers whose handler found nothing due,
+            timers served).  All zero for SRAM runs, which arm no timer.
 
     :func:`repro.validate.invariants.check_replay_stats` checks the laws
     relating these counts.
     """
 
-    events_popped: int
     references: int
     protocol_calls: int = 0
     wheel_drains: int = 0
@@ -110,18 +106,15 @@ class RefrintSimulator:
             controller.start(0)
 
         self._replay(events, cores)
-        wheel = hierarchy.refresh_wheel
         self.last_replay_stats = ReplayStats(
-            events_popped=events.popped_events,
             references=sum(core.stats.references_completed for core in cores),
             protocol_calls=hierarchy.protocol_calls,
-            wheel_drains=wheel.drains if wheel is not None else 0,
-            wheel_skips=wheel.skips if wheel is not None else 0,
-            wheel_scans=wheel.scans if wheel is not None else 0,
+            wheel_drains=events.drains,
+            wheel_skips=events.skips,
+            wheel_scans=events.scans,
         )
-        if wheel is not None:
-            # Replay is over, so no timer can fire again.
-            wheel.clear()
+        # Replay is over, so no timer can fire again.
+        events.clear()
 
         # _replay runs every core to completion, so every finish cycle is
         # set (an empty trace finishes at cycle 0).
@@ -157,19 +150,18 @@ class RefrintSimulator:
     def _replay(events: EventQueue, cores: List[Core]) -> None:
         """Execute every core's references in global (time, seq) order.
 
-        The pending issue times live in a 16-entry ready list rather than
-        on the event queue, whose only producer is the refresh wheel.  Each
-        reference claims a sequence number from the queue's shared counter
-        when its issue time becomes known, so references and refresh drains
-        interleave in one deterministic order: drains ordered before the
-        next reference run first (:meth:`~repro.utils.events.EventQueue.run_until_key`),
-        then the core executes references back to back up to its
-        *horizon* -- the earlier of the next queue event and the next other
-        core's issue time.
+        The pending issue times live in a 16-entry ready list; the event
+        queue holds only refresh timers.  Each reference claims a sequence
+        number from the queue's counter when its issue time becomes known,
+        the counter the queue draws its armed ``(time, seq)`` key from, so
+        references and refresh drains interleave in one deterministic
+        order: drains keyed before the next reference run first
+        (:meth:`~repro.utils.events.EventQueue.run_until_key`), then the
+        core executes references back to back up to its *horizon* -- the
+        earlier of the next drain and the next other core's issue time.
         """
-        # Direct heap / counter access: this loop runs once per data
-        # reference and cannot afford wrapper dispatch.
-        heap = events._heap
+        # Direct counter access: this loop runs once per data reference and
+        # cannot afford wrapper dispatch.
         counter = events._counter
         run_until_key = events.run_until_key
         ready: List = []  # (issue time, seq, core) -- seq unique, so the
@@ -180,34 +172,27 @@ class RefrintSimulator:
         executed = 0
         while ready:
             time, seq, core = ready[0]
-            # Let refresh drains ordered before this reference fire first.
-            # (A cancelled entry at the top is handled the same as a live
-            # one here: treating its key as a horizon just ends the batch
-            # early, and run_until_key discards it on the next pass.)
-            if heap:
-                head = heap[0]
-                if head[0] < time or (head[0] == time and head[1] < seq):
-                    executed += run_until_key(time, seq)
-                    if executed > MAX_EVENTS:
-                        raise RuntimeError(
-                            "event limit exceeded; the simulation appears "
-                            "to be stuck"
-                        )
-            # Horizon: the earliest of the next queue event and the next
-            # reference of any *other* core.  Up to there this core runs
-            # free.  A freshly claimed seq always exceeds the horizon
-            # entry's, so comparing times alone is exact.
-            horizon = heap[0][0] if heap else None
+            # Let refresh drains keyed before this reference run first.
+            armed = events.armed
+            if armed is not None and armed < (time, seq):
+                executed += run_until_key(time, seq)
+                if executed > MAX_EVENTS:
+                    raise RuntimeError(
+                        "event limit exceeded; the simulation appears "
+                        "to be stuck"
+                    )
+                armed = events.armed
+            # Horizon: the earliest of the next drain and the next reference
+            # of any *other* core.  Up to there this core runs free.  A
+            # freshly claimed seq always exceeds the armed key's, so
+            # comparing times alone is exact.
+            horizon = armed[0] if armed is not None else None
             if len(ready) > 1:
                 second = ready[1]
                 if len(ready) > 2 and ready[2] < second:
                     second = ready[2]
                 if horizon is None or second[0] < horizon:
                     horizon = second[0]
-            # The clock only needs to be current when queue callbacks run,
-            # and none run inside the batch; one forward store per batch
-            # suffices (run_until_key above never leaves _now past `time`).
-            events._now = time
             step = core.step
             while True:
                 next_time = step(time)

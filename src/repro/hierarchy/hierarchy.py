@@ -67,10 +67,6 @@ class CacheHierarchy:
             dram=self.dram,
             counters=self.counters,
         )
-        # Set by build_refresh_controllers on eDRAM configurations: the
-        # shared calendar queue all refresh timers drain from.  None for the
-        # SRAM baseline (no refresh, no disturbances).
-        self.refresh_wheel = None
 
     # -- core-facing operations ---------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The Refrint refresh architecture: policies, Sentry bits, controllers."""
+"""The Refrint refresh architecture: data policies and refresh controllers."""
 
 from repro.refresh.controller import RefreshController, build_refresh_controllers
 from repro.refresh.periodic import PeriodicRefreshController
@@ -9,7 +9,6 @@ from repro.refresh.policies import (
     make_data_policy,
 )
 from repro.refresh.refrint import RefrintRefreshController
-from repro.refresh.sentry import SentryBit, SentryGroup
 
 __all__ = [
     "DataPolicy",
@@ -18,8 +17,6 @@ __all__ = [
     "PolicyDecision",
     "RefreshController",
     "RefrintRefreshController",
-    "SentryBit",
-    "SentryGroup",
     "build_refresh_controllers",
     "make_data_policy",
 ]

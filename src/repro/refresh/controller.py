@@ -25,6 +25,10 @@ Two concrete controllers exist:
 * :class:`~repro.refresh.refrint.RefrintRefreshController` -- the paper's
   proposal: per-line Sentry bits interrupt the controller just before a line
   decays, so lines are refreshed only when they truly need it.
+
+Both keep their timers on the simulation's one refresh-timer calendar,
+:class:`~repro.utils.events.EventQueue`: a timer's handler does one pass and
+returns the cycle at which the timer must be ready again.
 """
 
 from __future__ import annotations
@@ -48,19 +52,17 @@ from repro.refresh.policies import (
 )
 from repro.utils.events import EventQueue
 from repro.utils.statistics import Counter
-from repro.utils.wheel import RefreshWheel
 
 
 class RefreshController(abc.ABC):
     """Common machinery for the periodic and Refrint controllers.
 
     Refresh timers (periodic group passes, lazy sentry interrupts) are
-    scheduled through a :class:`~repro.utils.wheel.RefreshWheel` rather than
-    as individual heap events; a timer's handler returns its next ready
-    cycle and the wheel re-arms it.  :func:`build_refresh_controllers` hands
-    every controller of a simulation the same wheel so their timers drain
-    from one queue event per deadline; a controller constructed standalone
-    (unit tests, external tooling) builds a private wheel on its queue.
+    scheduled on the :class:`~repro.utils.events.EventQueue` the controller
+    is given; a timer's handler returns its next ready cycle and the queue
+    re-arms it.  :func:`build_refresh_controllers` hands every controller of
+    a simulation the same queue, so one drain serves the due timers of all
+    of them.
     """
 
     def __init__(
@@ -73,7 +75,6 @@ class RefreshController(abc.ABC):
         hierarchy: CacheHierarchy,
         event_queue: EventQueue,
         counters: Optional[Counter] = None,
-        wheel: Optional[RefreshWheel] = None,
     ) -> None:
         self.level = level
         self.instance = instance
@@ -82,7 +83,6 @@ class RefreshController(abc.ABC):
         self.config = refresh_config
         self.hierarchy = hierarchy
         self.events = event_queue
-        self.wheel = wheel if wheel is not None else RefreshWheel(event_queue)
         self.counters = counters if counters is not None else hierarchy.counters
         # Counter keys and per-line costs are resolved once, and the hot
         # handlers increment the raw counter dict directly; the refresh
@@ -285,26 +285,24 @@ def build_refresh_controllers(
     from repro.refresh.refrint import RefrintRefreshController
 
     refresh = config.refresh
+    controller_class = (
+        PeriodicRefreshController
+        if refresh.timing_policy is TimingPolicyKind.PERIODIC
+        else RefrintRefreshController
+    )
     controllers: List[RefreshController] = []
     # One calendar queue serves every controller: timers from all 64 arrays
-    # coalesce into shared buckets, so a single queue event drains the
+    # coalesce into shared buckets, so a single drain serves the
     # simultaneous sentry decays (and identically staggered periodic passes)
     # of many caches at once.
-    wheel = RefreshWheel(event_queue)
-    hierarchy.refresh_wheel = wheel
     for level, instance, cache in hierarchy.all_caches():
         policy_level = "l1" if level in ("l1i", "l1d") else level
         policy = make_data_policy(refresh.data_policy_for_level(policy_level))
         level_config = level_refresh_config(config, level, cache)
-        if refresh.timing_policy is TimingPolicyKind.PERIODIC:
-            controller: RefreshController = PeriodicRefreshController(
+        controllers.append(
+            controller_class(
                 level, instance, cache, policy, level_config, hierarchy,
-                event_queue, wheel=wheel,
+                event_queue,
             )
-        else:
-            controller = RefrintRefreshController(
-                level, instance, cache, policy, level_config, hierarchy,
-                event_queue, wheel=wheel,
-            )
-        controllers.append(controller)
+        )
     return controllers

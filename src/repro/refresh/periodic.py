@@ -24,6 +24,11 @@ decrements) in place, and collects the lines that need a write-back or an
 invalidation, which are then carried out by line index.  The object
 backend and plugged-in policies judge every line of the group through the
 policy's ``decide()``.
+
+Each group pass is one exact timer (``ready == deadline``) on the
+simulation's refresh-timer calendar (:class:`~repro.utils.events.EventQueue`);
+its handler returns the cycle of the group's next pass, one retention
+period on, and the queue re-arms the timer there.
 """
 
 from __future__ import annotations
@@ -36,10 +41,10 @@ from repro.refresh.controller import RefreshController
 class PeriodicRefreshController(RefreshController):
     """Walks one refresh group per timer, once per retention period.
 
-    Group passes are exact entries in the shared refresh wheel; identically
-    configured controllers (all 16 cores' L1s, say) stagger their groups to
-    the same nominal cycles, so one wheel drain walks the same-numbered
-    group of every such cache at once.
+    Group passes are exact timers on the shared refresh-timer calendar;
+    identically configured controllers (all 16 cores' L1s, say) stagger
+    their groups to the same nominal cycles, so one drain walks the
+    same-numbered group of every such cache at once.
     """
 
     def start(self, cycle: int) -> None:
@@ -61,10 +66,10 @@ class PeriodicRefreshController(RefreshController):
             when = cycle + group * stride
             # Periodic passes are exact timers (ready == deadline): the
             # global counter walks the array on a fixed schedule, so the
-            # wheel serves each pass at precisely its nominal cycle --
+            # queue serves each pass at precisely its nominal cycle --
             # batching comes from identically configured controllers whose
             # staggered passes share deadlines, not from slack.
-            self.wheel.schedule(when, when, self._on_group_event, payload=group)
+            self.events.schedule(when, when, self._on_group_event, payload=group)
 
     # -- event handling --------------------------------------------------------
 

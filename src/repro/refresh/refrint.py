@@ -15,20 +15,22 @@ group's interrupt fires the controller processes the group's due lines one
 per cycle, with interrupt requests taking priority over plain reads and
 writes.
 
-Simulation strategy: one *lazy* timer per sentry group, kept in the shared
-:class:`~repro.utils.wheel.RefreshWheel` rather than as an individual heap
-event.  A timer is always armed no later than ``now + sentry retention``
-and may be served up to ``margin - 1`` cycles after its predicted decay
-(the margin is precisely the headroom the hardware budgets between a
-Sentry bit's decay and the line's own), which lets one wheel drain serve
-many groups -- and many controllers -- at once.  When a timer is served,
-lines whose Sentry bit has actually decayed are processed, and the handler
-returns the group's next earliest decay, which the wheel re-arms the timer
-at.  A line that was accessed (and therefore recharged) after the timer
-was armed is simply not due yet and is picked up by a later drain, so no
-per-access cancellation is needed; a pass that finds no due line at all
-does nothing but compute that next fire time, and is counted as a wheel
-skip.
+Simulation strategy: a Sentry bit is not a timer of its own -- that would
+mean re-arming a timer on every cache access.  The controller keeps one
+*lazy* timer per sentry group on the simulation's shared refresh-timer
+calendar (:class:`~repro.utils.events.EventQueue`).  A timer is always
+armed no later than ``now + sentry retention`` and may be served up to
+``margin - 1`` cycles after its predicted decay (the margin is precisely
+the headroom the hardware budgets between a Sentry bit's decay and the
+line's own), which lets one drain serve many groups -- and many
+controllers -- at once.  When a timer is served, lines whose Sentry bit
+has actually decayed are processed, and the handler returns the group's
+next earliest decay, which the queue re-arms the timer at.  A line that
+was accessed (and therefore recharged) after the timer was armed is simply
+not due yet and is picked up by a later drain, so no per-access
+cancellation is needed; a pass that finds no due line at all does nothing
+but compute that next fire time, and is counted as a skip
+(:attr:`EventQueue.skips <repro.utils.events.EventQueue.skips>`).
 
 A sentry group is a contiguous ``[start, end)`` range of line indices
 (mirroring the wired-OR of adjacent sentry outputs in hardware).  On the
@@ -46,7 +48,6 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.refresh.controller import RefreshController
 from repro.refresh.policies import AllPolicy
-from repro.refresh.sentry import SentryBit
 
 
 class RefrintRefreshController(RefreshController):
@@ -55,17 +56,13 @@ class RefrintRefreshController(RefreshController):
     def start(self, cycle: int) -> None:
         """Partition the lines into sentry groups and arm one lazy timer each."""
         self._interrupt_counter = f"{self.level}_sentry_interrupts"
-        self.sentry = SentryBit(
-            retention_cycles=self.config.retention_cycles,
-            margin_cycles=self.config.sentry_margin_cycles,
-        )
-        self._sentry_retention = self.sentry.sentry_retention_cycles
+        self._sentry_retention = self.config.sentry_retention_cycles
         # A sentry timer may be served after its predicted decay: the margin
         # is exactly the headroom between a Sentry bit's decay and the
         # line's own (the hardware sizes it so the priority-encoder walk
         # finishes in time, Section 4.1), so anything under ``margin``
         # cycles of lateness can never lose data.  The slack is what lets
-        # one wheel drain serve whole batches of timers; it is additionally
+        # one drain serve whole batches of timers; it is additionally
         # capped at ~3% of the sentry period so the cadence of repeated
         # passes over an idle line -- which is what ages a WB(n, m) Count
         # towards its write-back/invalidate -- stays true to the paper's.
@@ -84,12 +81,11 @@ class RefrintRefreshController(RefreshController):
             for start in range(0, num_lines, group_size)
         ]
         # An empty cache has nothing due before one full sentry retention.
-        wheel = self.wheel
-        slack = self._slack
+        schedule = self.events.schedule
         handler = self._handler
         first = cycle + self._sentry_retention
         for group in self.groups:
-            wheel.schedule(first, first + slack, handler, payload=group)
+            schedule(first, first + self._slack, handler, payload=group)
 
     @property
     def _handler(self) -> Callable[[int, Any], int]:
@@ -126,7 +122,7 @@ class RefrintRefreshController(RefreshController):
                 self.block_array(cycle, processed)
                 self.counters.add(self._interrupt_counter)
         else:
-            self.wheel.skips += 1
+            self.events.skips += 1
         # Next fire: the group's earliest future decay, capped at one
         # sentry retention from now (so newly filled lines are never
         # missed).
@@ -222,7 +218,7 @@ class RefrintRefreshController(RefreshController):
             self._take_policy_actions(slow, cycle)
             processed += len(slow)
         elif not refreshed:
-            self.wheel.skips += 1
+            self.events.skips += 1
         stat_counts = self._raw_counts  # distinct from the WB Count vector
         if refreshed:
             stat_counts[self._refresh_counter] += refreshed

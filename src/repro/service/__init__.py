@@ -4,8 +4,7 @@
 an event loop -- memoised from the result store, coalesced on job hash,
 surrogate-backed off-grid, with exact backfill.  :func:`serve`
 (:mod:`repro.service.http`) puts the stdlib HTTP layer on top, and
-:func:`run_service` is the blocking entry point behind
-``python -m repro.service`` and ``repro.cli serve``.
+:func:`run_service` is the blocking entry point behind ``repro.cli serve``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared low-level utilities: event scheduling, statistics, address math."""
+"""Shared low-level utilities: refresh-timer calendar, statistics, address math."""
 
 from repro.utils.addr import (
     block_address,
@@ -7,12 +7,11 @@ from repro.utils.addr import (
     is_power_of_two,
     log2_int,
 )
-from repro.utils.events import Event, EventQueue
+from repro.utils.events import EventQueue
 from repro.utils.statistics import Counter, RunningStat, WeightedAverage
 
 __all__ = [
     "Counter",
-    "Event",
     "EventQueue",
     "RunningStat",
     "WeightedAverage",

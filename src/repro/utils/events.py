@@ -1,209 +1,213 @@
-"""A minimal discrete-event scheduler.
+"""The refresh-timer calendar: the simulator's one event scheduler.
 
-In the simulator the refresh subsystem is the queue's only producer: the
-refresh controllers keep their timers in a calendar queue
-(:mod:`repro.utils.wheel`) that holds a single armed event here.  Cores
-never schedule events.  The simulator's replay loop keeps their pending
-issue times in its own ready list and draws one ``(time, seq)`` key per
-reference from this queue's counter; wheel drains ordered before a
-reference run first, through :meth:`EventQueue.run_until_key`.  Events
-carry a callback and an arbitrary payload; ties are broken by insertion
-order so simulation is deterministic.
+In the simulator the only timed events are refresh work -- Periodic group
+passes and Refrint's Sentry-bit interrupts.  Cores never schedule events:
+the replay loop keeps their pending issue times in its own ready list and
+draws one ``(time, seq)`` key per reference from this queue's counter.
+
+:class:`EventQueue` is a bucketed calendar queue of refresh timers:
+
+* A *timer* is ``(ready, deadline, callback, payload)``.  ``ready`` is the
+  earliest cycle it may be served (the predicted sentry decay or the
+  periodic group's nominal pass time); ``deadline`` is the latest.  A
+  periodic pass is exact (``deadline == ready``); a lazy Refrint timer may
+  be served up to ``sentry margin - 1`` cycles late, because the margin is
+  precisely the headroom between a Sentry bit's decay and the line's own.
+* Timers are hashed into fixed-width *buckets* by their deadline.  Because
+  a bucket spans ``[b*w, (b+1)*w)``, the earliest non-empty bucket always
+  holds the globally earliest deadline.  Pending bucket ids sit in a heap
+  beside the bucket dict, so a drain pops exactly the buckets at or below
+  ``cycle // bucket_cycles``.
+* The queue is *armed* at the earliest pending deadline, under a
+  ``(time, seq)`` key whose ``seq`` comes from the same counter as the
+  references' keys.  A *drain* at that time serves every timer that is
+  ready by then -- across all due buckets, and typically across many
+  refresh controllers -- in deterministic (bucket, insertion) order, then
+  re-arms once for the whole burst.
+
+A timer re-arms itself: its callback returns the next cycle at which it
+must be ready again (or None to stop), and the drain re-buckets it with its
+own slack (``deadline - ready``).  A periodic pass returns one retention
+period on; a Refrint group interrupt returns its group's next earliest
+decay, whether or not the pass found anything due -- deciding "nothing
+due" is the handler's job, and the handler counts such a pass in
+:attr:`EventQueue.skips`.
+
+Determinism: drains happen at exact deadline cycles, timers are served in
+(bucket index, insertion order) order, and the queue never consults
+wall-clock state -- so simulations are reproducible and identical across
+cache backends.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Any, Callable, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+#: Default bucket width in cycles.  Narrow enough that a drain rarely visits
+#: timers that are not yet ready, wide enough that simultaneous sentry
+#: timers (and the staggered periodic passes of identical controllers)
+#: coalesce into one drain.
+DEFAULT_BUCKET_CYCLES = 64
 
-class Event:
-    """A scheduled callback.
+#: A timer callback: ``callback(cycle, payload)`` does the timer's work and
+#: returns the next cycle at which it must be ready again, or None to stop.
+TimerCallback = Callable[[int, Any], Optional[int]]
 
-    Attributes:
-        time: simulation time (cycles) at which the event fires.
-        seq: monotonically increasing tie-breaker assigned by the queue.
-        callback: callable invoked as ``callback(time, payload)``.
-        payload: arbitrary data handed back to the callback.
-        cancelled: cancelled events are skipped when popped.
-
-    The heap itself is keyed by plain ``(time, seq, ...)`` tuples, so
-    ordering is decided by C-level int comparisons and the event object
-    never needs rich-comparison methods.
-    """
-
-    __slots__ = ("time", "seq", "callback", "payload", "cancelled", "queue")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[[int, Any], None],
-        payload: Any = None,
-        queue: Optional["EventQueue"] = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.payload = payload
-        self.cancelled = False
-        self.queue = queue
-
-    def cancel(self) -> None:
-        """Mark this event so the queue drops it instead of firing it."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.queue is not None:
-            self.queue._note_cancelled()
-            self.queue = None
-
-    def __repr__(self) -> str:
-        return (
-            f"Event(time={self.time}, seq={self.seq}, "
-            f"cancelled={self.cancelled})"
-        )
+#: A timer: (ready cycle, deadline cycle, callback, payload).
+Timer = Tuple[int, int, TimerCallback, Any]
 
 
 class EventQueue:
-    """Priority queue of events ordered by (time, insertion order).
+    """Calendar queue of refresh timers, shared by every controller of a run.
 
-    Heap entries are ``(time, seq, callback, payload, handle)`` tuples;
-    ``handle`` is the :class:`Event` returned by :meth:`schedule`, so it can
-    be cancelled.  ``seq`` is unique, so tuple comparison never reaches the
-    non-comparable elements.
+    Sharing is what lets one drain serve many controllers: the 32 L1
+    controllers of a chip arm thousands of single-line sentry timers whose
+    deadlines land in the same handful of buckets.
     """
 
-    #: Compaction threshold: the heap is rebuilt without its cancelled
-    #: entries once they outnumber the live ones (and enough have piled up
-    #: for the O(n) rebuild to be worth it).  Producers that cancel on every
-    #: reschedule -- the refresh wheel re-arming at an earlier deadline --
-    #: would otherwise grow the heap with dead tuples until popped.
-    _COMPACT_MIN_CANCELLED = 64
-
-    def __init__(self) -> None:
-        self._heap: list[Tuple] = []
+    def __init__(self, bucket_cycles: int = DEFAULT_BUCKET_CYCLES) -> None:
+        if bucket_cycles < 1:
+            raise ValueError("bucket_cycles must be >= 1")
+        self.bucket_cycles = bucket_cycles
+        self._buckets: Dict[int, List[Timer]] = {}
+        #: Every key of ``_buckets`` exactly once, as a min-heap.
+        self._bucket_heap: List[int] = []
+        #: Sequence numbers shared with the replay loop's reference keys.
         self._counter = itertools.count()
-        self._now = 0
-        self._live = 0
-        self._cancelled = 0
-        #: Events executed over this queue's lifetime (cancelled entries
-        #: are not counted).  The simulator reports it in ``ReplayStats``.
-        self.popped_events = 0
-
-    @property
-    def now(self) -> int:
-        """Current simulation time (time of the last event popped)."""
-        return self._now
-
-    def __len__(self) -> int:
-        # O(1): a live-event counter is maintained on schedule/cancel/run
-        # instead of scanning the heap for cancelled entries.
-        return self._live
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` when a tracked event is cancelled."""
-        self._live -= 1
-        self._cancelled += 1
-        if not self._live:
-            # Every entry left is cancelled: drop them all (in place, as in
-            # _compact), so an idle queue holds no callbacks.
-            self._heap.clear()
-            self._cancelled = 0
-        elif (
-            self._cancelled >= self._COMPACT_MIN_CANCELLED
-            and self._cancelled * 2 > len(self._heap)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without its cancelled entries.
-
-        In place: the simulator's replay loop holds a long-lived local
-        alias to the heap list, so the list object must survive.
-        """
-        self._heap[:] = [entry for entry in self._heap if not entry[4].cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
+        #: ``(time, seq)`` key of the next drain, or None when no timer is
+        #: pending.
+        self.armed: Optional[Tuple[int, int]] = None
+        #: Drains run.
+        self.drains = 0
+        #: Timers served by drains.
+        self.scans = 0
+        #: Served timers whose handler found nothing due (a Refrint group
+        #: whose predicted decays were all recharged by accesses), counted
+        #: by the handlers.  A skip is a served timer, so ``skips <= scans``
+        #: always -- one of the invariants repro.validate checks per run.
+        self.skips = 0
 
     def schedule(
         self,
-        time: int,
-        callback: Callable[[int, Any], None],
+        ready: int,
+        deadline: int,
+        callback: TimerCallback,
         payload: Any = None,
-    ) -> Event:
-        """Schedule ``callback`` at ``time``; returns the event handle.
+    ) -> None:
+        """Add a timer servable anywhere in ``[ready, deadline]`` cycles.
 
-        Raises:
-            ValueError: if ``time`` is in the past.
+        ``callback(cycle, payload)`` runs during some drain at a cycle in
+        that window; its return value re-arms the timer (see
+        :data:`TimerCallback`).  Periodic (exact) timers pass
+        ``deadline == ready``.  A deadline earlier than the armed key's time
+        pulls the key earlier.
         """
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule event at {time}, current time is {self._now}"
-            )
-        seq = next(self._counter)
-        event = Event(time, seq, callback, payload, queue=self)
-        heapq.heappush(self._heap, (time, seq, callback, payload, event))
-        self._live += 1
-        return event
+        if deadline < ready:
+            raise ValueError(f"deadline {deadline} precedes ready {ready}")
+        bucket = deadline // self.bucket_cycles
+        timers = self._buckets.get(bucket)
+        if timers is None:
+            self._buckets[bucket] = [(ready, deadline, callback, payload)]
+            heappush(self._bucket_heap, bucket)
+        else:
+            timers.append((ready, deadline, callback, payload))
+        if self.armed is None or deadline < self.armed[0]:
+            self.armed = (deadline, next(self._counter))
 
     def run_until_key(self, time: int, seq: int) -> int:
-        """Execute every live event ordered strictly before ``(time, seq)``.
+        """Run every drain keyed strictly before ``(time, seq)``.
 
-        The simulator's replay loop uses this to let refresh events fire in
-        their exact heap order relative to the core reference it is about to
-        execute.  The clock is left at the last executed event (or
-        untouched when nothing ran); returns the number of events executed.
+        The replay loop calls this before the reference holding that key,
+        so drains and references interleave in one deterministic order.
+        Returns the number of drains run.
         """
-        heap = self._heap
-        pop = heapq.heappop
-        executed = 0
-        while heap:
-            entry = heap[0]
-            handle = entry[4]
-            if handle.cancelled:
-                pop(heap)
-                self._cancelled -= 1
-                continue
-            if entry[0] > time or (entry[0] == time and entry[1] >= seq):
-                break
-            pop(heap)
-            handle.queue = None
-            self._live -= 1
-            self._now = entry[0]
-            self.popped_events += 1
-            entry[2](entry[0], entry[3])
-            executed += 1
-        return executed
+        key = (time, seq)
+        drained = 0
+        while self.armed is not None and self.armed < key:
+            self._drain(self.armed[0])
+            drained += 1
+        return drained
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Execute events in order.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run every drain due at or before cycle ``until`` (all if None).
 
-        Args:
-            until: stop (without executing) at the first event later than this
-                time; the clock is left at the last executed event.
-            max_events: stop after executing this many events.
-
-        Returns:
-            The number of events executed.
+        Returns the number of drains run.
         """
-        executed = 0
-        while self._heap:
-            if max_events is not None and executed >= max_events:
-                break
-            time, _, callback, payload, handle = self._heap[0]
-            if handle.cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled -= 1
+        drained = 0
+        while self.armed is not None and (until is None or self.armed[0] <= until):
+            self._drain(self.armed[0])
+            drained += 1
+        return drained
+
+    def next_deadline(self) -> Optional[int]:
+        """Earliest cycle by which some pending timer must be served."""
+        if not self._bucket_heap:
+            return None
+        return min(timer[1] for timer in self._buckets[self._bucket_heap[0]])
+
+    def clear(self) -> None:
+        """Drop every pending timer and disarm.
+
+        For a simulation that is over: its timers can never fire again, and
+        their callbacks (bound methods of the refresh controllers, which
+        hold this queue) would otherwise keep the whole chip alive in a
+        reference cycle until the garbage collector finds it.  The counters
+        are kept.
+        """
+        self.armed = None
+        self._buckets.clear()
+        self._bucket_heap.clear()
+
+    def _drain(self, cycle: int) -> None:
+        """Serve every ready timer, re-bucket it, then re-arm once.
+
+        The queue is armed at the earliest pending deadline, so nothing is
+        ever served after its deadline; timers whose ``ready`` has passed
+        ride along in the same drain even if their deadline lies further
+        out (that is the batching).  The due list is fixed before any
+        callback runs, so a timer re-armed into an already visited bucket
+        waits for the next drain.
+        """
+        self.armed = None
+        self.drains += 1
+        buckets = self._buckets
+        heap = self._bucket_heap
+        max_bucket = cycle // self.bucket_cycles
+        due: List[Timer] = []
+        waiting: List[int] = []
+        while heap and heap[0] <= max_bucket:
+            bucket = heappop(heap)
+            timers = buckets[bucket]
+            keep = [timer for timer in timers if timer[0] > cycle]
+            if not keep:
+                del buckets[bucket]
+                due += timers
                 continue
-            if until is not None and time > until:
-                break
-            heapq.heappop(self._heap)
-            handle.queue = None
-            self._live -= 1
-            self._now = time
-            self.popped_events += 1
-            callback(time, payload)
-            executed += 1
-        return executed
+            waiting.append(bucket)
+            if len(keep) < len(timers):
+                buckets[bucket] = keep
+                due += [timer for timer in timers if timer[0] <= cycle]
+        for bucket in waiting:
+            heappush(heap, bucket)
+        self.scans += len(due)
+        # Each callback returns its timer's next ready cycle; the timer is
+        # re-bucketed right away (so insertion order follows service order)
+        # with its own slack.  Timers that stop are dropped.
+        width = self.bucket_cycles
+        for ready, deadline, callback, payload in due:
+            next_ready = callback(cycle, payload)
+            if next_ready is None:
+                continue
+            next_deadline = next_ready + (deadline - ready)
+            bucket = next_deadline // width
+            timers = buckets.get(bucket)
+            if timers is None:
+                buckets[bucket] = [(next_ready, next_deadline, callback, payload)]
+                heappush(heap, bucket)
+            else:
+                timers.append((next_ready, next_deadline, callback, payload))
+        next_deadline = self.next_deadline()
+        if next_deadline is not None:
+            self.armed = (next_deadline, next(self._counter))

@@ -1,7 +1,7 @@
 """Counter-based validation of simulation results.
 
-The simulator's CI currency is exact counters (events popped, protocol
-calls, wheel scans, activity counters); this package validates those
+The simulator's CI currency is exact counters (protocol calls, refresh
+drains and scans, activity counters); this package validates those
 counters against what the WB(n, m) model says they *must* satisfy:
 
 * :mod:`repro.validate.invariants` -- closed-form per-run invariants

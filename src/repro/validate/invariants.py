@@ -21,9 +21,8 @@ The engine works on any :class:`~repro.core.results.SimulationResult`:
   ledgers run.
 
 ``check_replay_stats`` validates the event-loop side
-(:class:`~repro.core.simulator.ReplayStats`): every queue event is a
-refresh-wheel drain, every reference walks the protocol, and the wheel's
-``skips <= scans`` law.
+(:class:`~repro.core.simulator.ReplayStats`): every reference walks the
+protocol, and the refresh timers' ``skips <= scans`` law.
 """
 
 from __future__ import annotations
@@ -397,19 +396,12 @@ def _check_timing(collect: _Collector, result: SimulationResult) -> None:
 def check_replay_stats(stats: ReplayStats) -> List[InvariantCheck]:
     """Event-loop invariants for one live run's :class:`ReplayStats`.
 
-    The refresh wheel is the event queue's only producer, so every popped
-    event is one wheel drain.  Every data reference is one protocol walk
-    (real instruction fetches add more), so protocol calls cover the
-    references.  A skip is a served wheel entry whose handler found
-    nothing due, so skips never exceed scans.
+    Every data reference is one protocol walk (real instruction fetches add
+    more), so protocol calls cover the references.  A skip is a served
+    refresh timer whose handler found nothing due, so skips never exceed
+    scans.
     """
     collect = _Collector()
-    collect.require(
-        "events-are-wheel-drains",
-        stats.events_popped == stats.wheel_drains,
-        f"{stats.events_popped} events popped but {stats.wheel_drains} "
-        f"wheel drains",
-    )
     collect.bounded(
         "protocol-calls-cover-references", stats.references, stats.protocol_calls
     )

@@ -157,38 +157,6 @@ class TestExecutors:
         assert result.label == "SRAM"
         assert result.execution_cycles > 0
 
-    def test_batches_group_jobs_by_workload(self, arch):
-        from repro.campaign.executors import batch_jobs_by_workload
-
-        requests = [
-            WorkloadRequest("blackscholes", length_scale=LENGTH_SCALE),
-            WorkloadRequest("fft", length_scale=LENGTH_SCALE),
-        ]
-        jobs = enumerate_jobs(requests, POINTS, arch)
-        batches = batch_jobs_by_workload(jobs, max_workers=2)
-        # Every batch regenerates at most one workload...
-        for batch in batches:
-            assert len({(job.workload, job.config.architecture) for job in batch}) == 1
-        # ...no job is lost or duplicated, and order within an application
-        # is preserved.
-        flattened = [job for batch in batches for job in batch]
-        assert sorted(job.key() for job in flattened) == sorted(job.key() for job in jobs)
-        per_app = {}
-        for job in flattened:
-            per_app.setdefault(job.application, []).append(job.key())
-        for app, keys in per_app.items():
-            assert keys == [job.key() for job in jobs if job.application == app]
-
-    def test_large_single_application_grid_spreads_over_workers(self, arch):
-        from repro.campaign.executors import batch_jobs_by_workload
-
-        requests = [WorkloadRequest("fft", length_scale=LENGTH_SCALE)]
-        jobs = enumerate_jobs(requests, POINTS * 4, arch)
-        batches = batch_jobs_by_workload(jobs, max_workers=4)
-        # 9 jobs over <= 4 batches (ceil split), never one giant batch.
-        assert 1 < len(batches) <= 4
-        assert sum(len(batch) for batch in batches) == len(jobs)
-
 
 class TestResume:
     def test_resume_executes_zero_new_simulations(self, tmp_path, arch, requests):

@@ -59,6 +59,36 @@ class TestArgumentParsing:
         self.rejects(capsys, ["sweep", "--applications", "fft,doom"], "doom")
 
 
+class TestServeArguments:
+    """A bad ``serve`` value exits 2, naming it or its option, before any
+    socket is bound.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_server(self, monkeypatch):
+        import repro.service
+
+        def boot(**kwargs):
+            raise AssertionError("the server must not start")
+
+        monkeypatch.setattr(repro.service, "run_service", boot)
+
+    def test_non_numeric_surrogate_retention(self, capsys):
+        TestArgumentParsing.rejects(
+            capsys, ["serve", "--surrogate-retentions", "abc"], "abc"
+        )
+
+    def test_duplicate_surrogate_retentions(self, capsys):
+        TestArgumentParsing.rejects(
+            capsys, ["serve", "--surrogate-retentions", "50,50"],
+            "--surrogate-retentions: duplicate",
+        )
+
+    def test_zero_jobs(self, capsys):
+        assert main(["serve", "--jobs", "0"], out=io.StringIO()) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_tables_command(self):
         out = io.StringIO()

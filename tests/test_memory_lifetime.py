@@ -2,7 +2,7 @@
 
 Building a hierarchy must not cost one object per cache line, and once
 ``RefrintSimulator.run`` returns nothing may hold the run's hierarchy alive:
-not the refresh wheel's timers (which can never fire again), not a
+not the queued refresh timers (which can never fire again), not a
 controller or cache holding a bound method of itself.  Either would leave
 every line view and sharer set of the run for the cyclic garbage collector,
 whose full passes then cost more than building the hierarchy.

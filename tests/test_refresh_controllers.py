@@ -195,6 +195,40 @@ class TestSubclassedPolicies:
         assert controller._handler == controller._on_group_interrupt
 
 
+class TestSentryGroups:
+    """A Refrint controller's sentry groups: contiguous line-index ranges."""
+
+    @staticmethod
+    def bank_controller(architecture, sentry_group_size):
+        import dataclasses
+
+        l3_bank = dataclasses.replace(
+            architecture.l3_bank, sentry_group_size=sentry_group_size
+        )
+        architecture = dataclasses.replace(architecture, l3_bank=l3_bank)
+        hierarchy = CacheHierarchy(architecture)
+        controller = RefrintRefreshController(
+            "l3", 0, hierarchy.banks[0].cache, ValidPolicy(),
+            make_refresh_config(architecture), hierarchy, EventQueue(),
+        )
+        controller.start(0)
+        return controller
+
+    def test_partition_ends_with_a_short_group(self, tiny_architecture):
+        controller = self.bank_controller(tiny_architecture, 48)
+        assert controller.cache.num_lines == 128
+        assert controller.groups == [(0, 48), (48, 96), (96, 128)]
+
+    def test_group_size_one_gives_one_group_per_line(self, tiny_architecture):
+        controller = self.bank_controller(tiny_architecture, 1)
+        lines = controller.cache.num_lines
+        assert controller.groups == [(i, i + 1) for i in range(lines)]
+
+    def test_bad_group_size_rejected(self, tiny_architecture):
+        with pytest.raises(ValueError):
+            self.bank_controller(tiny_architecture, 0)
+
+
 class TestRefrintController:
     def test_valid_line_is_refreshed_before_it_expires(self, tiny_architecture):
         hierarchy, events, controllers, config = build(
@@ -259,7 +293,7 @@ class TestRefrintController:
         # Touch the line at the L3 every 300 cycles (each miss reaches the
         # bank because a different core reads it each time).
         for step in range(20):
-            hierarchy.read(step % 16, ADDR, cycle=events.now)
+            hierarchy.read(step % 16, ADDR, cycle=step * 300)
             events.run(until=(step + 1) * 300)
         line = bank.cache.probe(block)
         assert line is not None and line.valid

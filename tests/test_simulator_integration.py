@@ -190,3 +190,38 @@ class TestResultSerialisation:
         assert data["memory_energy_j"] == pytest.approx(result.memory_energy())
         assert data["execution_cycles"] == result.execution_cycles
         assert isinstance(data["counters"], dict)
+
+
+class TestRefreshDrainSeam:
+    """Every refresh drain of a run goes through ``run_until_key``.
+
+    The traced benchmark times refresh work by wrapping that method on the
+    class; a drain run any other way would escape its ``refresh.drain``
+    span.
+    """
+
+    def test_wrapped_run_until_key_counts_every_drain(
+        self, scaled_workload, monkeypatch
+    ):
+        from repro.config.presets import scaled_architecture
+        from repro.utils.events import EventQueue
+
+        original = EventQueue.__dict__["run_until_key"]
+        drained = []
+
+        def counting(queue, time, seq):
+            result = original(queue, time, seq)
+            drained.append(result)
+            return result
+
+        monkeypatch.setattr(EventQueue, "run_until_key", counting)
+        config = edram(
+            scaled_architecture(), TimingPolicyKind.REFRINT,
+            DataPolicySpec.writeback(8, 8), retention=1562,
+        )
+        simulator = RefrintSimulator(config)
+        simulator.run(scaled_workload)
+        assert drained
+        stats = simulator.last_replay_stats
+        assert stats.wheel_drains > 0
+        assert sum(drained) == stats.wheel_drains

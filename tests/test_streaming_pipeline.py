@@ -19,7 +19,6 @@ from repro.campaign.executors import (
     CHUNK_CAP,
     ParallelExecutor,
     SerialExecutor,
-    batch_jobs_by_workload,
     group_jobs_by_workload,
     plan_chunk,
 )
@@ -75,13 +74,6 @@ class TestGrouping:
         assert len(grouped) == 2
         regrouped = [job for group in grouped.values() for job in group]
         assert regrouped == jobs  # per-group order is submission order
-
-    def test_batching_accepts_precomputed_groups(self, arch):
-        jobs = fake_jobs(arch, ["fft", "barnes"], per_app=5)
-        grouped = group_jobs_by_workload(jobs)
-        direct = batch_jobs_by_workload(jobs, max_workers=2)
-        reused = batch_jobs_by_workload(jobs, max_workers=2, groups=grouped)
-        assert direct == reused
 
     def test_parallel_run_groups_only_once(self, arch, monkeypatch):
         """The full-list grouping pass must not repeat per refill."""

@@ -161,7 +161,6 @@ class TestInvariantEngine:
 class TestReplayStats:
     def test_consistent_stats_pass(self):
         stats = ReplayStats(
-            events_popped=8,
             references=100,
             protocol_calls=130,
             wheel_drains=8,
@@ -172,26 +171,18 @@ class TestReplayStats:
         assert checks and all(check.ok for check in checks)
 
     def test_every_reference_walks_the_protocol(self):
-        stats = ReplayStats(events_popped=0, references=10, protocol_calls=10)
+        stats = ReplayStats(references=10, protocol_calls=10)
         assert stats.slow_references == stats.references
 
     def test_skips_beyond_scans_fail(self):
         stats = ReplayStats(
-            events_popped=0, references=10, protocol_calls=10,
-            wheel_skips=5, wheel_scans=2,
+            references=10, protocol_calls=10, wheel_skips=5, wheel_scans=2
         )
         failed = {c.name for c in check_replay_stats(stats) if not c.ok}
         assert failed == {"wheel-skips-within-scans"}
 
-    def test_events_other_than_wheel_drains_fail(self):
-        stats = ReplayStats(
-            events_popped=10, references=10, protocol_calls=10, wheel_drains=8
-        )
-        failed = {c.name for c in check_replay_stats(stats) if not c.ok}
-        assert failed == {"events-are-wheel-drains"}
-
     def test_references_beyond_protocol_calls_fail(self):
-        stats = ReplayStats(events_popped=0, references=10, protocol_calls=9)
+        stats = ReplayStats(references=10, protocol_calls=9)
         failed = {c.name for c in check_replay_stats(stats) if not c.ok}
         assert failed == {"protocol-calls-cover-references"}
 
