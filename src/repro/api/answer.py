@@ -17,11 +17,12 @@ building blocks (:func:`exact_answer`, :func:`surrogate_answer_for`,
 backpressure and asynchronous backfill.
 
 Aggregation of exact grid answers (the per-point all-application averages
-of Table 5.4) is delegated to the store-backed
-:class:`~repro.campaign.view.StoreSweep` +
+of Table 5.4) is delegated to
 :func:`~repro.experiments.runner.point_averages` -- the same code path the
 figure/report layer uses, so a served aggregate can never disagree with a
-rendered table.
+rendered table.  It averages an in-memory
+:class:`~repro.core.sweep.SweepResult` of the results the query was
+answered from, rather than reading them from the store a second time.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from repro.api.query import (
 from repro.api.surrogate import SurrogateAnswer, SurrogateLattice
 from repro.campaign.jobs import Job
 from repro.campaign.store import BaseResultStore
-from repro.campaign.view import StoreSweep
 from repro.config.parameters import ArchitectureConfig
 from repro.core.results import SimulationResult
+from repro.core.sweep import SweepResult
 
 #: A runner takes jobs and returns their results, in order.  Injectable so
 #: tests (and the service's stats layer) can count simulator invocations
@@ -150,30 +151,38 @@ def attach_normalised(
 def grid_aggregates(
     normalised: NormalisedQuery,
     store: Optional[BaseResultStore],
-    answers_by_key: Dict[str, PointAnswer],
+    results_by_key: Dict[str, SimulationResult],
 ) -> Optional[Dict[str, Dict[str, float]]]:
     """Per-point-label averages across applications (the Table 5.4 view).
 
-    Served only when the whole grid was answered exactly with baselines
-    included and a store is attached -- aggregation then runs through
-    :class:`StoreSweep` + :func:`point_averages`, the exact code path the
-    figure layer uses.  Otherwise (surrogates present, storeless service,
-    baselines excluded) returns None instead of an average that mixes
-    approximations into a table masquerading as measurement.
+    ``results_by_key`` holds the exact results the query was answered
+    from.  Aggregates are served only when every point has one (no
+    surrogate among the answers), baselines were included and a store is
+    attached.  The results then fill an in-memory :class:`SweepResult`,
+    the first key of each (application, label) cell winning as in
+    :class:`~repro.campaign.view.StoreSweep`, and :func:`point_averages`
+    -- the exact code path the figure layer uses -- averages it.
+    Otherwise (surrogates present, storeless service, baselines excluded)
+    returns None instead of an average that mixes approximations into a
+    table masquerading as measurement.
     """
     if store is None or not normalised.request.include_baseline:
         return None
-    if not all(
-        answer.exact for answer in answers_by_key.values()
-    ) or not normalised.policy_points:
+    if not normalised.policy_points or any(
+        query_point.key not in results_by_key for query_point in normalised.points
+    ):
         return None
     from repro.experiments.runner import point_averages
 
-    sweep = StoreSweep(
-        store,
-        jobs=[query_point.job for query_point in normalised.points],
-        points=normalised.policy_points,
-    )
+    sweep = SweepResult(points=list(normalised.policy_points))
+    for query_point in normalised.points:
+        result = results_by_key[query_point.key]
+        if query_point.is_baseline:
+            sweep.baselines.setdefault(query_point.application, result)
+        else:
+            sweep.results.setdefault(query_point.application, {}).setdefault(
+                query_point.label, result
+            )
     applications = list(normalised.request.applications)
     return {
         point.label: point_averages(sweep, point, applications)
@@ -206,10 +215,12 @@ def answer_query(
     runner = run_jobs if run_jobs is not None else default_run_jobs
 
     answers_by_key: Dict[str, PointAnswer] = {}
+    results_by_key: Dict[str, SimulationResult] = {}
     misses: List[QueryPoint] = []
     for query_point in unique_points:
         result = store.get(query_point.key) if store is not None else None
         if result is not None:
+            results_by_key[query_point.key] = result
             answers_by_key[query_point.key] = exact_answer(
                 query_point, result, source="store", store=store
             )
@@ -228,6 +239,7 @@ def answer_query(
         for query_point, result in zip(misses, results):
             if store is not None:
                 store.put(query_point.job, result)
+            results_by_key[query_point.key] = result
             answers_by_key[query_point.key] = exact_answer(
                 query_point, result, source="simulated", store=store
             )
@@ -240,5 +252,5 @@ def answer_query(
         answers=[
             answers_by_key[query_point.key] for query_point in unique_points
         ],
-        aggregates=grid_aggregates(normalised, store, answers_by_key),
+        aggregates=grid_aggregates(normalised, store, results_by_key),
     )

@@ -28,6 +28,7 @@ iterator back-pressures submission instead of buffering unboundedly.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -61,6 +62,10 @@ _WORKLOAD_CACHE: "OrderedDict[Tuple[WorkloadRequest, ArchitectureConfig], Applic
     OrderedDict()
 )
 _WORKLOAD_CACHE_MAX = 4
+#: Guards every compound use of the cache: the service runs executor
+#: batches in worker threads, and one batch's ``clear()`` must not land
+#: between another's lookup and its ``move_to_end``.
+_WORKLOAD_CACHE_LOCK = threading.Lock()
 
 #: Upper bound on jobs per submitted chunk.  Small enough that a completed
 #: chunk's results are a bounded buffer and stealing stays fine-grained,
@@ -71,14 +76,18 @@ CHUNK_CAP = 32
 def build_workload(job: Job) -> ApplicationWorkload:
     """Regenerate (or fetch the cached) workload for one job."""
     cache_key = (job.workload, job.config.architecture)
-    workload = _WORKLOAD_CACHE.get(cache_key)
-    if workload is None:
-        workload = job.workload.build(job.config.architecture)
+    with _WORKLOAD_CACHE_LOCK:
+        workload = _WORKLOAD_CACHE.get(cache_key)
+        if workload is not None:
+            _WORKLOAD_CACHE.move_to_end(cache_key)
+            return workload
+    # Built outside the lock: a trace takes up to seconds, and two threads
+    # racing on one key build equal traces.
+    workload = job.workload.build(job.config.architecture)
+    with _WORKLOAD_CACHE_LOCK:
         _WORKLOAD_CACHE[cache_key] = workload
         if len(_WORKLOAD_CACHE) > _WORKLOAD_CACHE_MAX:
             _WORKLOAD_CACHE.popitem(last=False)
-    else:
-        _WORKLOAD_CACHE.move_to_end(cache_key)
     return workload
 
 
@@ -171,7 +180,8 @@ class SerialExecutor:
             # Traces are only worth caching within one campaign; release the
             # memory so long-lived parent processes don't pin dead workloads.
             # (Parallel workers' caches are bounded and die with the pool.)
-            _WORKLOAD_CACHE.clear()
+            with _WORKLOAD_CACHE_LOCK:
+                _WORKLOAD_CACHE.clear()
 
 
 class ParallelExecutor:

@@ -8,6 +8,10 @@ so two jobs with the same hash are guaranteed to produce the same
 deterministic), and a persisted result can be reused by any later campaign
 that enumerates the same point -- the basis of ``--resume`` and incremental
 grid extension.
+
+Digests are also memoised by value across :class:`Job` objects: every
+served query normalises into freshly built jobs, and canonicalising their
+nested configurations is far dearer than looking up a previous digest.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ import dataclasses
 import enum
 import hashlib
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config.parameters import ArchitectureConfig, SimulationConfig
 from repro.core.sweep import PolicyPoint
@@ -27,6 +33,19 @@ from repro.workloads.synthetic import TRACE_GENERATOR_PROVENANCE
 
 #: Display label used for the full-SRAM baseline job.
 BASELINE_LABEL = "SRAM baseline"
+
+#: Digests of jobs hashed earlier in this process, least recently used
+#: first, keyed by ``(repr(workload), repr(config), trace provenance)``.
+#: Keys are reprs, not the frozen dataclasses themselves: ``1 == 1.0``, so
+#: a dataclass key would hand a ``length_scale=1.0`` job the digest of a
+#: ``length_scale=1`` one, although the two canonicalise (and hash)
+#: differently.  A dataclass repr names every field with its type-faithful
+#: repr, as long as no config class overrides ``__repr__`` or hides a field
+#: from it (a test guards both).  An entry holds ~1.5 KB of reprs at the
+#: scaled geometry, so the bound caps the memo near 6 MB.
+_DIGESTS: "OrderedDict[Tuple[str, str, str], str]" = OrderedDict()
+_DIGESTS_MAX = 4096
+_DIGESTS_LOCK = threading.Lock()
 
 
 def canonical_value(obj: object) -> object:
@@ -111,10 +130,26 @@ class Job:
 
     @cached_property
     def _digest(self) -> str:
-        # Memoised: the job is frozen, and canonicalising the nested config
-        # is the expensive part (cached_property writes straight into
-        # __dict__, bypassing the frozen-dataclass setattr guard).
-        return hash_payload_digest(self.hash_payload())
+        # Memoised per object (cached_property writes straight into
+        # __dict__, bypassing the frozen-dataclass setattr guard) and by
+        # value across objects: canonicalising the nested config is the
+        # expensive part, a repr of it costs a tenth of that.
+        memo_key = (
+            repr(self.workload),
+            repr(self.config),
+            TRACE_GENERATOR_PROVENANCE,
+        )
+        with _DIGESTS_LOCK:
+            digest = _DIGESTS.get(memo_key)
+            if digest is not None:
+                _DIGESTS.move_to_end(memo_key)
+                return digest
+        digest = hash_payload_digest(self.hash_payload())
+        with _DIGESTS_LOCK:
+            _DIGESTS[memo_key] = digest
+            if len(_DIGESTS) > _DIGESTS_MAX:
+                _DIGESTS.popitem(last=False)
+        return digest
 
 
 def hash_payload_digest(payload: dict) -> str:

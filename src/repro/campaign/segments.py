@@ -34,12 +34,22 @@ appends); a persistent worker pool streams results back to the campaign
 parent, which is that single writer.  Two processes must not append to one
 segment store concurrently (the JSON backend remains the right choice for
 that pattern).
+
+Reads through :meth:`SegmentResultStore.get` are memoised: the store keeps
+the decoded ``result`` dicts of the last :data:`DECODED_CACHE_ENTRIES` keys
+it served, so a query service answering the same grid again skips the
+segment read and the JSON decode.  Every call still builds a fresh
+:class:`~repro.core.results.SimulationResult` (``from_dict`` copies every
+container), so no caller shares mutable state with the cache or another
+caller.  ``put_record`` and ``drop_keys`` evict the keys they touch;
+``iter_records`` and ``store verify`` always read the segments.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
@@ -63,6 +73,12 @@ SEGMENT_FORMAT = "refrint-segment-v1"
 #: and any ``gc`` rewrite small while a 100k-point campaign still fits in a
 #: few hundred segments.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
+
+#: Decoded results :meth:`SegmentResultStore.get` keeps, least recently
+#: used first.  An entry is ~7 KiB at the scaled geometry, and 256 of them
+#: cover every point of a served three-application grid at three
+#: retentions (161 keys).
+DECODED_CACHE_ENTRIES = 256
 
 
 def segment_name(number: int) -> str:
@@ -99,6 +115,7 @@ class SegmentResultStore(BaseResultStore):
         self.segment_max_bytes = segment_max_bytes
         self._lock = threading.Lock()
         self._index: Optional[Dict[str, Tuple[str, int, int]]] = None
+        self._decoded: "OrderedDict[str, dict]" = OrderedDict()
         self._active_segment: Optional[str] = None
         self._active_size = 0
         self._segment_handle = None
@@ -120,15 +137,6 @@ class SegmentResultStore(BaseResultStore):
         """Path of one segment file."""
         return self.segments_dir / name
 
-    def location_for(self, key: str) -> Optional[Tuple[Path, int, int]]:
-        """Where one key's record lives: ``(segment path, offset, length)``."""
-        self._ensure_loaded()
-        entry = self._index.get(key)
-        if entry is None:
-            return None
-        name, offset, length = entry
-        return self.segment_path(name), offset, length
-
     # -- mapping interface ---------------------------------------------------------
 
     def __contains__(self, key: str) -> bool:
@@ -145,22 +153,44 @@ class SegmentResultStore(BaseResultStore):
         return iter(sorted(self._index))
 
     def get(self, key: str) -> Optional[SimulationResult]:
-        """Load one result, or None when absent or unreadable."""
-        record = self._read_record(key)
+        """Load one result, or None when absent or unreadable.
+
+        Every call returns a new result; a key read before is rebuilt from
+        its cached decoded dict instead of from the segment.
+        """
+        with self._lock:
+            data = self._decoded.get(key)
+            if data is not None:
+                self._decoded.move_to_end(key)
+        if data is not None:
+            return SimulationResult.from_dict(data)
+        self._ensure_loaded()
+        entry = self._index.get(key)
+        record = None if entry is None else self._read_entry(entry)
         if record is None:
             return None
         try:
-            return SimulationResult.from_dict(record["result"])
+            data = record["result"]
+            result = SimulationResult.from_dict(data)
         except (KeyError, TypeError, ValueError):
             return None
+        with self._lock:
+            # Skip the cache if a put or drop moved the key meanwhile.
+            if self._index is not None and self._index.get(key) == entry:
+                self._decoded[key] = data
+                if len(self._decoded) > DECODED_CACHE_ENTRIES:
+                    self._decoded.popitem(last=False)
+        return result
 
     def _read_record(self, key: str) -> Optional[dict]:
-        location = self.location_for(key)
-        if location is None:
-            return None
-        path, offset, length = location
+        self._ensure_loaded()
+        entry = self._index.get(key)
+        return None if entry is None else self._read_entry(entry)
+
+    def _read_entry(self, entry: Tuple[str, int, int]) -> Optional[dict]:
+        name, offset, length = entry
         try:
-            with path.open("rb") as handle:
+            with self.segment_path(name).open("rb") as handle:
                 handle.seek(offset)
                 blob = handle.read(length)
             record = json.loads(blob.decode("utf-8"))
@@ -215,6 +245,7 @@ class SegmentResultStore(BaseResultStore):
             self._index_handle.write(index_line + b"\n")
             self._index_handle.flush()
             self._index[key] = (self._active_segment, offset, len(line))
+            self._decoded.pop(key, None)
             return self.segment_path(self._active_segment)
 
     def flush(self) -> None:
@@ -252,6 +283,7 @@ class SegmentResultStore(BaseResultStore):
                 return 0
             for key in present:
                 del self._index[key]
+                self._decoded.pop(key, None)
             lines = [
                 json.dumps(
                     {"key": key, "segment": seg, "offset": off, "length": length},
@@ -275,6 +307,8 @@ class SegmentResultStore(BaseResultStore):
     def refresh_index(self) -> None:
         """Drop the in-memory index (replayed from disk on next access)."""
         self.close()
+        with self._lock:
+            self._decoded.clear()
         self._index = None
         self._active_segment = None
         self._active_size = 0

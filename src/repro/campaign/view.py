@@ -136,9 +136,10 @@ class StoreSweep(SweepResult):
         """Keys of cells the store does not hold (empty when complete).
 
         Takes one ``store.keys()`` snapshot and diffs against it rather
-        than probing ``key in store`` per cell: ``__contains__`` hits the
-        filesystem on every call, which made completeness checks O(N)
-        stat calls on large campaigns.
+        than probing ``key in store`` per cell: on the JSON layout
+        ``__contains__`` stats the entry's file on every call, which made
+        completeness checks O(N) stat calls on large campaigns (the
+        segment layout answers membership from its in-memory index).
         """
         present = set(self.store.keys())
         wanted = list(self._baseline_keys.values()) + list(self._point_keys.values())

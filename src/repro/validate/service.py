@@ -17,6 +17,10 @@ layer itself could get wrong while assembling a response:
   their corners, so each must lie within the corner envelope (min/max of
   the corner values, with float tolerance); the corners are re-read from
   the store by the hashes stamped into the answer's provenance.
+- **aggregates are means**: each served per-label aggregate (the Table 5.4
+  grid view) must equal, per metric, the mean of that label's
+  ``normalised`` answers over the query's applications, every one of
+  which must be exact.
 
 :func:`check_response` returns human-readable violation strings (empty ==
 clean); the service counts them in ``ServiceStats.validation_failures`` and
@@ -25,7 +29,7 @@ clean); the service counts them in ``ServiceStats.validation_failures`` and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.api.query import (
     ANSWER_METRICS,
@@ -39,8 +43,12 @@ from repro.campaign.store import BaseResultStore
 from repro.core.results import SimulationResult
 from repro.validate.invariants import check_result
 
-#: Relative tolerance of the surrogate envelope check (float summation).
+#: Relative tolerance of the surrogate envelope and aggregate checks
+#: (float summation).
 ENVELOPE_RTOL = 1e-9
+
+#: The normalised metrics every served aggregate averages.
+AGGREGATE_METRICS = ("memory", "system", "time")
 
 
 def _check_flags(answer: PointAnswer, where: str, violations: List[str]) -> None:
@@ -112,6 +120,37 @@ def _check_surrogate_envelope(
             )
 
 
+def _check_aggregates(response: QueryResponse, violations: List[str]) -> None:
+    if not response.aggregates:
+        return
+    by_cell: Dict[Tuple[str, str], PointAnswer] = {}
+    for answer in response.answers:
+        by_cell.setdefault((answer.application, answer.label), answer)
+    applications = response.request.applications
+    for label, served in response.aggregates.items():
+        answers = [by_cell.get((name, label)) for name in applications]
+        if not all(
+            answer is not None
+            and answer.exact
+            and set(AGGREGATE_METRICS) <= set(answer.normalised or ())
+            for answer in answers
+        ):
+            violations.append(
+                f"aggregate {label}: not every application has an exact, "
+                f"normalised answer to average"
+            )
+            continue
+        for name in AGGREGATE_METRICS:
+            mean = sum(answer.normalised[name] for answer in answers) / len(answers)
+            value = served.get(name)
+            slack = ENVELOPE_RTOL * max(abs(mean), 1.0)
+            if value is None or abs(value - mean) > slack:
+                violations.append(
+                    f"aggregate {label}: {name} = {value!r} is not the mean "
+                    f"{mean!r} of the applications' normalised values"
+                )
+
+
 def check_response(
     response: QueryResponse,
     normalised: Optional[NormalisedQuery] = None,
@@ -146,4 +185,5 @@ def check_response(
             )
         elif not answer.exact:
             _check_surrogate_envelope(answer, store, where, violations)
+    _check_aggregates(response, violations)
     return violations

@@ -2,16 +2,40 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import pickle
+import sys
+import threading
+import time
+import typing
 
 import pytest
 
+import repro.campaign.jobs as jobs_module
 from repro.campaign.engine import CampaignStats, make_executor, run_campaign
-from repro.campaign.executors import ParallelExecutor, SerialExecutor, execute_job
-from repro.campaign.jobs import Job, canonical_value, enumerate_jobs
+from repro.campaign.executors import (
+    ParallelExecutor,
+    SerialExecutor,
+    build_workload,
+    execute_job,
+)
+from repro.campaign.jobs import (
+    Job,
+    canonical_value,
+    enumerate_jobs,
+    hash_payload_digest,
+)
 from repro.campaign.store import ResultStore
-from repro.config.parameters import DataPolicySpec, SimulationConfig, TimingPolicyKind
+from repro.config.parameters import (
+    ArchitectureConfig,
+    CacheGeometry,
+    DataPolicySpec,
+    RefreshConfig,
+    SimulationConfig,
+    TimingPolicyKind,
+)
 from repro.config.presets import scaled_architecture
 from repro.core.sweep import (
     PolicyPoint,
@@ -81,6 +105,117 @@ class TestJobs:
     def test_canonical_value_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             canonical_value(object())
+
+
+def _dataclass_types(cls, found):
+    """Collect every dataclass type reachable from ``cls``'s field hints."""
+    if cls in found:
+        return found
+    found.add(cls)
+    pending = list(typing.get_type_hints(cls).values())
+    while pending:
+        hint = pending.pop()
+        pending.extend(typing.get_args(hint))
+        if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+            _dataclass_types(hint, found)
+    return found
+
+
+def _dataclass_instances(obj):
+    """Every dataclass instance reachable from ``obj`` through its fields."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        yield obj
+        for field in dataclasses.fields(obj):
+            yield from _dataclass_instances(getattr(obj, field.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _dataclass_instances(item)
+
+
+class TestJobKeyContract:
+    """``store verify`` re-derives every stored key from its hash payload,
+    so a key must always be the digest of its own job's payload -- also
+    when the digest memo has already seen an *equal* job."""
+
+    def test_key_is_the_digest_of_the_hash_payload(self, arch):
+        request = WorkloadRequest("radix", length_scale=0.05, seed=31)
+        jobs = enumerate_jobs([request], default_policy_points()[::10], arch)
+        assert jobs[0].is_baseline and len(jobs) > 2
+        for job in jobs:
+            assert job.key() == hash_payload_digest(job.hash_payload())
+
+    @pytest.mark.parametrize("int_first", [True, False])
+    def test_equal_values_of_different_types_keep_their_own_keys(
+        self, arch, int_first
+    ):
+        # 1 == 1.0 and 10**9 == 1e9, but they canonicalise to different
+        # JSON; a fresh seed per order keeps both orders cold in the memo.
+        seed = 601 if int_first else 602
+        point = PolicyPoint(50.0, TimingPolicyKind.REFRINT, DataPolicySpec.valid())
+        int_arch = dataclasses.replace(arch, frequency_hz=10**9)
+        float_arch = dataclasses.replace(arch, frequency_hz=1e9)
+        pairs = [
+            (
+                Job(WorkloadRequest("fft", length_scale=1, seed=seed),
+                    SimulationConfig.sram(arch)),
+                Job(WorkloadRequest("fft", length_scale=1.0, seed=seed),
+                    SimulationConfig.sram(arch)),
+            ),
+            (
+                Job(WorkloadRequest("fft", seed=seed),
+                    point.simulation_config(int_arch), point.label),
+                Job(WorkloadRequest("fft", seed=seed),
+                    point.simulation_config(float_arch), point.label),
+            ),
+        ]
+        for int_job, float_job in pairs:
+            assert int_job == float_job  # equal values, different types
+            first, second = (
+                (int_job, float_job) if int_first else (float_job, int_job)
+            )
+            first_key, second_key = first.key(), second.key()
+            assert first_key != second_key
+            assert first_key == hash_payload_digest(first.hash_payload())
+            assert second_key == hash_payload_digest(second.hash_payload())
+
+    def test_a_rehashed_grid_is_served_from_the_memo(self, arch, monkeypatch):
+        calls = []
+
+        def counting_digest(payload):
+            calls.append(payload)
+            return hash_payload_digest(payload)
+
+        monkeypatch.setattr(jobs_module, "hash_payload_digest", counting_digest)
+        # A seed no other test uses: these 43 jobs are new to the memo.
+        request = WorkloadRequest("ocean", length_scale=0.05, seed=90210)
+        grid = default_policy_points()
+        first = [job.key() for job in enumerate_jobs([request], grid, arch)]
+        assert len(first) == 43 and len(calls) == 43
+        second = [job.key() for job in enumerate_jobs([request], grid, arch)]
+        assert second == first and len(calls) == 43
+
+    def test_memo_keys_see_every_field(self, arch):
+        """The memo keys on reprs, so each config dataclass must keep the
+        generated repr, which shows every field with its own repr."""
+        reachable = set()
+        for root in (WorkloadRequest, SimulationConfig):
+            _dataclass_types(root, reachable)
+        nested = {ArchitectureConfig, CacheGeometry, RefreshConfig, DataPolicySpec}
+        assert nested <= reachable
+        roots = [WorkloadRequest("fft"), SimulationConfig.sram(arch)] + [
+            point.simulation_config(arch) for point in default_policy_points()
+        ]
+        seen = set()
+        for root in roots:
+            for obj in _dataclass_instances(root):
+                fields = dataclasses.fields(obj)
+                assert all(field.repr for field in fields), type(obj).__name__
+                shown = ", ".join(
+                    f"{field.name}={getattr(obj, field.name)!r}" for field in fields
+                )
+                assert repr(obj) == f"{type(obj).__qualname__}({shown})"
+                seen.add(type(obj))
+        assert seen == reachable
 
 
 class TestWorkloadRequest:
@@ -156,6 +291,56 @@ class TestExecutors:
         result = execute_job(job)
         assert result.label == "SRAM"
         assert result.execution_cycles > 0
+
+    def test_workload_cache_survives_concurrent_batches(self, arch, monkeypatch):
+        """The service runs executor batches in worker threads: one batch
+        clearing the workload cache must not break another's lookup."""
+        # Instant builds keep the cache warm, so lookups race the clears
+        # often (unguarded, the first KeyError comes within milliseconds).
+        monkeypatch.setattr(
+            WorkloadRequest, "build", lambda self, architecture: object()
+        )
+        jobs = [
+            Job(WorkloadRequest(name), SimulationConfig.sram(arch))
+            for name in ("fft", "blackscholes")
+        ]
+        errors = []
+        deadline = time.monotonic() + 0.5
+
+        def build():
+            try:
+                while time.monotonic() < deadline:
+                    for job in jobs:
+                        build_workload(job)
+            except Exception as exc:
+                errors.append(exc)
+
+        def clear():
+            try:
+                while time.monotonic() < deadline:
+                    for _ in SerialExecutor().run([]):
+                        pass
+            except Exception as exc:
+                errors.append(exc)
+
+        # More threads than cores, half of them building, half clearing.
+        count = max((os.cpu_count() or 1) + 2, 4)
+        threads = [
+            threading.Thread(target=build if index % 2 else clear, daemon=True)
+            for index in range(count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline + 1.0 - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+            list(SerialExecutor().run([]))  # drops the stub workloads
+        assert errors == []
+        assert not any(thread.is_alive() for thread in threads)
 
 
 class TestResume:

@@ -22,6 +22,7 @@ from repro.campaign.maintenance import (
     store_verify,
 )
 from repro.campaign.segments import (
+    DECODED_CACHE_ENTRIES,
     SEGMENT_META_FILE,
     SegmentResultStore,
     parse_segment_number,
@@ -176,6 +177,63 @@ class TestRoundTripAndRollover:
     def test_sweeps_identical_across_backends(self, campaign_stores):
         _, _, sweep_json, sweep_seg = campaign_stores
         assert sweep_json.to_dict() == sweep_seg.to_dict()
+
+
+class TestDecodedResultCache:
+    """``get`` serves repeat reads from decoded dicts, never shared objects."""
+
+    def test_each_get_returns_a_fresh_result(self, tmp_path, campaign_stores):
+        _, seg_root, _, _ = campaign_stores
+        store = SegmentResultStore(clone_store(seg_root, tmp_path / "fresh"))
+        key = sorted(store.keys())[0]
+        first, second = store.get(key), store.get(key)
+        assert first == second and first is not second
+        pristine = first.to_dict()
+        first.counters["l3_misses"] = -1
+        first.energy.by_level["l3"] = -1.0
+        first.per_core_finish_cycles.append(-1)
+        assert store.get(key).to_dict() == pristine == second.to_dict()
+
+    def test_repeat_get_skips_the_segment(
+        self, tmp_path, campaign_stores, monkeypatch
+    ):
+        _, seg_root, _, _ = campaign_stores
+        store = SegmentResultStore(clone_store(seg_root, tmp_path / "warm"))
+        key = sorted(store.keys())[0]
+        expected = store.get(key).to_dict()
+
+        def no_disk(entry):
+            raise AssertionError("a cached key was read from its segment")
+
+        monkeypatch.setattr(store, "_read_entry", no_disk)
+        assert store.get(key).to_dict() == expected
+
+    def test_writes_evict_their_keys(self, tmp_path, campaign_stores):
+        _, seg_root, _, _ = campaign_stores
+        store = SegmentResultStore(clone_store(seg_root, tmp_path / "evict"))
+        rewritten, dropped = sorted(store.keys())[:2]
+        payload = dict(store.iter_records())[rewritten]
+        cycles = store.get(rewritten).execution_cycles
+        payload["result"] = dict(payload["result"], execution_cycles=cycles + 1)
+        store.put_record(rewritten, payload)
+        assert store.get(rewritten).execution_cycles == cycles + 1
+        assert store.get(dropped) is not None
+        store.drop_keys([dropped])
+        assert store.get(dropped) is None
+        store.close()
+
+    def test_cache_stays_within_its_bound(self, tmp_path, campaign_stores):
+        _, seg_root, _, _ = campaign_stores
+        store = SegmentResultStore(clone_store(seg_root, tmp_path / "bound"))
+        _, payload = next(iter(store.iter_records()))
+        keys = [f"{number:064x}" for number in range(DECODED_CACHE_ENTRIES + 8)]
+        for key in keys:
+            store.put_record(key, payload)
+        for key in keys + keys[:4]:
+            assert store.get(key) is not None
+            assert len(store._decoded) <= DECODED_CACHE_ENTRIES
+        assert len(store._decoded) == DECODED_CACHE_ENTRIES
+        store.close()
 
 
 class TestCrashRecovery:

@@ -18,6 +18,8 @@ from repro.api import Query, QueryValidationError, answer_query
 from repro.api.answer import default_run_jobs
 from repro.api.surrogate import SurrogateLattice
 from repro.campaign.store import open_store
+from repro.campaign.view import StoreSweep
+from repro.experiments.runner import point_averages
 from repro.service import SweepService, make_service, serve
 from repro.validate.service import check_response
 
@@ -29,6 +31,16 @@ SEED_QUERY = Query(
     retentions_us=(50.0, 200.0),
     timing_policies=("refrint",),
     data_policies=("WB(32,32)",),
+    length_scale=LENGTH_SCALE,
+)
+
+
+#: A two-application grid (10 jobs) for the aggregate tests.
+GRID_QUERY = Query(
+    applications="fft,blackscholes",
+    retentions_us=(50.0,),
+    timing_policies=("periodic", "refrint"),
+    data_policies=("valid", "WB(32,32)"),
     length_scale=LENGTH_SCALE,
 )
 
@@ -52,6 +64,31 @@ def seeded_store(tmp_path_factory):
     response = answer_query(SEED_QUERY, store=store)
     assert response.exact
     return store
+
+
+@pytest.fixture(scope="module")
+def grid_store(tmp_path_factory):
+    """A segment store holding GRID_QUERY, and the cold answer that filled it."""
+    store = open_store(tmp_path_factory.mktemp("grid") / "store", backend="segment")
+    cold = answer_query(GRID_QUERY, store=store)
+    assert all(answer.provenance.source == "simulated" for answer in cold.answers)
+    return store, cold
+
+
+def store_sweep_aggregates(store, query):
+    """The aggregates as the figure layer computes them: every result read
+    back from the store through :class:`StoreSweep` (the oracle)."""
+    normalised = query.normalise()
+    sweep = StoreSweep(
+        store,
+        jobs=[query_point.job for query_point in normalised.points],
+        points=normalised.policy_points,
+    )
+    applications = list(query.applications)
+    return {
+        point.label: point_averages(sweep, point, applications)
+        for point in normalised.policy_points
+    }
 
 
 def make_seeded_service(seeded_store, **kwargs):
@@ -119,6 +156,41 @@ class TestMemoisationAndCoalescing:
         second = asyncio.run(scenario())
         assert runner.jobs == 1  # the repeat was a pure store hit
         assert all(a.provenance.source == "store" for a in second.answers)
+
+
+class TestGridAggregates:
+    def test_cold_grid_aggregates_match_the_store_sweep(self, grid_store):
+        store, cold = grid_store
+        assert len(cold.aggregates) == 4
+        assert cold.aggregates == store_sweep_aggregates(store, GRID_QUERY)
+
+    def test_cold_grid_through_the_service(self, tmp_path):
+        store = open_store(tmp_path / "store", backend="segment")
+        service = SweepService(store=store)
+        response = asyncio.run(service.answer(GRID_QUERY))
+        assert service.stats.jobs_executed == 10
+        assert response.aggregates == store_sweep_aggregates(store, GRID_QUERY)
+
+    def test_stored_grid_aggregates_match_the_store_sweep(self, grid_store):
+        store, _ = grid_store
+        oracle = store_sweep_aggregates(store, GRID_QUERY)
+        service = SweepService(store=store)
+        served = asyncio.run(service.answer(GRID_QUERY))
+        assert service.stats.store_hits == 10
+        assert served.aggregates == oracle
+        assert answer_query(GRID_QUERY, store=store).aggregates == oracle
+
+    def test_stored_grid_reads_each_point_once(self, grid_store, monkeypatch):
+        store, _ = grid_store
+        read = []
+        real_get = store.get
+        monkeypatch.setattr(store, "get", lambda key: read.append(key) or real_get(key))
+        unique = {point.key for point in GRID_QUERY.normalise().points}
+        answer_query(GRID_QUERY, store=store)
+        assert len(read) == len(unique) and set(read) == unique
+        read.clear()
+        asyncio.run(SweepService(store=store).answer(GRID_QUERY))
+        assert len(read) == len(unique) and set(read) == unique
 
 
 class TestSurrogates:
@@ -214,6 +286,33 @@ class TestServedAnswerValidation:
         response.answers[1].metrics["memory_energy_j"] *= 2
         violations = check_response(response, store=seeded_store)
         assert any("disagrees with the result payload" in v for v in violations)
+
+    def test_served_aggregates_pass_the_check(self, grid_store):
+        store, cold = grid_store
+        assert check_response(cold, store=store) == []
+        stored = answer_query(GRID_QUERY, store=store)
+        assert stored.aggregates and check_response(stored, store=store) == []
+
+    def test_tampered_aggregate_is_flagged(self, grid_store):
+        store, _ = grid_store
+        response = answer_query(GRID_QUERY, store=store)
+        label = next(iter(response.aggregates))
+        response.aggregates[label]["system"] *= 1.001
+        violations = check_response(response, store=store)
+        assert len(violations) == 1
+        assert violations[0].startswith(f"aggregate {label}: system")
+
+    def test_aggregate_without_an_exact_answer_is_flagged(self, grid_store):
+        store, _ = grid_store
+        response = answer_query(GRID_QUERY, store=store)
+        label = next(iter(response.aggregates))
+        response.answers = [
+            answer
+            for answer in response.answers
+            if (answer.application, answer.label) != ("fft", label)
+        ]
+        violations = check_response(response, store=store)
+        assert any(v.startswith(f"aggregate {label}: not every") for v in violations)
 
     def test_surrogate_outside_envelope_is_flagged(self, seeded_store):
         lattice = SurrogateLattice(seeded_store, retentions_us=(50.0, 200.0))
