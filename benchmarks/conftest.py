@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import ExperimentRunner, ExperimentScale
+from repro.campaign.engine import run_campaign
+from repro.experiments.runner import ExperimentScale
 
 
 @pytest.fixture(scope="session")
-def experiment_runner() -> ExperimentRunner:
-    """The shared experiment runner (scale picked up from the environment)."""
-    return ExperimentRunner(scale=ExperimentScale.from_environment())
-
-
-@pytest.fixture(scope="session")
-def sweep(experiment_runner):
+def sweep():
     """Run the shared sweep once and reuse it across figure benchmarks."""
-    return experiment_runner.sweep()
+    scale = ExperimentScale.from_environment()
+    result, _ = run_campaign(scale.workload_requests(), points=scale.policy_points())
+    return result

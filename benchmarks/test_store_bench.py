@@ -2,15 +2,13 @@
 
 Measures the two operations that dominate a large campaign's non-simulation
 cost -- committing a result (``put_record``) and reopening a populated
-store for resume (the index replay / directory scan) -- at 10k synthetic
-results on the segment backend, with the JSON backend measured at a tenth
-of the volume for comparison (10k individual files would take minutes on
-CI runners, which is precisely the problem the segment layout solves).
+store for resume (the index replay) -- at 10k synthetic results on the
+segment store, plus the import of a legacy one-file-per-result directory.
 
 The emitted numbers (``BENCH_store.json``, one trajectory point appended
 per emitting run) are wall-clock and therefore recorded but **not** gated; the assertions gate on exact counts only -- every put must be
 resumable, recovery after a simulated crash must drop exactly one record,
-and a migration must carry every entry -- so shared-runner timing noise
+and an import must carry every entry -- so shared-runner timing noise
 cannot fail the build.
 
 Scale knob: ``REFRINT_STORE_BENCH_N`` (default 10000 synthetic results).
@@ -28,14 +26,10 @@ from pathlib import Path
 import pytest
 
 from repro.campaign.segments import SegmentResultStore
-from repro.campaign.store import ResultStore
+from repro.campaign.store import PROVENANCE_FILE, open_store
 
-#: Synthetic results committed to the segment backend.
+#: Synthetic results committed to the segment store.
 N_RESULTS = int(os.environ.get("REFRINT_STORE_BENCH_N", "10000"))
-
-#: The JSON backend writes one file per result; measure it at a tenth of
-#: the volume so the comparison leg stays seconds, not minutes.
-N_RESULTS_JSON = max(100, N_RESULTS // 10)
 
 #: Sized so the 10k-point run spans many segments (~55 records each at the
 #: ~7 KiB synthetic payload), exercising rollover and multi-segment replay.
@@ -94,7 +88,6 @@ def emitted_point():
     point = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "n_results": N_RESULTS,
-        "n_results_json": N_RESULTS_JSON,
     }
     yield point
     if os.environ.get("REFRINT_STORE_BENCH_EMIT") == "1":
@@ -157,33 +150,21 @@ def test_segment_crash_recovery_scan(populated_segment_store, emitted_point):
     emitted_point["segment_recovery_scan_seconds"] = round(elapsed, 3)
 
 
-def test_json_put_and_scan_comparison(tmp_path, emitted_point):
-    """The same workload on the per-file backend, at a tenth the volume."""
-    root = tmp_path / "json"
-    store = ResultStore(root)
-    elapsed = timed_puts(store, N_RESULTS_JSON)
-    emitted_point["json_put_seconds"] = round(elapsed, 3)
-    emitted_point["json_puts_per_second"] = round(N_RESULTS_JSON / elapsed)
-    start = time.perf_counter()
-    reopened = ResultStore(root)
-    count = len(reopened)  # forces the directory scan
-    emitted_point["json_resume_scan_seconds"] = round(
-        time.perf_counter() - start, 3
-    )
-    assert count == N_RESULTS_JSON
-
-
 def test_migration_carries_every_entry(tmp_path, emitted_point):
-    """Gate: segment -> json migration at small scale copies exact counts."""
+    """Gate: importing a legacy per-file store copies exact counts."""
     from repro.campaign.maintenance import migrate_store
 
     source_root = tmp_path / "mig-src"
-    source = SegmentResultStore(source_root, segment_max_bytes=SEGMENT_MAX_BYTES)
+    source_root.mkdir()
+    (source_root / PROVENANCE_FILE).write_text(
+        json.dumps({"trace_generator": "numpy"}, indent=2) + "\n"
+    )
     count = min(500, N_RESULTS)
-    timed_puts(source, count)
-    source.close()
+    for index in range(count):
+        with (source_root / f"{synthetic_key(index)}.json").open("w") as handle:
+            json.dump(synthetic_payload(index), handle, indent=2, sort_keys=True)
     start = time.perf_counter()
-    copied, skipped = migrate_store(source_root, tmp_path / "mig-dst", "json")
+    copied, skipped = migrate_store(source_root, tmp_path / "mig-dst")
     emitted_point["migrate_500_seconds"] = round(time.perf_counter() - start, 3)
     assert (copied, skipped) == (count, 0)
-    assert len(ResultStore(tmp_path / "mig-dst")) == count
+    assert len(open_store(tmp_path / "mig-dst")) == count

@@ -49,7 +49,6 @@ from repro.api import (
 from repro.campaign import (
     CampaignStats,
     ParallelExecutor,
-    ResultStore,
     SegmentResultStore,
     SerialExecutor,
     StoreSweep,
@@ -68,7 +67,7 @@ from repro.config.parameters import (
 )
 from repro.core.results import SimulationResult
 from repro.core.simulator import RefrintSimulator
-from repro.core.sweep import PolicyPoint, SweepResult, run_sweep
+from repro.core.sweep import PolicyPoint, SweepResult
 from repro.service import SweepService, make_service, run_service, serve
 from repro.workloads.suite import WorkloadRequest
 
@@ -90,7 +89,6 @@ __all__ = [
     "QueryValidationError",
     "RefreshConfig",
     "RefrintSimulator",
-    "ResultStore",
     "SegmentResultStore",
     "SerialExecutor",
     "SimulationConfig",
@@ -106,7 +104,6 @@ __all__ = [
     "open_store",
     "run_campaign",
     "run_service",
-    "run_sweep",
     "serve",
     "stream_campaign",
     "__version__",

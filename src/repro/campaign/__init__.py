@@ -1,9 +1,8 @@
 """Campaign engine: parallel, resumable, streaming execution of sweeps.
 
 The Table 5.4 grid is embarrassingly parallel -- every (application, policy
-point) pair is an independent simulation -- yet the original ``run_sweep``
-executed the whole grid serially in one process and recomputed everything on
-each invocation.  This package turns a sweep into a *campaign*:
+point) pair is an independent simulation.  This package turns a sweep into
+a *campaign*:
 
 * :mod:`repro.campaign.jobs` enumerates the grid as a flat list of
   content-addressed :class:`~repro.campaign.jobs.Job` objects (config hash x
@@ -13,20 +12,19 @@ each invocation.  This package turns a sweep into a *campaign*:
   persistent-pool :class:`~repro.campaign.executors.ParallelExecutor`,
   which deals work-stealing chunks to worker processes and streams results
   back in completion order, bit-identical to a serial run;
-* :mod:`repro.campaign.store` and :mod:`repro.campaign.segments` persist
-  every result keyed by job hash behind one
-  :class:`~repro.campaign.store.BaseResultStore` interface: one JSON file
-  per result (:class:`~repro.campaign.store.ResultStore`) or indexed
-  append-only segments
-  (:class:`~repro.campaign.segments.SegmentResultStore`, the right fit at
-  10k+ points) -- resumed or extended campaigns only simulate points they
-  have never seen;
+* :mod:`repro.campaign.segments` persists every result keyed by job hash in
+  indexed append-only segments
+  (:class:`~repro.campaign.segments.SegmentResultStore`, opened with
+  :func:`~repro.campaign.store.open_store`) -- resumed or extended
+  campaigns only simulate points they have never seen;
+  :mod:`repro.campaign.maintenance` lists, repairs and verifies a store,
+  and imports a legacy one-file-per-result directory;
 * :mod:`repro.campaign.engine` ties it together:
   :func:`~repro.campaign.engine.stream_campaign` yields ``(job, result)``
   as each completes (bounded memory at any grid size) and
-  :func:`~repro.campaign.engine.run_campaign` drains that stream into the
-  familiar :class:`~repro.core.sweep.SweepResult` plus execution
-  statistics;
+  :func:`~repro.campaign.engine.run_campaign`, the one way to run a
+  sweep, drains that stream into the familiar
+  :class:`~repro.core.sweep.SweepResult` plus execution statistics;
 * :mod:`repro.campaign.view` aggregates straight from a store:
   :class:`~repro.campaign.view.StoreSweep` duck-types ``SweepResult`` for
   the figure/table layer while loading results on demand.
@@ -54,9 +52,7 @@ from repro.campaign.maintenance import (
 from repro.campaign.segments import SegmentResultStore
 from repro.campaign.store import (
     BaseResultStore,
-    ResultStore,
     StoreProvenanceError,
-    detect_backend,
     open_store,
 )
 from repro.campaign.view import StoreSweep
@@ -67,12 +63,10 @@ __all__ = [
     "CampaignStream",
     "Job",
     "ParallelExecutor",
-    "ResultStore",
     "SegmentResultStore",
     "SerialExecutor",
     "StoreProvenanceError",
     "StoreSweep",
-    "detect_backend",
     "enumerate_jobs",
     "execute_job",
     "group_jobs_by_workload",

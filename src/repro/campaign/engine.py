@@ -1,19 +1,19 @@
 """The campaign engine: enumerate, (re)use, execute, assemble -- streaming.
 
-:func:`stream_campaign` is the streaming core used by ``run_sweep``, the
-CLI and the :class:`~repro.experiments.runner.ExperimentRunner`.  It
-enumerates the sweep as content-addressed jobs, yields every already
-persisted result straight from the store (when resuming), executes the
-remainder through the chosen executor as a completion-ordered stream, and
-commits each fresh result to the store the moment it arrives -- one
-``(job, result)`` pair at a time, never the whole sweep, so a 100k-point
-campaign runs in bounded memory and a killed one loses at most the jobs in
-flight.
+:func:`run_campaign` is the one way to run a sweep: the CLI's ``sweep`` and
+the benchmark suite run their grids through it.  Its core,
+:func:`stream_campaign`, enumerates the sweep as content-addressed jobs,
+yields every already persisted result straight from the store (when
+resuming), executes the remainder through the chosen executor as a
+completion-ordered stream, and commits each fresh result to the store the
+moment it arrives -- one ``(job, result)`` pair at a time, never the whole
+sweep, so a 100k-point campaign runs in bounded memory and a killed one
+loses at most the jobs in flight.
 
-:func:`run_campaign` keeps the classic batch interface on top: it drains
-the stream into the :class:`~repro.core.sweep.SweepResult` the figure and
-table layer consumes.  Callers that want bounded memory end to end iterate
-the stream themselves and aggregate through a
+:func:`run_campaign` drains that stream into the
+:class:`~repro.core.sweep.SweepResult` the figure and table layer
+consumes.  Callers that want bounded memory end to end iterate the stream
+themselves and aggregate through a
 :class:`~repro.campaign.view.StoreSweep`.
 """
 
@@ -155,7 +155,6 @@ def stream_campaign(
     store: Optional[Union[BaseResultStore, str, Path]] = None,
     resume: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    store_backend: str = "auto",
 ) -> CampaignStream:
     """Set up a streaming campaign (see :class:`CampaignStream`).
 
@@ -168,8 +167,6 @@ def stream_campaign(
         resume: when True and a store is given, skip jobs whose results are
             already persisted.
         progress: optional callback invoked with a message per job.
-        store_backend: backend for a store given as a directory --
-            ``json``, ``segment`` or ``auto`` (detect, default json).
 
     Returns:
         The :class:`CampaignStream`; iterate it to execute the campaign.
@@ -178,15 +175,8 @@ def stream_campaign(
     grid = list(points) if points is not None else default_policy_points()
     if executor is None:
         executor = SerialExecutor()
-    if store is not None and getattr(executor, "uses_prebuilt_workloads", False):
-        # Pre-built traces are not described by the jobs' workload recipes;
-        # persisting them would poison the store with wrong content hashes.
-        raise ValueError(
-            "cannot use a result store with pre-built workloads; pass "
-            "WorkloadRequests and let the executor regenerate the traces"
-        )
     if store is not None and not isinstance(store, BaseResultStore):
-        store = open_store(store, backend=store_backend)
+        store = open_store(store)
     if store is not None:
         # Fail fast (before any simulation) when the store was written by
         # an environment with the other trace generator; resuming against
@@ -222,7 +212,6 @@ def run_campaign(
     store: Optional[Union[BaseResultStore, str, Path]] = None,
     resume: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    store_backend: str = "auto",
 ) -> Tuple[SweepResult, CampaignStats]:
     """Run (or resume) a sweep campaign and materialise the whole sweep.
 
@@ -244,7 +233,6 @@ def run_campaign(
         store=store,
         resume=resume,
         progress=progress,
-        store_backend=store_backend,
     )
     results: Dict[str, SimulationResult] = {}
     for job, result in stream:

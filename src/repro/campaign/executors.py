@@ -4,9 +4,8 @@ Both executors consume a list of :class:`~repro.campaign.jobs.Job` and yield
 ``(job, SimulationResult)`` pairs *as each job completes*, so the campaign
 engine can commit results to the store incrementally with bounded memory:
 
-* :class:`SerialExecutor` runs jobs in-process.  It can be seeded with
-  already-built workloads (the classic ``run_sweep`` path) and otherwise
-  regenerates them from the job's :class:`WorkloadRequest`, caching per
+* :class:`SerialExecutor` runs jobs in-process, regenerating each
+  workload from the job's :class:`WorkloadRequest` and caching per
   application so the 43 points of one application share one trace.
 * :class:`ParallelExecutor` fans jobs out over a *persistent*
   :class:`concurrent.futures.ProcessPoolExecutor`: the pool is created
@@ -37,7 +36,6 @@ from typing import (
     Deque,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -146,22 +144,6 @@ def plan_chunk(
 class SerialExecutor:
     """Run campaign jobs one after another in the calling process."""
 
-    def __init__(
-        self, workloads: Optional[Mapping[str, ApplicationWorkload]] = None
-    ) -> None:
-        """``workloads`` short-circuits regeneration for pre-built traces."""
-        self._workloads = dict(workloads) if workloads is not None else None
-
-    @property
-    def uses_prebuilt_workloads(self) -> bool:
-        """True when results may come from caller-supplied traces.
-
-        Pre-built traces are not described by the jobs' workload recipes, so
-        their results must never be persisted under the jobs' content hashes
-        (the engine refuses a store in that case).
-        """
-        return self._workloads is not None
-
     def run(
         self, jobs: Sequence[Job], progress: Optional[ProgressFn] = None
     ) -> Iterator[Tuple[Job, SimulationResult]]:
@@ -170,12 +152,7 @@ class SerialExecutor:
             for job in jobs:
                 if progress is not None:
                     progress(f"{job.application}: {job.label}")
-                if self._workloads is not None and job.application in self._workloads:
-                    workload = self._workloads[job.application]
-                    result = RefrintSimulator(job.config).run(workload)
-                else:
-                    result = execute_job(job)
-                yield job, result
+                yield job, execute_job(job)
         finally:
             # Traces are only worth caching within one campaign; release the
             # memory so long-lived parent processes don't pin dead workloads.

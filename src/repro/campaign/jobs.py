@@ -165,8 +165,9 @@ def enumerate_jobs(
 ) -> List[Job]:
     """Flatten a sweep into jobs: per application, the baseline then each point.
 
-    The order matches the original serial ``run_sweep`` loop so progress
-    output and result-dict insertion order are unchanged.
+    A serial campaign simulates and assembles jobs in this order, so its
+    progress output and the sweep's insertion order follow the requests
+    and the grid.
     """
     jobs: List[Job] = []
     baseline_config = SimulationConfig.sram(architecture)

@@ -1,37 +1,36 @@
-"""Result-store maintenance: listing, garbage collection, verification, migration.
+"""Result-store maintenance: listing, garbage collection, verification, import.
 
-A campaign result store accretes state over many runs: interrupted writes
-leave ``*.tmp`` orphans, disk corruption or hand-editing can truncate
-entries, and an entry's identity is a content hash that should always match
-what is inside the record.  The operations here keep a store healthy, on
-**both** backends (the per-file JSON layout and the indexed segment
-layout -- :func:`repro.campaign.store.detect_backend` picks the scan):
+A campaign result store accretes state over many runs: a crash can leave
+a truncated record or an unindexed one, disk corruption or hand-editing can
+damage records, and an entry's identity is a content hash that should always
+match what is inside the record.  The operations here keep a segment store
+healthy; each refuses a legacy per-file directory (import it first):
 
 ``ls``
     One line per entry (key prefix, application, policy label) without
     loading full results into memory.
 
 ``gc``
-    JSON backend: remove temp-file orphans and entries that cannot be
-    parsed or whose result payload does not round-trip.  Segment backend:
-    delete orphaned segment files (not referenced by any index entry),
-    rewrite the index without entries whose records are corrupt or
-    mismatched, and repair crash damage (truncated tails, unindexed
-    records) by re-running the store's recovery.
+    Delete orphaned files (segments no index entry references, stray files
+    in the root), rewrite the index without entries whose records are
+    corrupt or mismatched, and repair crash damage (truncated tails,
+    unindexed records) by re-running the store's recovery.
 
 ``verify``
     Re-derive each entry's content hash from the persisted canonical job
     payload and compare it to its key, and check the result payload
-    round-trips bit-exactly through :class:`SimulationResult`.  On the
-    segment backend this additionally detects index mismatches (an index
-    entry whose record bytes hold a different key), index entries pointing
-    at missing or shortened segments, unindexed records, truncated tails
-    and per-segment provenance stamps that disagree with the store's.
+    round-trips bit-exactly through :class:`SimulationResult`.  Also
+    detects index mismatches (an index entry whose record bytes hold a
+    different key), index entries pointing at missing or shortened
+    segments, unindexed records, truncated tails and per-segment
+    provenance stamps that disagree with the store's.  A record superseded
+    by a later put of the same key is neither checked nor reported.
 
 ``migrate``
-    Convert a store between the two layouts, copying the raw canonical
-    payloads (so re-serialisation is byte-identical) and the
-    trace-generator provenance stamp verbatim.
+    Import a legacy per-file store (one ``<key>.json`` per result) into a
+    new segment store, copying the raw canonical payloads (so
+    re-serialisation is byte-identical) and the trace-generator provenance
+    stamp verbatim.  The source directory is only read.
 
 All of these are exposed through ``python -m repro.cli store ...``.
 """
@@ -44,11 +43,21 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.campaign.jobs import hash_payload_digest
+from repro.campaign.segments import (
+    INDEX_FILE,
+    SEGMENT_META_FILE,
+    SEGMENTS_DIR,
+    SegmentResultStore,
+    parse_segment_number,
+)
 from repro.campaign.store import (
     PROVENANCE_FILE,
     BaseResultStore,
-    detect_backend,
+    ResultStore,
+    atomic_write_text,
     open_store,
+    refuse_legacy_store,
+    stamped_provenance,
 )
 from repro.core.results import SimulationResult
 
@@ -76,8 +85,8 @@ class StoreReport:
     entries: List[EntryStatus] = field(default_factory=list)
     orphans: List[Path] = field(default_factory=list)
     removed: List[Path] = field(default_factory=list)
-    #: Keys whose index entries were dropped by a segment-store gc (the
-    #: record bytes stay in the append-only segment; a resume re-runs them).
+    #: Keys whose index entries gc dropped (the record bytes stay in the
+    #: append-only segment; a resume re-runs them).
     dropped_keys: List[str] = field(default_factory=list)
 
     @property
@@ -98,20 +107,17 @@ def _store_root(store: Union[BaseResultStore, str, Path]) -> Path:
 
 
 def _check_payload(
-    path: Path,
-    key: Optional[str],
-    data: dict,
-    expected_key: str,
-    check_hash: bool,
+    path: Path, key: str, data: dict, check_hash: bool
 ) -> EntryStatus:
-    """Shared structural checks for one entry payload (both backends)."""
+    """Structural checks for one entry record indexed under ``key``."""
     job = data["job"] if isinstance(data.get("job"), dict) else {}
     application = job.get("application")
     label = job.get("label")
-    if key != expected_key:
+    recorded = job.get("key")
+    if recorded != key:
         return EntryStatus(
             path=path, key=key, application=application, label=label,
-            problem=f"recorded key {str(key)[:16]}... does not match {expected_key[:16]}...",
+            problem=f"recorded key {str(recorded)[:16]}... does not match {key[:16]}...",
         )
     if "result" not in data:
         return EntryStatus(
@@ -135,59 +141,13 @@ def _check_payload(
                 problem="no hash payload recorded (written by a pre-hash store)",
             )
         digest = hash_payload_digest(payload)
-        if digest != expected_key:
+        if digest != key:
             return EntryStatus(
                 path=path, key=key, application=application, label=label,
                 problem=f"content hash mismatch (recomputed {digest[:16]}...)",
             )
     return EntryStatus(path=path, key=key, application=application, label=label)
 
-
-# ---------------------------------------------------------------------------
-# JSON backend scan
-# ---------------------------------------------------------------------------
-
-def _inspect_entry(path: Path, check_hash: bool) -> EntryStatus:
-    """Classify one ``<key>.json`` entry file."""
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError) as error:
-        return EntryStatus(path=path, problem=f"unreadable JSON ({error})")
-    if not isinstance(data, dict) or "job" not in data or "result" not in data:
-        return EntryStatus(path=path, problem="missing job/result sections")
-    job = data["job"] if isinstance(data["job"], dict) else {}
-    key = job.get("key")
-    if key != path.stem:
-        return EntryStatus(
-            path=path, key=key,
-            application=job.get("application"), label=job.get("label"),
-            problem=f"recorded key {str(key)[:16]}... does not match filename",
-        )
-    return _check_payload(path, key, data, path.stem, check_hash)
-
-
-def _scan_json_store(root: Path, check_hashes: bool) -> StoreReport:
-    report = StoreReport()
-    for path in sorted(root.iterdir()):
-        if path.is_dir():
-            continue
-        if path.name.startswith("_"):
-            # Store-level metadata (e.g. the trace-generator provenance
-            # stamp), not an entry and not a leftover.
-            continue
-        if path.suffix == ".json" and not path.name.startswith("."):
-            report.entries.append(_inspect_entry(path, check_hashes))
-        else:
-            # Anything else in a store directory is a leftover (temp files
-            # from interrupted writes, editor droppings).
-            report.orphans.append(path)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Segment backend scan
-# ---------------------------------------------------------------------------
 
 def _scan_segment_store(root: Path, check_hashes: bool) -> StoreReport:
     """Inspect a segment store without mutating it.
@@ -197,26 +157,11 @@ def _scan_segment_store(root: Path, check_hashes: bool) -> StoreReport:
     every segment for unindexed records, truncated tails, orphaned files
     and provenance mismatches.
     """
-    from repro.campaign.segments import (
-        INDEX_FILE,
-        SEGMENT_META_FILE,
-        SEGMENTS_DIR,
-        parse_segment_number,
-    )
-
     report = StoreReport()
     segments_dir = root / SEGMENTS_DIR
     index_path = root / INDEX_FILE
 
-    store_provenance = None
-    try:
-        marker = json.loads((root / PROVENANCE_FILE).read_text(encoding="utf-8"))
-        if isinstance(marker, dict) and isinstance(
-            marker.get("trace_generator"), str
-        ):
-            store_provenance = marker["trace_generator"]
-    except (OSError, ValueError):
-        pass
+    store_provenance = stamped_provenance(root)
 
     # Replay the index file leniently: report damage instead of stopping.
     entries: dict = {}
@@ -326,9 +271,7 @@ def _scan_segment_store(root: Path, check_hashes: bool) -> StoreReport:
                 )
             )
             continue
-        report.entries.append(
-            _check_payload(seg_path, key, record, key, check_hashes)
-        )
+        report.entries.append(_check_payload(seg_path, key, record, check_hashes))
 
     # Walk every segment for header sanity, unindexed records and tails.
     for name, size in sizes.items():
@@ -389,7 +332,12 @@ def _scan_segment_store(root: Path, check_hashes: bool) -> StoreReport:
                     record.get("key"), str
                 ):
                     has_records = True
-                    if (position, len(raw)) not in claimed:
+                    # A record whose key is indexed elsewhere was superseded
+                    # by a later put of the same key (a sweep re-run without
+                    # resume): its bytes are dead, not damage.
+                    if (position, len(raw)) not in claimed and (
+                        record["key"] not in entries
+                    ):
                         report.entries.append(
                             EntryStatus(
                                 path=seg_path, key=record["key"],
@@ -434,13 +382,16 @@ def _scan_segment_store(root: Path, check_hashes: bool) -> StoreReport:
 def scan_store(
     store: Union[BaseResultStore, str, Path], check_hashes: bool = False
 ) -> StoreReport:
-    """Inspect every entry and stray file in a store (either backend)."""
+    """Inspect every entry and stray file in a store.
+
+    Raises:
+        ValueError: when the directory holds a legacy per-file store.
+    """
     root = _store_root(store)
     if not root.is_dir():
         return StoreReport()
-    if detect_backend(root) == "segment":
-        return _scan_segment_store(root, check_hashes)
-    return _scan_json_store(root, check_hashes)
+    refuse_legacy_store(root)
+    return _scan_segment_store(root, check_hashes)
 
 
 def store_ls(store: Union[BaseResultStore, str, Path]) -> StoreReport:
@@ -458,38 +409,19 @@ def store_gc(
 ) -> StoreReport:
     """Repair a store: drop orphans and unrecoverable entries.
 
-    JSON backend: entries failing the *structural* checks (unreadable,
-    wrong sections, key/filename mismatch, non-round-tripping result) are
-    removed along with temp-file orphans; entries that merely predate
-    hash-payload recording are kept, since their results are still
-    loadable.
-
-    Segment backend: crash damage (truncated tails, unindexed records) is
-    repaired by the store's own recovery, index entries whose records are
-    corrupt or mismatched are dropped from the index (``dropped_keys``;
-    the append-only segment bytes are left in place), and orphaned files
-    are deleted.
+    Crash damage (truncated tails, unindexed records) is repaired by the
+    store's own recovery, index entries whose records are corrupt or
+    mismatched are dropped from the index (``dropped_keys``; the
+    append-only segment bytes are left in place), and orphaned files are
+    deleted.  Entries that merely predate hash-payload recording are kept,
+    since their results are still loadable.
 
     Returns the report with ``removed``/``dropped_keys`` filled in.
     """
     root = _store_root(store)
+    report = scan_store(root, check_hashes=False)
     if not root.is_dir():
-        return StoreReport()
-    if detect_backend(root) == "segment":
-        return _gc_segment_store(root, dry_run)
-    report = scan_store(root, check_hashes=False)
-    doomed = list(report.orphans) + [entry.path for entry in report.problems]
-    for path in doomed:
-        if not dry_run:
-            path.unlink(missing_ok=True)
-        report.removed.append(path)
-    return report
-
-
-def _gc_segment_store(root: Path, dry_run: bool) -> StoreReport:
-    from repro.campaign.segments import SegmentResultStore
-
-    report = scan_store(root, check_hashes=False)
+        return report
     if dry_run:
         report.removed.extend(report.orphans)
         return report
@@ -498,9 +430,12 @@ def _gc_segment_store(root: Path, dry_run: bool) -> StoreReport:
     #    index is what triggers it.
     segment_store = SegmentResultStore(root)
     len(segment_store)
-    # 2. Drop index entries whose records are structurally bad.
+    # 2. Drop index entries whose indexed records are structurally bad
+    #    (an unindexed record's key has no entry to drop).
     rescanned = scan_store(root, check_hashes=False)
-    bad_keys = {entry.key for entry in rescanned.problems if entry.key}
+    bad_keys = {
+        entry.key for entry in rescanned.problems if entry.key in segment_store
+    }
     if bad_keys:
         for key in sorted(bad_keys):
             report.dropped_keys.append(key)
@@ -514,43 +449,44 @@ def _gc_segment_store(root: Path, dry_run: bool) -> StoreReport:
 
 
 def migrate_store(
-    source: Union[BaseResultStore, str, Path],
-    destination: Union[str, Path],
-    backend: str,
+    source: Union[str, Path], destination: Union[str, Path]
 ) -> Tuple[int, int]:
-    """Copy every entry of a store into a new store with another layout.
+    """Import a legacy per-file store into a new segment store.
 
-    The raw canonical payloads are copied (not re-derived), so the
-    destination's records serialise byte-identically, and the source's
-    trace-generator provenance stamp is copied verbatim -- a store can be
-    migrated on any machine without reattributing its results.
+    The raw canonical payloads are copied (not re-derived), so the new
+    records serialise byte-identically, and the source's provenance stamp
+    is copied verbatim -- a store can be imported on any machine without
+    reattributing its results.  Nothing is written to the source.
 
-    Returns ``(entries_copied, entries_skipped)`` (skipped = unreadable in
-    the source; run ``store gc`` there first if this is non-zero).
+    Returns ``(entries_copied, entries_skipped)``: skipped entries are
+    unreadable in the source, and a resumed campaign re-runs their jobs.
     """
-    src = (
-        source
-        if isinstance(source, BaseResultStore)
-        else open_store(source, backend="auto")
-    )
+    source = Path(source)
     destination = Path(destination)
+    if not source.is_dir():
+        raise ValueError(f"{source} is not a directory")
+    if destination.resolve() == source.resolve():
+        raise ValueError("cannot import a store onto itself")
+    if (source / SEGMENT_META_FILE).exists():
+        raise ValueError(f"{source} is already a segment store; nothing to import")
     if destination.exists() and any(destination.iterdir()):
         raise ValueError(
-            f"destination {destination} is not empty; migrate into a fresh "
+            f"destination {destination} is not empty; import into a fresh "
             f"directory"
         )
-    if destination.resolve() == src.root.resolve():
-        raise ValueError("cannot migrate a store onto itself")
-    dst = open_store(destination, backend=backend)
-    provenance = src.recorded_provenance()
-    if provenance is not None:
-        dst.stamp_provenance(provenance)
+    legacy = ResultStore(source)
+    total = len(legacy)
     copied = 0
-    total = len(src)
-    for key, payload in src.iter_records():
-        dst.put_record(key, payload)
-        copied += 1
-    dst.flush()
-    dst.close()
-    src.close()
+    with open_store(destination) as imported:
+        marker = source / PROVENANCE_FILE
+        if marker.exists():
+            atomic_write_text(
+                destination / PROVENANCE_FILE,
+                marker.read_text(encoding="utf-8"),
+                prefix=".provenance-",
+            )
+        for key, payload in legacy.iter_records():
+            imported.put_record(key, payload)
+            copied += 1
+        imported.flush()
     return copied, total - copied

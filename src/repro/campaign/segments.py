@@ -1,16 +1,17 @@
 """Indexed, append-only segment store for campaign results.
 
-The per-file JSON layout (:class:`~repro.campaign.store.ResultStore`) pays
+The one on-disk layout of a campaign result store.  A per-file layout pays
 one ``open``/``write``/``rename`` per result and a directory scan per
-resume -- fine at hundreds of points, a syscall storm at 100k.  This module
-replaces it with the classic log-structured layout:
+resume -- fine at hundreds of points, a syscall storm at 100k.  This
+module uses the classic log-structured layout instead:
 
 ``<root>/segments/seg-00000001.jsonl``
     Append-only JSONL segments, size-capped (:data:`DEFAULT_SEGMENT_BYTES`).
     The first line of every segment is a header stamping the segment with
-    the store format and this environment's trace-generator provenance;
-    every following line is one complete entry record (the same canonical
-    payload the JSON backend writes, compactly serialised).
+    the store format and the store's trace-generator provenance;
+    every following line is one complete entry record (the canonical
+    payload of :func:`~repro.campaign.store.entry_payload` plus its key,
+    compactly serialised).
 
 ``<root>/index.jsonl``
     The compact on-disk index: one line per committed record, mapping the
@@ -19,8 +20,7 @@ replaces it with the classic log-structured layout:
     not on disk.
 
 ``<root>/_segment_store.json``
-    Store meta (format version, configured segment cap) -- also how
-    :func:`~repro.campaign.store.detect_backend` recognises the layout.
+    Store meta (format version, configured segment cap).
 
 Crash safety is recovery-based rather than rename-based: on open the store
 replays the index, drops entries pointing past a segment's end (the record
@@ -31,9 +31,9 @@ cleanly absent -- a resumed campaign re-runs exactly the lost jobs.
 
 Writes go through a single in-process writer (a lock around two buffered
 appends); a persistent worker pool streams results back to the campaign
-parent, which is that single writer.  Two processes must not append to one
-segment store concurrently (the JSON backend remains the right choice for
-that pattern).
+parent, which is that single writer.  One process writes a store at a
+time: two processes appending to one store concurrently would interleave
+their segment and index appends.
 
 Reads through :meth:`SegmentResultStore.get` are memoised: the store keeps
 the decoded ``result`` dicts of the last :data:`DECODED_CACHE_ENTRIES` keys
@@ -42,7 +42,9 @@ segment read and the JSON decode.  Every call still builds a fresh
 :class:`~repro.core.results.SimulationResult` (``from_dict`` copies every
 container), so no caller shares mutable state with the cache or another
 caller.  ``put_record`` and ``drop_keys`` evict the keys they touch;
-``iter_records`` and ``store verify`` always read the segments.
+``iter_records`` and ``store verify`` always read the segments.  A record
+that holds another key than the index entry pointing at it reads as a
+miss everywhere (``store verify`` reports it as an index mismatch).
 """
 
 from __future__ import annotations
@@ -53,7 +55,11 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from repro.campaign.store import BaseResultStore, atomic_write_text
+from repro.campaign.store import (
+    BaseResultStore,
+    atomic_write_text,
+    stamped_provenance,
+)
 from repro.core.results import SimulationResult
 
 #: Subdirectory holding the append-only segment files.
@@ -95,7 +101,7 @@ def parse_segment_number(name: str) -> Optional[int]:
 
 
 class SegmentResultStore(BaseResultStore):
-    """Append-only segment store behind the common ResultStore interface.
+    """Append-only segment store behind the :class:`BaseResultStore` interface.
 
     The in-memory index (key -> segment/offset/length) is loaded once on
     first access and kept exact by ``put``, so ``keys()``/``len()``/``in``
@@ -156,7 +162,9 @@ class SegmentResultStore(BaseResultStore):
         """Load one result, or None when absent or unreadable.
 
         Every call returns a new result; a key read before is rebuilt from
-        its cached decoded dict instead of from the segment.
+        its cached decoded dict instead of from the segment.  An index entry
+        pointing at another key's record is a miss, and nothing of that
+        record enters the cache.
         """
         with self._lock:
             data = self._decoded.get(key)
@@ -167,7 +175,7 @@ class SegmentResultStore(BaseResultStore):
         self._ensure_loaded()
         entry = self._index.get(key)
         record = None if entry is None else self._read_entry(entry)
-        if record is None:
+        if record is None or record.get("key") != key:
             return None
         try:
             data = record["result"]
@@ -183,9 +191,12 @@ class SegmentResultStore(BaseResultStore):
         return result
 
     def _read_record(self, key: str) -> Optional[dict]:
+        """The record indexed under ``key``, or None when absent, unreadable
+        or holding another key."""
         self._ensure_loaded()
         entry = self._index.get(key)
-        return None if entry is None else self._read_entry(entry)
+        record = None if entry is None else self._read_entry(entry)
+        return record if record is not None and record.get("key") == key else None
 
     def _read_entry(self, entry: Tuple[str, int, int]) -> Optional[dict]:
         name, offset, length = entry
@@ -202,12 +213,13 @@ class SegmentResultStore(BaseResultStore):
         """Yield ``(key, payload)`` per entry, skipping unreadable records.
 
         Records are yielded in key order; the payload omits the envelope
-        ``key`` field so it matches the JSON backend's file payload exactly.
+        ``key`` field, so it is exactly what
+        :func:`~repro.campaign.store.entry_payload` built.
         """
         self._ensure_loaded()
         for key in sorted(self._index):
             record = self._read_record(key)
-            if record is None or record.get("key") != key:
+            if record is None:
                 continue
             payload = {
                 name: value for name, value in record.items() if name != "key"
@@ -259,12 +271,16 @@ class SegmentResultStore(BaseResultStore):
     def close(self) -> None:
         """Close the writer handles (reopened transparently on next put)."""
         with self._lock:
-            if self._segment_handle is not None:
-                self._segment_handle.close()
-                self._segment_handle = None
-            if self._index_handle is not None:
-                self._index_handle.close()
-                self._index_handle = None
+            self._close_handles()
+
+    def _close_handles(self) -> None:
+        """Close both append handles (called with the lock held)."""
+        if self._segment_handle is not None:
+            self._segment_handle.close()
+            self._segment_handle = None
+        if self._index_handle is not None:
+            self._index_handle.close()
+            self._index_handle = None
 
     def drop_keys(self, keys) -> int:
         """Remove entries from the index (their segment bytes stay in place).
@@ -292,9 +308,9 @@ class SegmentResultStore(BaseResultStore):
                 )
                 for key, (seg, off, length) in self._index.items()
             ]
-            if self._index_handle is not None:
-                self._index_handle.close()
-                self._index_handle = None
+            # The rewrite replaces the index file under the append handle:
+            # close both handles so the next put reopens them together.
+            self._close_handles()
             atomic_write_text(
                 self.index_path,
                 "".join(line + "\n" for line in lines),
@@ -303,15 +319,6 @@ class SegmentResultStore(BaseResultStore):
             return len(present)
 
     # -- loading and recovery ------------------------------------------------------
-
-    def refresh_index(self) -> None:
-        """Drop the in-memory index (replayed from disk on next access)."""
-        self.close()
-        with self._lock:
-            self._decoded.clear()
-        self._index = None
-        self._active_segment = None
-        self._active_size = 0
 
     def _ensure_loaded(self) -> None:
         if self._index is not None:
@@ -357,12 +364,19 @@ class SegmentResultStore(BaseResultStore):
         self._index_handle = self.index_path.open("ab")
 
     def _segment_header(self, name: str) -> dict:
+        """The header line of a new segment.
+
+        It stamps the provenance the store's marker records -- this
+        environment's, once ``put`` has checked it, or an imported store's
+        own -- and this environment's when there is no marker yet.
+        """
         from repro.workloads.synthetic import TRACE_GENERATOR_PROVENANCE
 
         return {
             "segment": name,
             "store_format": SEGMENT_FORMAT,
-            "trace_generator": TRACE_GENERATOR_PROVENANCE,
+            "trace_generator": stamped_provenance(self.root)
+            or TRACE_GENERATOR_PROVENANCE,
         }
 
     def _next_segment_number(self) -> int:

@@ -1,42 +1,41 @@
 """Persistent result stores keyed by job hash.
 
-Two interchangeable backends persist computed
-:class:`~repro.core.results.SimulationResult` objects under content-hash
-keys, behind one interface (:class:`BaseResultStore`):
-
-* :class:`ResultStore` -- the legacy one-JSON-file-per-result layout
-  (``<root>/<job-key>.json``).  Simple, greppable, and every entry is
-  individually atomic; but a 100k-point campaign means 100k files and a
-  directory scan per resume.
-* :class:`~repro.campaign.segments.SegmentResultStore` -- an indexed,
-  append-only segment store: results append to size-capped JSONL segments
-  through a single writer, with a compact on-disk index keyed by job hash.
-  Opened via :func:`open_store` with ``backend="segment"`` (or ``"auto"``,
-  which detects the layout on disk).
+Every computed :class:`~repro.core.results.SimulationResult` is persisted
+under a content-hash key in an indexed, append-only segment store
+(:class:`~repro.campaign.segments.SegmentResultStore`), opened through
+:func:`open_store`.  :class:`BaseResultStore` holds what does not depend on
+the on-disk format: the root directory, the canonical entry payload and the
+trace-generator provenance stamp.
 
 Because keys are content hashes of the job (workload recipe + full
-configuration), either store doubles as a cache: re-running a campaign with
+configuration), the store doubles as a cache: re-running a campaign with
 ``resume=True`` skips every point already persisted, and extending the grid
 (a new retention time, a new application) only simulates the new points.
+
+Earlier versions wrote one ``<key>.json`` file per result.  Such a legacy
+directory is read only by :class:`ResultStore`, and only to import it into
+a segment store (``store migrate``); :func:`open_store` refuses it.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
 from repro.campaign.jobs import Job
 from repro.core.results import SimulationResult
 from repro.workloads.synthetic import TRACE_GENERATOR_PROVENANCE
 
+if TYPE_CHECKING:
+    from repro.campaign.segments import SegmentResultStore
+
 #: Store-level metadata file recording which trace generator produced the
 #: results inside.  Underscore-prefixed so it can never collide with a job
-#: key (keys are hex digests) and is skipped by entry iteration.
+#: key (keys are hex digests) and is never taken for a legacy entry.
 PROVENANCE_FILE = "_trace_provenance.json"
 
 
@@ -71,8 +70,8 @@ def atomic_write_text(path: Path, text: str, prefix: str = ".write-") -> None:
 def entry_payload(job: Job, result: SimulationResult) -> dict:
     """The canonical persisted payload of one (job, result) pair.
 
-    Shared by both backends so a record migrated between them is
-    byte-identical after re-serialisation with the destination's settings.
+    Legacy per-file entries hold the same payload, so an imported record is
+    byte-identical after re-serialisation.
     """
     return {
         "job": {
@@ -91,14 +90,14 @@ def entry_payload(job: Job, result: SimulationResult) -> dict:
 
 
 class BaseResultStore:
-    """Root directory handling + trace-generator provenance, backend-agnostic.
+    """Root directory handling + trace-generator provenance.
 
-    Subclasses implement ``keys`` / ``__contains__`` / ``__len__`` / ``get``
-    / ``put_record`` / ``iter_records``; :meth:`put` is shared (it builds
-    the canonical payload and checks provenance).
+    :class:`~repro.campaign.segments.SegmentResultStore` supplies the
+    mapping interface and ``put_record``; :meth:`put` builds the canonical
+    payload and checks provenance before handing it over.
     """
 
-    #: Short name used by ``open_store``/CLI (subclasses override).
+    #: Short name reported in answer provenance and ``/v1/health``.
     backend_name = "base"
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -167,33 +166,6 @@ class BaseResultStore:
             )
         self._provenance_checked = True
 
-    def recorded_provenance(self) -> Optional[str]:
-        """The trace-generator the store is stamped with, if readable."""
-        try:
-            recorded = json.loads(
-                (self.root / PROVENANCE_FILE).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return None
-        if isinstance(recorded, dict):
-            value = recorded.get("trace_generator")
-            return value if isinstance(value, str) else None
-        return None
-
-    def stamp_provenance(self, trace_generator: str) -> None:
-        """Stamp the store with an explicit provenance (used by migration).
-
-        Migration copies the *source* store's stamp verbatim, so a store can
-        be converted between layouts in either environment without its
-        entries being reattributed to the converting machine.
-        """
-        atomic_write_text(
-            self.root / PROVENANCE_FILE,
-            json.dumps({"trace_generator": trace_generator}, indent=2) + "\n",
-            prefix=".provenance-",
-        )
-        self._provenance_checked = False
-
     # -- shared write path -------------------------------------------------------
 
     def put(self, job: Job, result: SimulationResult) -> Path:
@@ -206,29 +178,11 @@ class BaseResultStore:
         self.check_provenance()
         return self.put_record(job.key(), entry_payload(job, result))
 
-    # -- backend interface -------------------------------------------------------
-
-    def keys(self) -> Iterator[str]:
-        """Job keys currently persisted in the store."""
-        raise NotImplementedError
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        """Load one result, or None when absent or unreadable."""
-        raise NotImplementedError
-
-    def put_record(self, key: str, payload: dict) -> Path:
-        """Persist one raw entry payload (no provenance check; see put)."""
-        raise NotImplementedError
-
-    def iter_records(self) -> Iterator[Tuple[str, dict]]:
-        """Yield ``(key, payload)`` for every readable entry (for migration)."""
-        raise NotImplementedError
-
     def flush(self) -> None:
-        """Push buffered writes to disk (no-op for per-file backends)."""
+        """Push buffered writes to disk."""
 
     def close(self) -> None:
-        """Release file handles (no-op for per-file backends)."""
+        """Release file handles."""
 
     def __enter__(self) -> "BaseResultStore":
         return self
@@ -236,164 +190,96 @@ class BaseResultStore:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __contains__(self, key: str) -> bool:
-        raise NotImplementedError
 
-    def __len__(self) -> int:
-        raise NotImplementedError
+def stamped_provenance(root: Union[str, Path]) -> Optional[str]:
+    """The trace generator a store's provenance marker names, or None when
+    the marker is absent, unreadable or malformed."""
+    try:
+        marker = json.loads((Path(root) / PROVENANCE_FILE).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    stamped = marker.get("trace_generator") if isinstance(marker, dict) else None
+    return stamped if isinstance(stamped, str) else None
 
 
-class ResultStore(BaseResultStore):
-    """Directory of per-job JSON result files (the legacy ``json`` backend).
+def legacy_entry_keys(root: Union[str, Path]) -> List[str]:
+    """Keys of the ``<key>.json`` entries of a legacy per-file store (sorted).
 
-    Writes are atomic (write to a temp file, then ``os.replace``) so a
-    campaign killed mid-write never leaves a truncated entry that would
-    poison later resumes; unreadable entries are treated as missing.
+    Empty for a segment store, whose meta file marks it (a stray ``.json``
+    file there is an orphan for ``store gc``), and for a directory holding
+    only underscore-prefixed metadata such as the provenance stamp -- which
+    is all a campaign killed before its first result leaves behind.
+    """
+    from repro.campaign.segments import SEGMENT_META_FILE
 
-    The key index is scanned from the directory once and then cached:
-    ``keys()``/``len()`` no longer pay a full directory scan per call, and
-    ``put`` updates the cache in place.  :meth:`refresh_index` drops the
-    cache when another process may have written the directory.
+    root = Path(root)
+    if (root / SEGMENT_META_FILE).exists():
+        return []
+    return sorted(
+        path.stem
+        for path in root.glob("*.json")
+        if not path.name.startswith(("_", "."))
+    )
 
-    The first write stamps the store with this environment's
-    trace-generator provenance (numpy vs scalar fallback); later writes
-    from the other environment raise :class:`StoreProvenanceError`.
+
+def refuse_legacy_store(root: Union[str, Path]) -> None:
+    """Raise ``ValueError`` naming ``store migrate`` if ``root`` is legacy."""
+    count = len(legacy_entry_keys(root))
+    if count:
+        raise ValueError(
+            f"store {root} holds {count} entries in the legacy "
+            f"one-file-per-result layout; import it into a segment store "
+            f"first: python -m repro.cli store migrate {root} <new-dir>"
+        )
+
+
+class ResultStore:
+    """Read-only view of a legacy per-file store (``<root>/<key>.json``).
+
+    Nothing writes this layout any more; ``store migrate`` reads a legacy
+    directory through this class to import it into a segment store.
     """
 
-    backend_name = "json"
-
     def __init__(self, root: Union[str, Path]) -> None:
-        super().__init__(root)
-        self._key_list: Optional[List[str]] = None
-        self._key_set: Optional[set] = None
+        self.root = Path(root)
 
-    def path_for(self, key: str) -> Path:
-        """Filesystem path of one job's result file."""
-        return self.root / f"{key}.json"
-
-    def __contains__(self, key: str) -> bool:
-        # Deliberately checks the filesystem, not the cached index: another
-        # campaign sharing the store may have just written the entry.
-        return self.path_for(key).exists()
+    def keys(self) -> List[str]:
+        """Keys of the directory's entries (sorted)."""
+        return legacy_entry_keys(self.root)
 
     def __len__(self) -> int:
-        self._ensure_index()
-        return len(self._key_list)
+        return len(self.keys())
 
-    def keys(self) -> Iterator[str]:
-        """Job keys currently persisted in the store (sorted)."""
-        self._ensure_index()
-        return iter(list(self._key_list))
-
-    def refresh_index(self) -> None:
-        """Drop the cached key index (rescan on next ``keys()``/``len()``)."""
-        self._key_list = None
-        self._key_set = None
-
-    def _ensure_index(self) -> None:
-        if self._key_list is not None:
-            return
-        self._key_list = sorted(
-            path.stem
-            for path in self.root.glob("*.json")
-            if not path.name.startswith(("_", "."))
-        )
-        self._key_set = set(self._key_list)
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        """Load one result, or None when absent or unreadable."""
-        path = self.path_for(key)
+    def get(self, key: str) -> Optional[dict]:
+        """The raw payload of one entry, or None when absent or unreadable."""
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            return SimulationResult.from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+            with (self.root / f"{key}.json").open("r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError):
             return None
-
-    def put_record(self, key: str, payload: dict) -> Path:
-        """Write one entry file atomically and update the cached index."""
-        path = self.path_for(key)
-        # Unique temp name: concurrent campaigns sharing a store may compute
-        # the same job, and a fixed tmp path would make them race on it.
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:16]}-", suffix=".tmp", dir=self.root
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        if self._key_list is not None and key not in self._key_set:
-            bisect.insort(self._key_list, key)
-            self._key_set.add(key)
-        return path
+        return payload if isinstance(payload, dict) else None
 
     def iter_records(self) -> Iterator[Tuple[str, dict]]:
         """Yield ``(key, payload)`` per entry, skipping unreadable files."""
         for key in self.keys():
-            try:
-                with self.path_for(key).open("r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if isinstance(payload, dict):
+            payload = self.get(key)
+            if payload is not None:
                 yield key, payload
 
 
-def detect_backend(root: Union[str, Path]) -> Optional[str]:
-    """Which backend's layout a directory holds (None when undecidable).
-
-    A segment store is recognisable by its meta file or its ``segments/``
-    directory; a directory containing ``<hex>.json`` entries (or nothing
-    but store metadata) is the legacy per-file layout.
-    """
-    root = Path(root)
-    from repro.campaign.segments import SEGMENT_META_FILE, SEGMENTS_DIR
-
-    if (root / SEGMENT_META_FILE).exists() or (root / SEGMENTS_DIR).is_dir():
-        return "segment"
-    if root.is_dir():
-        return "json"
-    return None
-
-
 def open_store(
-    root: Union[str, Path], backend: str = "auto", **kwargs
-) -> BaseResultStore:
-    """Open (or create) a result store with the requested backend.
+    root: Union[str, Path], backend: str = "segment", **kwargs
+) -> "SegmentResultStore":
+    """Open (or create) the segment result store at ``root``.
 
-    ``backend="auto"`` detects the layout of an existing directory and
-    defaults to ``json`` for a new one (the legacy behaviour, so existing
-    scripts keep producing the layout they always did).  Passing an explicit
-    backend against a directory holding the *other* layout is an error --
-    silently writing a second layout into one directory would split the
-    store in two.
+    ``backend`` accepts only ``"segment"``, the one layout.  A directory
+    holding a legacy per-file store is refused with a ``ValueError`` that
+    names ``store migrate``; a directory holding only the provenance stamp
+    opens as a segment store.
     """
-    root = Path(root)
-    detected = detect_backend(root) if root.exists() else None
-    if backend == "auto":
-        backend = detected if detected is not None else "json"
-    elif detected is not None and detected != backend:
-        # An empty directory detects as "json" but holds nothing yet, so
-        # any backend may claim it.
-        if detected == "json" and not any(root.glob("*.json")):
-            pass
-        else:
-            raise ValueError(
-                f"store {root} holds a {detected!r}-layout store but "
-                f"backend={backend!r} was requested; refusing to mix two "
-                f"layouts in one directory. Either open it with "
-                f"backend='{detected}' (or 'auto'), or convert it first: "
-                f"python -m repro.cli store migrate {root} <new-dir> "
-                f"--to {backend}"
-            )
-    if backend == "json":
-        return ResultStore(root, **kwargs)
-    if backend == "segment":
-        from repro.campaign.segments import SegmentResultStore
+    if backend != "segment":
+        raise ValueError(f"unknown store backend {backend!r} (only 'segment')")
+    from repro.campaign.segments import SegmentResultStore
 
-        return SegmentResultStore(root, **kwargs)
-    raise ValueError(f"unknown store backend {backend!r} (json, segment, auto)")
+    refuse_legacy_store(root)
+    return SegmentResultStore(root, **kwargs)

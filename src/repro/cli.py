@@ -1,6 +1,6 @@
 """Command-line interface for the Refrint reproduction.
 
-Three subcommands cover the common workflows without writing any Python:
+Six subcommands cover the common workflows without writing any Python:
 
 ``tables``
     Print the paper's descriptive tables (3.1, 5.1-5.4, 6.1), regenerated
@@ -16,7 +16,7 @@ Three subcommands cover the common workflows without writing any Python:
     Markdown report.  The sweep runs through the campaign engine:
     ``--jobs N`` fans the grid out over N worker processes (results are
     bit-identical to a serial run), ``--store DIR`` persists every point to
-    a content-addressed result store, and ``--resume`` skips points already
+    a content-addressed segment store, and ``--resume`` skips points already
     present in the store.
 
 ``validate``
@@ -36,14 +36,17 @@ Three subcommands cover the common workflows without writing any Python:
     HTTP body uses, so CLI and service answers share job hashes and stores.
 
 ``store``
-    Maintain a campaign result store (either backend -- the per-file JSON
-    layout or the indexed segment layout, auto-detected): ``store ls DIR``
-    lists its entries, ``store gc DIR`` drops stray files and repairs or
-    retires corrupt entries (``--dry-run`` to preview), ``store verify
-    DIR`` re-checks every entry's content hash, payload round-trip, index
-    consistency and crash damage, and ``store migrate SRC DST --to
-    {json,segment}`` converts a store between the two layouts
-    byte-identically.
+    Maintain a campaign result store: ``store ls DIR`` lists its entries,
+    ``store gc DIR`` drops stray files and repairs or retires corrupt
+    entries (``--dry-run`` to preview), ``store verify DIR`` re-checks
+    every entry's content hash, payload round-trip, index consistency and
+    crash damage, and ``store migrate SRC DST`` imports a legacy
+    one-file-per-result directory into a new segment store.
+
+A legacy store directory makes ``sweep``, ``validate``, ``serve`` and
+``store`` exit with status 2 before any work starts, and so does a store
+stamped by the other trace generator for ``sweep`` and ``serve``, which
+write to it.
 
 Examples::
 
@@ -53,9 +56,9 @@ Examples::
     python -m repro.cli sweep --applications fft,barnes,blackscholes \
         --length-scale 0.5 --report sweep.md --json sweep.json
     python -m repro.cli sweep --applications all --jobs 4 \
-        --store results/ --store-backend segment --resume
+        --store results/ --resume
     python -m repro.cli store verify results/
-    python -m repro.cli store migrate results/ results-seg/ --to segment
+    python -m repro.cli store migrate old-results/ results/
     python -m repro.cli serve --store results/ --port 8023
     python -m repro.cli validate --store results/ \
         --applications fft,blackscholes --retentions 50 \
@@ -72,6 +75,7 @@ from typing import List, Optional, Sequence
 
 from repro.api.query import QueryRequest, QueryValidationError
 from repro.campaign.engine import make_executor, run_campaign
+from repro.campaign.store import StoreProvenanceError, open_store
 from repro.config.parameters import DataPolicySpec, SimulationConfig, TimingPolicyKind
 from repro.config.presets import paper_data_policies, scaled_architecture
 from repro.core.simulator import RefrintSimulator
@@ -116,6 +120,15 @@ def _retentions_arg(text: str) -> tuple:
     return _adapt(QueryRequest.parse_retentions, text)
 
 
+def _store_backend_arg(parser: argparse.ArgumentParser) -> None:
+    # The segment layout is the only one; the option stays so existing
+    # command lines that name it keep working.
+    parser.add_argument(
+        "--store-backend", choices=("segment",), default="segment",
+        help="on-disk layout of the result store (segment, the only one)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -156,12 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", type=Path, default=None,
         help="directory of the per-point result store",
     )
-    sweep.add_argument(
-        "--store-backend", choices=("auto", "json", "segment"), default="auto",
-        help="on-disk layout of the result store: one file per result "
-             "(json), indexed append-only segments (segment, the right fit "
-             "at 10k+ points), or detect from the directory (auto)",
-    )
+    _store_backend_arg(sweep)
     sweep.add_argument(
         "--resume", action="store_true",
         help="skip points already present in the result store (needs --store)",
@@ -179,9 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", type=Path, required=True,
         help="directory of the campaign's result store",
     )
-    validate.add_argument(
-        "--store-backend", choices=("auto", "json", "segment"), default="auto",
-    )
+    _store_backend_arg(validate)
     validate.add_argument(
         "--applications", type=_applications_arg,
         default=["fft", "barnes", "blackscholes"],
@@ -219,9 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", type=Path, default=None,
         help="result store to answer from and backfill into (optional)",
     )
-    serve.add_argument(
-        "--store-backend", choices=("auto", "json", "segment"), default="auto",
-    )
+    _store_backend_arg(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8023)
     serve.add_argument(
@@ -241,24 +245,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the served-answer invariant check on every response",
     )
 
-    store = commands.add_parser(
-        "store", help="maintain a campaign result store (either backend)"
-    )
+    store = commands.add_parser("store", help="maintain a campaign result store")
     store.add_argument(
         "action", choices=("ls", "gc", "verify", "migrate"),
         help="ls: list entries; gc: drop orphans and repair/retire corrupt "
              "entries; verify: re-check content hashes and index "
-             "consistency; migrate: convert to the other backend",
+             "consistency; migrate: import a legacy one-file-per-result "
+             "store into a new segment store",
     )
-    store.add_argument("root", type=Path, help="result store directory")
+    store.add_argument(
+        "root", type=Path,
+        help="result store directory (for migrate: the legacy store)",
+    )
     store.add_argument(
         "destination", type=Path, nargs="?", default=None,
-        help="for migrate: directory of the new store (must not exist or "
-             "be empty)",
-    )
-    store.add_argument(
-        "--to", choices=("json", "segment"), default="segment",
-        help="for migrate: backend of the destination store",
+        help="for migrate: directory of the new segment store (must not "
+             "exist or be empty)",
     )
     store.add_argument(
         "--dry-run", action="store_true",
@@ -322,6 +324,23 @@ def _grid_request(args) -> QueryRequest:
     )
 
 
+def _open_store(path: Path, check_provenance: bool):
+    """Open ``--store`` before any work starts; None after printing why not.
+
+    ``check_provenance`` is for the commands that write the store: a store
+    stamped by the other trace generator fails them here instead of at
+    their first write.
+    """
+    try:
+        store = open_store(path)
+        if check_provenance:
+            store.check_provenance()
+    except (ValueError, StoreProvenanceError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+    return store
+
+
 def _run_sweep(args, out) -> int:
     if args.resume and args.store is None:
         print("error: --resume requires --store", file=sys.stderr)
@@ -335,6 +354,11 @@ def _run_sweep(args, out) -> int:
     except QueryValidationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    store = None
+    if args.store is not None:
+        store = _open_store(args.store, check_provenance=True)
+        if store is None:
+            return 2
     retentions = request.retentions_us
     points = request.policy_points()
     requests = request.workload_requests()
@@ -343,10 +367,9 @@ def _run_sweep(args, out) -> int:
         points=points,
         architecture=architecture,
         executor=make_executor(args.jobs),
-        store=args.store,
+        store=store,
         resume=args.resume,
         progress=lambda message: print(f"  {message}", file=out),
-        store_backend=args.store_backend,
     )
     print(f"campaign: {stats.summary()}", file=out)
     for figure_fn in (
@@ -378,7 +401,6 @@ def _run_sweep(args, out) -> int:
 
 def _run_validate(args, out) -> int:
     from repro.campaign.jobs import enumerate_jobs
-    from repro.campaign.store import open_store
     from repro.campaign.view import StoreSweep
     from repro.validate.anomaly import DEFAULT_RTOL
     from repro.validate.report import as_json_dict, render_markdown, validate_sweep
@@ -392,9 +414,11 @@ def _run_validate(args, out) -> int:
     except QueryValidationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    store = _open_store(args.store, check_provenance=False)
+    if store is None:
+        return 2
     points = request.policy_points()
     jobs = enumerate_jobs(request.workload_requests(), points, architecture)
-    store = open_store(args.store, backend=args.store_backend)
     sweep = StoreSweep(store, jobs, points)
     rtol = args.rtol if args.rtol is not None else DEFAULT_RTOL
     validation = validate_sweep(sweep, architecture=architecture, rtol=rtol)
@@ -421,12 +445,16 @@ def _run_serve(args, out) -> int:
     if args.store is not None and not args.store.is_dir():
         print(f"error: {args.store} is not a directory", file=sys.stderr)
         return 2
+    store = None
+    if args.store is not None:
+        store = _open_store(args.store, check_provenance=True)
+        if store is None:
+            return 2
     surrogate_retentions = (
         () if args.no_surrogate else args.surrogate_retentions
     )
     run_service(
-        store_root=args.store,
-        store_backend=args.store_backend,
+        store=store,
         host=args.host,
         port=args.port,
         jobs=args.jobs,
@@ -453,18 +481,15 @@ def _run_store(args, out) -> int:
             print("error: store migrate needs a destination", file=sys.stderr)
             return 2
         try:
-            copied, skipped = migrate_store(args.root, args.destination, args.to)
+            copied, skipped = migrate_store(args.root, args.destination)
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        print(
-            f"migrated {copied} entries to {args.destination} ({args.to})",
-            file=out,
-        )
+        print(f"migrated {copied} entries to {args.destination}", file=out)
         if skipped:
             print(
-                f"warning: {skipped} unreadable entries skipped; run "
-                f"'store gc {args.root}' and retry",
+                f"warning: {skipped} unreadable entries were not imported; "
+                f"a resumed campaign re-runs their jobs",
                 file=sys.stderr,
             )
             return 1
@@ -474,8 +499,15 @@ def _run_store(args, out) -> int:
             f"error: store {args.action} takes one directory", file=sys.stderr
         )
         return 2
+    try:
+        if args.action == "gc":
+            report = store_gc(args.root, dry_run=args.dry_run)
+        else:
+            report = (store_ls if args.action == "ls" else store_verify)(args.root)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.action == "ls":
-        report = store_ls(args.root)
         for entry in report.entries:
             status = "ok" if entry.ok else f"BAD: {entry.problem}"
             key = (entry.key or entry.path.stem)[:16]
@@ -490,7 +522,6 @@ def _run_store(args, out) -> int:
         )
         return 0
     if args.action == "gc":
-        report = store_gc(args.root, dry_run=args.dry_run)
         verb = "would remove" if args.dry_run else "removed"
         for path in report.removed:
             print(f"{verb} {path.name}", file=out)
@@ -500,7 +531,6 @@ def _run_store(args, out) -> int:
         print(f"{verb} {len(report.removed)} files, kept {kept} entries", file=out)
         return 0
     # verify
-    report = store_verify(args.root)
     for entry in report.problems:
         print(f"FAIL {entry.path.name}: {entry.problem}", file=out)
     for path in report.orphans:

@@ -3,7 +3,7 @@
 from repro.core.classes import APPLICATION_CLASSES, class_of, class_members
 from repro.core.results import SimulationResult
 from repro.core.simulator import RefrintSimulator
-from repro.core.sweep import PolicyPoint, SweepResult, default_policy_points, run_sweep
+from repro.core.sweep import PolicyPoint, SweepResult, default_policy_points
 
 __all__ = [
     "APPLICATION_CLASSES",
@@ -14,5 +14,4 @@ __all__ = [
     "class_members",
     "class_of",
     "default_policy_points",
-    "run_sweep",
 ]

@@ -2,15 +2,17 @@
 
 For every application, the paper simulates 43 configurations: the full-SRAM
 baseline plus the cartesian product of 3 retention times x 2 timing policies
-x 7 data policies on the full-eDRAM hierarchy.  :func:`run_sweep` runs that
-grid (or any subset) and returns a :class:`SweepResult` from which the
-figures of Chapter 6 are produced.
+x 7 data policies on the full-eDRAM hierarchy.  :class:`PolicyPoint` names
+one point of that grid and :func:`default_policy_points` enumerates it (or
+any subset); the campaign engine
+(:func:`repro.campaign.engine.run_campaign`) runs it and returns a
+:class:`SweepResult` from which the figures of Chapter 6 are produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.config.parameters import (
     ArchitectureConfig,
@@ -19,14 +21,8 @@ from repro.config.parameters import (
     SimulationConfig,
     TimingPolicyKind,
 )
-from repro.config.presets import (
-    paper_data_policies,
-    scaled_architecture,
-    scaled_retention_cycles,
-)
+from repro.config.presets import paper_data_policies, scaled_retention_cycles
 from repro.core.results import SimulationResult
-from repro.core.simulator import RefrintSimulator
-from repro.workloads.suite import ApplicationWorkload, WorkloadRequest
 
 #: The retention times of Table 5.4, in microseconds.
 DEFAULT_RETENTION_TIMES_US: Tuple[float, ...] = (50.0, 100.0, 200.0)
@@ -261,51 +257,3 @@ class SweepResult:
                 for label, result_data in dict(results.get(name, {})).items()
             }
         return sweep
-
-
-def run_point(
-    point: PolicyPoint,
-    application: ApplicationWorkload,
-    architecture: Optional[ArchitectureConfig] = None,
-) -> SimulationResult:
-    """Simulate one application at one eDRAM sweep point."""
-    arch = architecture if architecture is not None else scaled_architecture()
-    return RefrintSimulator(point.simulation_config(arch)).run(application)
-
-
-def run_sweep(
-    applications: Mapping[str, ApplicationWorkload],
-    architecture: Optional[ArchitectureConfig] = None,
-    points: Optional[Sequence[PolicyPoint]] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> SweepResult:
-    """Run the full-SRAM baseline plus every sweep point for each application.
-
-    This is a thin wrapper over the campaign engine
-    (:func:`repro.campaign.engine.run_campaign`) using a serial executor
-    seeded with the pre-built workloads; use the engine directly for
-    parallel execution, persistence and resume.
-
-    Args:
-        applications: workloads keyed by application name.
-        architecture: chip geometry (defaults to the scaled preset).
-        points: sweep points (defaults to the full Table 5.4 grid).
-        progress: optional callback invoked with a human-readable message
-            before each simulation (useful for long sweeps).
-    """
-    # Imported here: the campaign package builds on this module's classes.
-    from repro.campaign.engine import run_campaign
-    from repro.campaign.executors import SerialExecutor
-
-    arch = architecture if architecture is not None else scaled_architecture()
-    grid = list(points) if points is not None else default_policy_points()
-    requests = [WorkloadRequest(name) for name in applications]
-    executor = SerialExecutor(workloads=applications)
-    sweep, _ = run_campaign(
-        requests,
-        points=grid,
-        architecture=arch,
-        executor=executor,
-        progress=progress,
-    )
-    return sweep

@@ -8,7 +8,7 @@ from repro.experiments.figures import (
     figure_6_4,
     render_figure,
 )
-from repro.experiments.runner import ExperimentRunner, headline_summary
+from repro.experiments.runner import ExperimentScale, headline_summary
 from repro.experiments.tables import (
     application_binning_table,
     applications_table,
@@ -20,7 +20,7 @@ from repro.experiments.tables import (
 )
 
 __all__ = [
-    "ExperimentRunner",
+    "ExperimentScale",
     "FigureSeries",
     "application_binning_table",
     "applications_table",

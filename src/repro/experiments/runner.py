@@ -1,32 +1,27 @@
-"""Experiment orchestration: run (or reload) the sweep and summarise it.
+"""The experiment scale and the sweep's headline aggregates.
 
 Regenerating every figure of Chapter 6 requires the same underlying sweep
-(Table 5.4), so :class:`ExperimentRunner` runs it once, optionally caches
-the summary to a JSON file, and hands the in-memory
-:class:`~repro.core.sweep.SweepResult` to all figure functions.
-
-The size of the experiment (which applications, how long the traces are,
-which retention times and policies) is controlled by an
-:class:`ExperimentScale`; the defaults are sized so the whole sweep runs in
-a few minutes of pure Python, and environment variables allow the benchmark
-harness to scale it up to the full 11-application grid
+(Table 5.4).  An :class:`ExperimentScale` says how big that sweep is --
+which applications, how long the traces are, which retention times and
+policies -- and yields the workload recipes and policy points that
+:func:`~repro.campaign.engine.run_campaign` runs.  The defaults are sized
+so the whole sweep runs in a few minutes of pure Python, and environment
+variables allow the benchmark suite to scale it up to the full
+11-application grid
 (``REFRINT_APPS=all REFRINT_LENGTH_SCALE=1.0 pytest benchmarks/ ...``).
+
+:func:`point_averages` and :func:`headline_summary` aggregate a finished
+sweep into the all-application numbers the paper quotes.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.campaign.engine import make_executor, run_campaign, stream_campaign
-from repro.campaign.jobs import canonical_value
-from repro.campaign.view import StoreSweep
-from repro.config.parameters import ArchitectureConfig, TimingPolicyKind
-from repro.config.presets import paper_data_policies, scaled_architecture
-from repro.core.classes import APPLICATION_CLASSES
+from repro.config.parameters import TimingPolicyKind
+from repro.config.presets import paper_data_policies
 from repro.core.sweep import (
     DEFAULT_RETENTION_TIMES_US,
     PolicyPoint,
@@ -102,6 +97,13 @@ class ExperimentScale:
             retention_times_us=retentions,
         )
 
+    def workload_requests(self) -> List[WorkloadRequest]:
+        """The seeded workload recipes implied by this scale."""
+        return [
+            WorkloadRequest(name, length_scale=self.length_scale)
+            for name in self.applications
+        ]
+
     def policy_points(self) -> List[PolicyPoint]:
         """The sweep points implied by this scale."""
         data_policies = None
@@ -113,165 +115,6 @@ class ExperimentScale:
             timing_policies=self.timing_policies,
             data_policies=data_policies,
         )
-
-
-class ExperimentRunner:
-    """Run (or reload) the sweep needed by the Chapter 6 figures.
-
-    When ``cache_path`` points at a JSON summary saved by a previous run
-    whose recorded scale matches the requested one, the sweep is reloaded
-    from disk instead of re-simulated; otherwise it is executed through the
-    campaign engine (``jobs`` worker processes, optionally persisting and
-    resuming per-point results via ``store``/``resume``, with
-    ``store_backend`` selecting the on-disk layout).
-
-    With ``streaming=True`` (requires ``store``) the campaign is driven as
-    a stream -- each result is committed to the store the moment it
-    completes and dropped from memory -- and :meth:`sweep` returns a
-    :class:`~repro.campaign.view.StoreSweep` that the figure/table layer
-    aggregates directly from the store.  No whole-sweep summary is built or
-    cached, so memory stays bounded at 100k+ grid points.
-    """
-
-    def __init__(
-        self,
-        scale: Optional[ExperimentScale] = None,
-        architecture: Optional[ArchitectureConfig] = None,
-        cache_path: Optional[Path] = None,
-        jobs: int = 1,
-        store: Optional[Path] = None,
-        resume: bool = False,
-        store_backend: str = "auto",
-        streaming: bool = False,
-    ) -> None:
-        self.scale = scale if scale is not None else ExperimentScale.quick()
-        self.architecture = (
-            architecture if architecture is not None else scaled_architecture()
-        )
-        self.cache_path = cache_path
-        self.jobs = jobs
-        # Kept as a path: the store directory is only created if the sweep
-        # actually executes (not when it is reloaded from cache).
-        self.store = store
-        self.resume = resume
-        self.store_backend = store_backend
-        if streaming and store is None:
-            raise ValueError(
-                "streaming aggregation needs a result store to aggregate from; "
-                "pass store= (the segment backend is the right fit at scale)"
-            )
-        self.streaming = streaming
-        self.reloaded_from_cache = False
-        self._sweep: Optional[SweepResult] = None
-
-    def workload_requests(self) -> List[WorkloadRequest]:
-        """The seeded workload recipes implied by this experiment's scale."""
-        return [
-            WorkloadRequest(name, length_scale=self.scale.length_scale)
-            for name in self.scale.applications
-        ]
-
-    def sweep(self, progress=None) -> SweepResult:
-        """Run (or reload) the sweep for this experiment."""
-        if self._sweep is None:
-            if self.streaming:
-                self._sweep = self._stream_sweep(progress)
-                return self._sweep
-            reloaded = self._reload_summary()
-            if reloaded is not None:
-                self.reloaded_from_cache = True
-                self._sweep = reloaded
-                return self._sweep
-            self._sweep, _ = run_campaign(
-                self.workload_requests(),
-                points=self.scale.policy_points(),
-                architecture=self.architecture,
-                executor=make_executor(self.jobs),
-                store=self.store,
-                resume=self.resume,
-                progress=progress,
-                store_backend=self.store_backend,
-            )
-            if self.cache_path is not None:
-                self.save_summary(self.cache_path)
-        return self._sweep
-
-    def _stream_sweep(self, progress=None) -> StoreSweep:
-        """Drive the campaign as a stream; aggregate straight from the store.
-
-        Results flow executor -> store commit -> discarded; the returned
-        :class:`StoreSweep` reloads whichever results a figure touches, a
-        few at a time.  ``cache_path`` is ignored -- the store *is* the
-        persistent artefact, and a whole-sweep summary is exactly what this
-        mode exists to avoid.
-        """
-        points = self.scale.policy_points()
-        stream = stream_campaign(
-            self.workload_requests(),
-            points=points,
-            architecture=self.architecture,
-            executor=make_executor(self.jobs),
-            store=self.store,
-            resume=self.resume,
-            progress=progress,
-            store_backend=self.store_backend,
-        )
-        for _job, _result in stream:
-            pass  # commit side effects only; nothing retained
-        return StoreSweep(stream.store, stream.jobs, points)
-
-    def _scale_meta(self) -> Dict[str, object]:
-        """The experiment fingerprint stored alongside a cached summary.
-
-        Covers everything that determines the sweep's numbers: the scale
-        (applications, trace length, grid) and the chip geometry, so a
-        summary cached under one architecture is never reloaded by a
-        runner configured with another.
-        """
-        return {
-            "applications": list(self.scale.applications),
-            "length_scale": self.scale.length_scale,
-            "point_labels": [point.label for point in self.scale.policy_points()],
-            "architecture": canonical_value(self.architecture),
-        }
-
-    def _reload_summary(self) -> Optional[SweepResult]:
-        """Load the cached summary when it matches the requested scale."""
-        if self.cache_path is None or not Path(self.cache_path).exists():
-            return None
-        try:
-            with Path(self.cache_path).open("r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(data, dict):
-            return None
-        # Summaries without a scale fingerprint (or with a different one)
-        # cannot be trusted to describe this experiment; re-run instead.
-        if data.get("meta") != self._scale_meta():
-            return None
-        try:
-            return SweepResult.from_dict(data)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def save_summary(self, path: Path) -> None:
-        """Write a JSON summary of the sweep (for EXPERIMENTS.md and reuse)."""
-        if self._sweep is None:
-            raise RuntimeError("run the sweep before saving a summary")
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = dict(self._sweep.to_dict())
-        payload["meta"] = self._scale_meta()
-        with path.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-
-    # -- headline numbers --------------------------------------------------------
-
-    def class_applications(self, app_class: int) -> List[str]:
-        """The simulated applications belonging to one class."""
-        simulated = set(self.scale.applications)
-        return [name for name in APPLICATION_CLASSES[app_class] if name in simulated]
 
 
 def point_averages(

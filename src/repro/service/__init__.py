@@ -10,10 +10,10 @@ surrogate-backed off-grid, with exact backfill.  :func:`serve`
 from __future__ import annotations
 
 import asyncio
-from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.api.answer import RunJobs
+from repro.campaign.store import BaseResultStore
 from repro.service.core import (
     DEFAULT_MAX_CONCURRENT_BATCHES,
     ServiceStats,
@@ -35,8 +35,7 @@ __all__ = [
 
 
 def run_service(
-    store_root: Optional[Union[str, Path]] = None,
-    store_backend: str = "auto",
+    store: Optional[BaseResultStore] = None,
     host: str = "127.0.0.1",
     port: int = 8023,
     jobs: int = 1,
@@ -44,15 +43,10 @@ def run_service(
     validate_answers: bool = False,
     announce=print,
 ) -> None:
-    """Open the store, build the service, serve until interrupted (blocking)."""
+    """Build the service over an opened store, serve until interrupted
+    (blocking)."""
     from repro.campaign.engine import make_executor
-    from repro.campaign.store import open_store
 
-    store = (
-        open_store(store_root, backend=store_backend)
-        if store_root is not None
-        else None
-    )
     run_jobs: Optional[RunJobs] = None
     if jobs > 1:
         executor = make_executor(jobs)

@@ -7,8 +7,12 @@ tests that walk every cache line).
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.campaign.store import PROVENANCE_FILE, entry_payload
 from repro.config.parameters import (
     ArchitectureConfig,
     CacheGeometry,
@@ -18,6 +22,7 @@ from repro.config.parameters import (
     TimingPolicyKind,
 )
 from repro.config.presets import scaled_architecture
+from repro.workloads.synthetic import TRACE_GENERATOR_PROVENANCE
 
 
 def make_tiny_architecture() -> ArchitectureConfig:
@@ -51,6 +56,24 @@ def make_tiny_architecture() -> ArchitectureConfig:
         mesh_width=4,
         mesh_height=4,
     )
+
+
+def write_legacy_store(root, pairs, provenance=TRACE_GENERATOR_PROVENANCE) -> Path:
+    """Write ``(job, result)`` pairs in the legacy one-file-per-result layout.
+
+    Byte for byte what that layout's writer produced: one
+    ``<key>.json`` per result holding ``json.dump(entry_payload(...),
+    indent=2, sort_keys=True)``, and the provenance stamp beside them.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    (root / PROVENANCE_FILE).write_text(
+        json.dumps({"trace_generator": provenance}, indent=2) + "\n"
+    )
+    for job, result in pairs:
+        with (root / f"{job.key()}.json").open("w", encoding="utf-8") as handle:
+            json.dump(entry_payload(job, result), handle, indent=2, sort_keys=True)
+    return root
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Tests for the campaign engine: jobs, store, executors, resume, reload."""
+"""Tests for the campaign engine: jobs, store, executors, resume."""
 
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ from repro.campaign.jobs import (
     enumerate_jobs,
     hash_payload_digest,
 )
-from repro.campaign.store import ResultStore
+from repro.campaign.segments import SegmentResultStore
+from repro.campaign.store import open_store
 from repro.config.parameters import (
     ArchitectureConfig,
     CacheGeometry,
@@ -37,15 +38,9 @@ from repro.config.parameters import (
     TimingPolicyKind,
 )
 from repro.config.presets import scaled_architecture
-from repro.core.sweep import (
-    PolicyPoint,
-    SweepResult,
-    default_policy_points,
-    run_sweep,
-)
+from repro.core.sweep import PolicyPoint, SweepResult, default_policy_points
 from repro.core.results import SimulationResult
-from repro.experiments.runner import ExperimentRunner, ExperimentScale
-from repro.workloads.suite import WorkloadRequest, build_suite
+from repro.workloads.suite import WorkloadRequest
 
 #: A deliberately tiny grid so every test in this module runs in seconds.
 POINTS = [
@@ -235,7 +230,7 @@ class TestWorkloadRequest:
 class TestResultStore:
     def test_round_trip(self, tmp_path, arch, requests, serial_sweep):
         sweep, _ = serial_sweep
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         jobs = enumerate_jobs(requests, POINTS, arch)
         baseline = sweep.baseline("blackscholes")
         store.put(jobs[0], baseline)
@@ -245,15 +240,24 @@ class TestResultStore:
         assert loaded.to_dict() == baseline.to_dict()
         assert loaded.label == "SRAM"
 
-    def test_missing_and_corrupt_entries_are_none(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+    def test_missing_and_corrupt_entries_are_none(
+        self, tmp_path, arch, requests, serial_sweep
+    ):
+        sweep, _ = serial_sweep
+        store = open_store(tmp_path / "store")
         assert store.get("deadbeef") is None
-        store.path_for("deadbeef").write_text("{not json")
-        assert store.get("deadbeef") is None
+        job = enumerate_jobs(requests, POINTS, arch)[0]
+        store.put(job, sweep.baseline("blackscholes"))
+        store.flush()
+        name, offset, length = store._index[job.key()]
+        with store.segment_path(name).open("r+b") as handle:
+            handle.seek(offset)
+            handle.write(b"{not json" + b" " * (length - 9))
+        assert SegmentResultStore(store.root).get(job.key()) is None
 
     def test_len_and_keys(self, tmp_path, arch, requests, serial_sweep):
         sweep, _ = serial_sweep
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         assert len(store) == 0
         jobs = enumerate_jobs(requests, POINTS, arch)
         store.put(jobs[0], sweep.baseline("blackscholes"))
@@ -271,14 +275,6 @@ class TestExecutors:
         )
         assert stats.executed == stats.total
         assert parallel.to_dict() == serial.to_dict()
-
-    def test_run_sweep_matches_campaign(self, arch, requests, serial_sweep):
-        serial, _ = serial_sweep
-        workloads = build_suite(
-            arch, length_scale=LENGTH_SCALE, names=["blackscholes"]
-        )
-        legacy = run_sweep(workloads, architecture=arch, points=POINTS)
-        assert legacy.to_dict() == serial.to_dict()
 
     def test_make_executor(self):
         assert isinstance(make_executor(1), SerialExecutor)
@@ -380,19 +376,6 @@ class TestResume:
         )
         assert stats.executed == stats.total
 
-    def test_store_refused_for_prebuilt_workloads(self, tmp_path, arch, requests):
-        # Pre-built traces are not described by the jobs' recipes, so
-        # persisting their results would poison the content-addressed store.
-        workloads = build_suite(arch, length_scale=0.01, names=["blackscholes"])
-        with pytest.raises(ValueError, match="pre-built"):
-            run_campaign(
-                requests,
-                points=POINTS,
-                architecture=arch,
-                executor=SerialExecutor(workloads=workloads),
-                store=tmp_path / "store",
-            )
-
     def test_duplicate_requests_simulate_once(self, arch):
         reqs = [
             WorkloadRequest("blackscholes", length_scale=LENGTH_SCALE),
@@ -464,54 +447,3 @@ class TestSerialisationRoundTrips:
         for point in POINTS:
             expected = sweep.normalised_memory_energy(point)
             assert restored.normalised_memory_energy(point) == expected
-
-
-class TestRunnerReload:
-    SCALE = ExperimentScale(
-        applications=("blackscholes",),
-        length_scale=LENGTH_SCALE,
-        retention_times_us=(50.0,),
-        include_all_data_policies=False,
-    )
-
-    def test_reloads_matching_cache(self, tmp_path):
-        cache = tmp_path / "sweep.json"
-        first = ExperimentRunner(scale=self.SCALE, cache_path=cache)
-        sweep = first.sweep()
-        assert cache.exists() and not first.reloaded_from_cache
-        second = ExperimentRunner(scale=self.SCALE, cache_path=cache)
-        reloaded = second.sweep()
-        assert second.reloaded_from_cache
-        assert reloaded.to_dict() == sweep.to_dict()
-
-    def test_ignores_mismatched_cache(self, tmp_path):
-        cache = tmp_path / "sweep.json"
-        ExperimentRunner(scale=self.SCALE, cache_path=cache).sweep()
-        other_scale = ExperimentScale(
-            applications=("blackscholes",),
-            length_scale=LENGTH_SCALE * 2,
-            retention_times_us=(50.0,),
-            include_all_data_policies=False,
-        )
-        runner = ExperimentRunner(scale=other_scale, cache_path=cache)
-        runner.sweep()
-        assert not runner.reloaded_from_cache
-
-    def test_ignores_cache_from_different_architecture(self, tmp_path):
-        from repro.config.presets import paper_architecture
-
-        cache = tmp_path / "sweep.json"
-        ExperimentRunner(scale=self.SCALE, cache_path=cache).sweep()
-        runner = ExperimentRunner(
-            scale=self.SCALE, architecture=paper_architecture(), cache_path=cache
-        )
-        # Only the reload decision is under test; don't run the (slow)
-        # paper-sized sweep itself.
-        assert runner._reload_summary() is None
-
-    def test_ignores_corrupt_cache(self, tmp_path):
-        cache = tmp_path / "sweep.json"
-        cache.write_text("{broken")
-        runner = ExperimentRunner(scale=self.SCALE, cache_path=cache)
-        runner.sweep()
-        assert not runner.reloaded_from_cache

@@ -7,13 +7,22 @@ import json
 
 import pytest
 
+from repro.api.query import QueryRequest
+from repro.campaign.engine import run_campaign
+from repro.campaign.jobs import enumerate_jobs
+from repro.campaign.store import PROVENANCE_FILE, open_store
 from repro.cli import build_parser, main
 from repro.config.parameters import DataPolicyKind, TimingPolicyKind
-from repro.config.presets import scaled_architecture
-from repro.core.sweep import PolicyPoint, run_sweep
+from repro.config.presets import paper_data_policies, scaled_architecture
+from repro.core.simulator import RefrintSimulator
+from repro.core.sweep import PolicyPoint
 from repro.config.parameters import DataPolicySpec
 from repro.experiments.report import sweep_report
-from repro.workloads.suite import build_suite
+from repro.workloads.suite import WorkloadRequest
+from repro.workloads.synthetic import TRACE_GENERATOR_PROVENANCE
+from tests.conftest import write_legacy_store
+
+OTHER = "scalar" if TRACE_GENERATOR_PROVENANCE == "numpy" else "numpy"
 
 
 class TestArgumentParsing:
@@ -206,17 +215,134 @@ class TestCommands:
         # Like argparse errors, validation errors land on stderr.
         assert "--store" in capsys.readouterr().err
 
+    def test_sweep_rerun_without_resume_keeps_the_store_healthy(
+        self, cli_store, tmp_path
+    ):
+        """A second sweep into the same store re-puts every key; the older
+        records it supersedes are neither damage for ``store verify`` nor
+        index entries for ``store gc`` to drop."""
+        import shutil
+
+        store, argv, _ = cli_store
+        rerun = shutil.copytree(store, tmp_path / "rerun")
+        jobs = len(open_store(rerun))
+        argv = argv[: argv.index("--store")] + ["--store", str(rerun)]
+        out = io.StringIO()
+        assert main(argv, out=out) == 0
+        assert f"{jobs} jobs: {jobs} simulated" in out.getvalue()
+        for _ in range(2):
+            out = io.StringIO()
+            assert main(["store", "verify", str(rerun)], out=out) == 0
+            assert f"verified {jobs} entries: {jobs} ok, 0 bad" in out.getvalue()
+            out = io.StringIO()
+            assert main(["store", "gc", str(rerun)], out=out) == 0
+            assert "dropped" not in out.getvalue()
+            assert f"removed 0 files, kept {jobs} entries" in out.getvalue()
+        assert len(open_store(rerun)) == jobs
+
+    def test_legacy_store_import_round_trip(self, cli_store, tmp_path):
+        """``store migrate`` imports a legacy store the resumed sweep reuses
+        whole, copying the stamp and leaving the source untouched."""
+        store, argv, _ = cli_store
+        request = QueryRequest(
+            applications=("blackscholes",),
+            retentions_us=(50.0,),
+            timing_policies=(TimingPolicyKind.PERIODIC, TimingPolicyKind.REFRINT),
+            data_policies=tuple(paper_data_policies()),
+            length_scale=0.05,
+        )
+        jobs = enumerate_jobs(
+            request.workload_requests(), request.policy_points(),
+            scaled_architecture(),
+        )
+        results = open_store(store)
+        legacy = write_legacy_store(
+            tmp_path / "legacy", [(job, results.get(job.key())) for job in jobs]
+        )
+        before = {path.name: path.read_bytes() for path in legacy.iterdir()}
+        imported = tmp_path / "imported"
+        out = io.StringIO()
+        assert main(["store", "migrate", str(legacy), str(imported)], out=out) == 0
+        assert f"migrated {len(jobs)} entries" in out.getvalue()
+        out = io.StringIO()
+        assert main(["store", "verify", str(imported)], out=out) == 0
+        assert f"{len(jobs)} ok" in out.getvalue()
+        assert (imported / PROVENANCE_FILE).read_bytes() == before[PROVENANCE_FILE]
+        out = io.StringIO()
+        resumed = argv[: argv.index("--store")] + ["--store", str(imported), "--resume"]
+        assert main(resumed, out=out) == 0
+        assert f"{len(jobs)} jobs: 0 simulated" in out.getvalue()
+        assert {path.name: path.read_bytes() for path in legacy.iterdir()} == before
+        # An occupied destination is refused.
+        assert main(["store", "migrate", str(legacy), str(imported)]) == 2
+
+
+class TestUnopenableStore:
+    """A store the CLI cannot open exits 2 with ``error: ...`` before any
+    simulation starts or any socket is bound."""
+
+    GRID = ["--applications", "fft", "--length-scale", "0.05", "--retentions", "50"]
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        import repro.service
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no work may start")
+
+        monkeypatch.setattr(RefrintSimulator, "run", forbidden)
+        monkeypatch.setattr(repro.service, "run_service", forbidden)
+
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        root = tmp_path / "legacy"
+        root.mkdir()
+        (root / (64 * "a" + ".json")).write_text("{}")
+        return root
+
+    @pytest.fixture
+    def foreign(self, tmp_path):
+        root = tmp_path / "foreign"
+        root.mkdir()
+        (root / PROVENANCE_FILE).write_text(json.dumps({"trace_generator": OTHER}))
+        return root
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", *GRID],
+            ["sweep", *GRID, "--store-backend", "segment"],
+            ["validate", *GRID],
+            ["serve"],
+        ],
+    )
+    def test_legacy_directory_names_store_migrate(self, capsys, legacy, argv):
+        assert main([*argv, "--store", str(legacy)], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"store migrate {legacy}" in err
+
+    @pytest.mark.parametrize("argv", [["sweep", *GRID], ["serve"]])
+    def test_foreign_provenance_is_named(self, capsys, foreign, argv):
+        assert main([*argv, "--store", str(foreign)], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{OTHER!r} trace generator" in err
+
 
 class TestReport:
     @pytest.fixture(scope="class")
     def tiny_sweep(self):
-        arch = scaled_architecture()
-        workloads = build_suite(arch, length_scale=0.05, names=["fft"])
         points = [
             PolicyPoint(50.0, TimingPolicyKind.PERIODIC, DataPolicySpec.all_lines()),
             PolicyPoint(50.0, TimingPolicyKind.REFRINT, DataPolicySpec.writeback(32, 32)),
         ]
-        return run_sweep(workloads, architecture=arch, points=points)
+        sweep, _ = run_campaign(
+            [WorkloadRequest("fft", length_scale=0.05)],
+            points=points,
+            architecture=scaled_architecture(),
+        )
+        return sweep
 
     def test_report_contains_all_figures_and_applications(self, tiny_sweep):
         report = sweep_report(tiny_sweep, title="Test report")

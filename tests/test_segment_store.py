@@ -1,11 +1,11 @@
-"""Tests for the segment store backend: format, recovery, equivalence.
+"""Tests for the segment store: format, recovery, maintenance, legacy import.
 
-The segment store must be drop-in equivalent to the per-file JSON backend
-(byte-identical canonical payloads, same resume semantics) while adding
-crash-safe append-only persistence.  These tests run a real miniature
-campaign once and exercise rollover, both crash modes (record bytes lost
-versus index line lost), resume-after-crash, maintenance and migration on
-the artefacts it leaves behind.
+These tests run a real miniature campaign once and exercise rollover, both
+crash modes (record bytes lost versus index line lost), resume-after-crash
+and maintenance on the artefacts it leaves behind.  The same results are
+also written in the legacy one-file-per-result layout, to check that
+``open_store`` refuses such a directory and that ``store migrate`` imports
+it byte for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.campaign.engine import run_campaign
+from repro.campaign.engine import run_campaign, stream_campaign
 from repro.campaign.jobs import enumerate_jobs
 from repro.campaign.maintenance import (
     migrate_store,
@@ -29,14 +29,19 @@ from repro.campaign.segments import (
     segment_name,
 )
 from repro.campaign.store import (
+    PROVENANCE_FILE,
     ResultStore,
-    detect_backend,
+    legacy_entry_keys,
     open_store,
 )
 from repro.config.parameters import DataPolicySpec, TimingPolicyKind
 from repro.config.presets import scaled_architecture
 from repro.core.sweep import PolicyPoint
 from repro.workloads.suite import WorkloadRequest
+from repro.workloads.synthetic import TRACE_GENERATOR_PROVENANCE
+from tests.conftest import write_legacy_store
+
+OTHER = "scalar" if TRACE_GENERATOR_PROVENANCE == "numpy" else "numpy"
 
 POINTS = [
     PolicyPoint(50.0, TimingPolicyKind.PERIODIC, DataPolicySpec.all_lines()),
@@ -56,19 +61,30 @@ def requests():
     return [WorkloadRequest("blackscholes", length_scale=LENGTH_SCALE)]
 
 
+def sweep_pairs(jobs, sweep):
+    """``(job, result)`` for every job of a sweep."""
+    return [
+        (
+            job,
+            sweep.baseline(job.application)
+            if job.is_baseline
+            else sweep.results[job.application][job.point_label],
+        )
+        for job in jobs
+    ]
+
+
 @pytest.fixture(scope="module")
 def campaign_stores(arch, requests, tmp_path_factory):
-    """One miniature campaign persisted to both backends."""
+    """One miniature campaign in a segment store, and its results written
+    in the legacy per-file layout."""
     root = tmp_path_factory.mktemp("stores")
-    sweep_json, _ = run_campaign(
-        requests, points=POINTS, architecture=arch,
-        store=root / "json", store_backend="json",
+    sweep, _ = run_campaign(
+        requests, points=POINTS, architecture=arch, store=root / "segment",
     )
-    sweep_seg, _ = run_campaign(
-        requests, points=POINTS, architecture=arch,
-        store=root / "segment", store_backend="segment",
-    )
-    return root / "json", root / "segment", sweep_json, sweep_seg
+    jobs = enumerate_jobs(requests, POINTS, arch)
+    legacy = write_legacy_store(root / "legacy", sweep_pairs(jobs, sweep))
+    return legacy, root / "segment", sweep
 
 
 def clone_store(source, destination):
@@ -86,16 +102,16 @@ class TestSegmentFormat:
         assert parse_segment_number("other.jsonl") is None
 
     def test_layout_and_detection(self, campaign_stores):
-        json_root, seg_root, _, _ = campaign_stores
-        assert detect_backend(seg_root) == "segment"
-        assert detect_backend(json_root) == "json"
+        legacy_root, seg_root, _ = campaign_stores
         assert (seg_root / SEGMENT_META_FILE).exists()
         assert list((seg_root / "segments").glob("seg-*.jsonl"))
         meta = json.loads((seg_root / SEGMENT_META_FILE).read_text())
         assert meta["format"] == "refrint-segment-v1"
+        assert legacy_entry_keys(seg_root) == []
+        assert len(legacy_entry_keys(legacy_root)) == 3
 
     def test_segment_headers_stamp_provenance(self, campaign_stores):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         for path in (seg_root / "segments").glob("seg-*.jsonl"):
             header = json.loads(path.read_text().splitlines()[0])
             assert header["store_format"] == "refrint-segment-v1"
@@ -103,34 +119,37 @@ class TestSegmentFormat:
             assert isinstance(header["trace_generator"], str)
 
     def test_open_store_refuses_backend_mismatch(self, campaign_stores):
-        # The refusal must name BOTH the detected and the requested backend
-        # and spell out the store-migrate escape hatch, so the error alone
-        # is enough to fix the invocation.
-        json_root, seg_root, _, _ = campaign_stores
+        # A legacy directory is refused, and the error alone says how to
+        # import it; no other backend can be asked for.
+        legacy_root, seg_root, _ = campaign_stores
+        before = sorted(path.name for path in legacy_root.iterdir())
         with pytest.raises(ValueError) as excinfo:
+            open_store(legacy_root)
+        message = str(excinfo.value)
+        assert "legacy" in message
+        assert f"store migrate {legacy_root}" in message
+        assert sorted(path.name for path in legacy_root.iterdir()) == before
+        with pytest.raises(ValueError, match="only 'segment'"):
             open_store(seg_root, backend="json")
-        message = str(excinfo.value)
-        assert "'segment'-layout" in message
-        assert "backend='json'" in message
-        assert f"store migrate {seg_root}" in message
-        assert "--to json" in message
-        with pytest.raises(ValueError) as excinfo:
-            open_store(json_root, backend="segment")
-        message = str(excinfo.value)
-        assert "'json'-layout" in message
-        assert "backend='segment'" in message
-        assert f"store migrate {json_root}" in message
-        assert "--to segment" in message
 
-    def test_open_store_auto_detects(self, campaign_stores):
-        json_root, seg_root, _, _ = campaign_stores
+    def test_open_store_opens_a_killed_campaigns_directory(
+        self, tmp_path, campaign_stores, arch, requests
+    ):
+        """A campaign killed before its first result leaves only the
+        provenance stamp; that directory is a (new) segment store."""
+        _, seg_root, _ = campaign_stores
         assert isinstance(open_store(seg_root), SegmentResultStore)
-        assert isinstance(open_store(json_root), ResultStore)
+        killed = tmp_path / "killed"
+        stream_campaign(requests, points=POINTS, architecture=arch, store=killed)
+        assert [path.name for path in killed.iterdir()] == [PROVENANCE_FILE]
+        store = open_store(killed, backend="segment")
+        assert isinstance(store, SegmentResultStore)
+        assert len(store) == 0
 
 
 class TestRoundTripAndRollover:
     def test_mapping_interface(self, campaign_stores, arch, requests):
-        _, seg_root, sweep, _ = campaign_stores
+        _, seg_root, sweep = campaign_stores
         store = SegmentResultStore(seg_root)
         jobs = enumerate_jobs(requests, POINTS, arch)
         assert len(store) == len(jobs)
@@ -146,7 +165,7 @@ class TestRoundTripAndRollover:
     def test_rollover_splits_records_across_segments(
         self, tmp_path, campaign_stores
     ):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         source = SegmentResultStore(seg_root)
         small = SegmentResultStore(tmp_path / "small", segment_max_bytes=4096)
         for key, payload in source.iter_records():
@@ -161,29 +180,24 @@ class TestRoundTripAndRollover:
             assert reopened.get(key) is not None
 
     def test_payloads_byte_identical_across_backends(self, campaign_stores):
-        json_root, seg_root, _, _ = campaign_stores
-        json_store = open_store(json_root)
-        seg_store = open_store(seg_root)
-        json_payloads = {
+        legacy_root, seg_root, _ = campaign_stores
+        legacy_payloads = {
             key: json.dumps(payload, sort_keys=True)
-            for key, payload in json_store.iter_records()
+            for key, payload in ResultStore(legacy_root).iter_records()
         }
         seg_payloads = {
             key: json.dumps(payload, sort_keys=True)
-            for key, payload in seg_store.iter_records()
+            for key, payload in open_store(seg_root).iter_records()
         }
-        assert json_payloads == seg_payloads
-
-    def test_sweeps_identical_across_backends(self, campaign_stores):
-        _, _, sweep_json, sweep_seg = campaign_stores
-        assert sweep_json.to_dict() == sweep_seg.to_dict()
+        assert len(seg_payloads) == 3
+        assert legacy_payloads == seg_payloads
 
 
 class TestDecodedResultCache:
     """``get`` serves repeat reads from decoded dicts, never shared objects."""
 
     def test_each_get_returns_a_fresh_result(self, tmp_path, campaign_stores):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         store = SegmentResultStore(clone_store(seg_root, tmp_path / "fresh"))
         key = sorted(store.keys())[0]
         first, second = store.get(key), store.get(key)
@@ -197,7 +211,7 @@ class TestDecodedResultCache:
     def test_repeat_get_skips_the_segment(
         self, tmp_path, campaign_stores, monkeypatch
     ):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         store = SegmentResultStore(clone_store(seg_root, tmp_path / "warm"))
         key = sorted(store.keys())[0]
         expected = store.get(key).to_dict()
@@ -209,7 +223,7 @@ class TestDecodedResultCache:
         assert store.get(key).to_dict() == expected
 
     def test_writes_evict_their_keys(self, tmp_path, campaign_stores):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         store = SegmentResultStore(clone_store(seg_root, tmp_path / "evict"))
         rewritten, dropped = sorted(store.keys())[:2]
         payload = dict(store.iter_records())[rewritten]
@@ -223,7 +237,7 @@ class TestDecodedResultCache:
         store.close()
 
     def test_cache_stays_within_its_bound(self, tmp_path, campaign_stores):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         store = SegmentResultStore(clone_store(seg_root, tmp_path / "bound"))
         _, payload = next(iter(store.iter_records()))
         keys = [f"{number:064x}" for number in range(DECODED_CACHE_ENTRIES + 8)]
@@ -244,7 +258,7 @@ class TestCrashRecovery:
         last.write_bytes(blob[: len(blob) - cut])
 
     def test_truncated_record_is_cleanly_absent(self, tmp_path, campaign_stores):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         root = clone_store(seg_root, tmp_path / "crash")
         before = set(SegmentResultStore(seg_root).keys())
         self.crash_truncate_tail(root)
@@ -267,7 +281,7 @@ class TestCrashRecovery:
         self, tmp_path, campaign_stores, arch, requests
     ):
         """After a crash, a resumed campaign re-runs exactly the lost jobs."""
-        _, seg_root, sweep_before, _ = campaign_stores
+        _, seg_root, sweep_before = campaign_stores
         root = clone_store(seg_root, tmp_path / "crash")
         self.crash_truncate_tail(root)
         sweep, stats = run_campaign(
@@ -281,7 +295,7 @@ class TestCrashRecovery:
 
     def test_lost_index_line_is_reindexed(self, tmp_path, campaign_stores):
         """Crash between segment append and index append loses nothing."""
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         root = clone_store(seg_root, tmp_path / "crash")
         index = root / "index.jsonl"
         lines = index.read_text().splitlines()
@@ -297,7 +311,7 @@ class TestCrashRecovery:
     def test_resume_after_lost_index_line_reruns_nothing(
         self, tmp_path, campaign_stores, arch, requests
     ):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         root = clone_store(seg_root, tmp_path / "crash")
         index = root / "index.jsonl"
         lines = index.read_text().splitlines()
@@ -312,19 +326,23 @@ class TestCrashRecovery:
     def test_resume_mid_campaign_round_trip(
         self, tmp_path, campaign_stores, arch, requests, backend
     ):
-        """A campaign killed part-way resumes to the identical sweep."""
-        json_root, seg_root, sweep_before, _ = campaign_stores
-        source = json_root if backend == "json" else seg_root
-        root = clone_store(source, tmp_path / "partial")
-        # Simulate the kill: retire one completed job from the store.
-        store = open_store(root)
-        victim = sorted(store.keys())[0]
+        """A campaign killed part-way resumes to the identical sweep.
+
+        ``json`` is a legacy per-file store missing one entry, imported
+        first; ``segment`` is a segment store with one entry retired.
+        """
+        legacy_root, seg_root, sweep_before = campaign_stores
+        root = tmp_path / "partial"
         if backend == "json":
-            store.path_for(victim).unlink()
-            store.refresh_index()
+            partial = clone_store(legacy_root, tmp_path / "partial-legacy")
+            victim = ResultStore(partial).keys()[0]
+            (partial / f"{victim}.json").unlink()
+            assert migrate_store(partial, root) == (2, 0)
         else:
-            store.drop_keys([victim])
-        store.close()
+            clone_store(seg_root, root)
+            store = open_store(root)
+            store.drop_keys([sorted(store.keys())[0]])
+            store.close()
         sweep, stats = run_campaign(
             requests, points=POINTS, architecture=arch, store=root, resume=True,
         )
@@ -334,14 +352,14 @@ class TestCrashRecovery:
 
 class TestMaintenanceOnSegments:
     def test_verify_clean_store(self, campaign_stores):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         report = store_verify(seg_root)
         assert report.ok
         assert len(report.entries) == 3
         assert all(entry.application == "blackscholes" for entry in report.entries)
 
     def test_verify_after_simulated_crash_then_gc(self, tmp_path, campaign_stores):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         root = clone_store(seg_root, tmp_path / "crash")
         TestCrashRecovery().crash_truncate_tail(root)
         report = store_verify(root)
@@ -352,7 +370,7 @@ class TestMaintenanceOnSegments:
         assert store_verify(root).ok
 
     def test_orphaned_segment_detection_and_gc(self, tmp_path, campaign_stores):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         root = clone_store(seg_root, tmp_path / "orphan")
         stray = root / "segments" / segment_name(999)
         header = {"segment": stray.name, "store_format": "refrint-segment-v1"}
@@ -368,7 +386,7 @@ class TestMaintenanceOnSegments:
         assert store_verify(root).ok
 
     def test_index_mismatch_detection(self, tmp_path, campaign_stores):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         root = clone_store(seg_root, tmp_path / "mismatch")
         index = root / "index.jsonl"
         lines = [json.loads(line) for line in index.read_text().splitlines()]
@@ -386,7 +404,7 @@ class TestMaintenanceOnSegments:
         assert "index mismatch" in problems
 
     def test_hash_verification_catches_tampering(self, tmp_path, campaign_stores):
-        _, seg_root, _, _ = campaign_stores
+        _, seg_root, _ = campaign_stores
         root = clone_store(seg_root, tmp_path / "tampered")
         store = SegmentResultStore(root)
         key, payload = next(iter(store.iter_records()))
@@ -400,51 +418,116 @@ class TestMaintenanceOnSegments:
         assert "content hash mismatch" in problems
 
 
-class TestMigration:
-    def test_json_to_segment_to_json_is_byte_identical(
-        self, tmp_path, campaign_stores
+class TestMismatchedRecord:
+    """An index entry pointing at another key's record reads as a miss."""
+
+    def point_first_entry_at_second_record(self, root):
+        index = root / "index.jsonl"
+        lines = [json.loads(line) for line in index.read_text().splitlines()]
+        lines[0]["offset"] = lines[1]["offset"]
+        lines[0]["length"] = lines[1]["length"]
+        index.write_text(
+            "".join(
+                json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+                for entry in lines
+            )
+        )
+        return lines[0]["key"], lines[1]["key"]
+
+    def test_get_misses_and_caches_nothing(self, tmp_path, campaign_stores):
+        _, seg_root, _ = campaign_stores
+        root = clone_store(seg_root, tmp_path / "mismatch")
+        victim, other = self.point_first_entry_at_second_record(root)
+        store = SegmentResultStore(root)
+        assert victim in store
+        assert store.get(victim) is None
+        assert victim not in store._decoded
+        assert store.get(victim) is None
+        assert store.get(other) is not None
+        assert victim not in dict(store.iter_records())
+
+    def test_resume_reruns_the_mismatched_job(
+        self, tmp_path, campaign_stores, arch, requests
     ):
-        json_root, _, _, _ = campaign_stores
-        seg_copy = tmp_path / "as-segment"
-        json_again = tmp_path / "as-json"
-        copied, skipped = migrate_store(json_root, seg_copy, backend="segment")
+        _, seg_root, sweep_before = campaign_stores
+        root = clone_store(seg_root, tmp_path / "mismatch")
+        self.point_first_entry_at_second_record(root)
+        sweep, stats = run_campaign(
+            requests, points=POINTS, architecture=arch, store=root, resume=True,
+        )
+        assert stats.executed == 1 and stats.reused == 2
+        assert sweep.to_dict() == sweep_before.to_dict()
+
+
+class TestMigration:
+    """``store migrate`` imports a legacy per-file store, one way only."""
+
+    def test_legacy_import_is_byte_identical(self, tmp_path, campaign_stores):
+        legacy_root, _, _ = campaign_stores
+        before = {path.name: path.read_bytes() for path in legacy_root.iterdir()}
+        destination = tmp_path / "imported"
+        copied, skipped = migrate_store(legacy_root, destination)
         assert (copied, skipped) == (3, 0)
-        assert detect_backend(seg_copy) == "segment"
-        assert store_verify(seg_copy).ok
-        migrate_store(seg_copy, json_again, backend="json")
-        original = {
-            path.name: path.read_bytes() for path in json_root.glob("*.json")
-        }
-        restored = {
-            path.name: path.read_bytes() for path in json_again.glob("*.json")
-        }
-        assert original == restored
+        assert store_verify(destination).ok
+        imported = dict(open_store(destination).iter_records())
+        assert sorted(imported) == legacy_entry_keys(legacy_root)
+        for key, payload in imported.items():
+            # Re-serialised with the legacy writer's settings, every record
+            # reproduces its source file bit for bit.
+            assert json.dumps(payload, indent=2, sort_keys=True) == (
+                legacy_root / f"{key}.json"
+            ).read_text()
+        # The source is only read.
+        after = {path.name: path.read_bytes() for path in legacy_root.iterdir()}
+        assert after == before
 
     def test_migration_copies_provenance_verbatim(self, tmp_path, campaign_stores):
-        _, seg_root, _, _ = campaign_stores
+        legacy_root, _, _ = campaign_stores
         destination = tmp_path / "migrated"
-        migrate_store(seg_root, destination, backend="json")
-        assert (
-            open_store(destination).recorded_provenance()
-            == open_store(seg_root).recorded_provenance()
+        migrate_store(legacy_root, destination)
+        assert (destination / PROVENANCE_FILE).read_bytes() == (
+            legacy_root / PROVENANCE_FILE
+        ).read_bytes()
+        # A store from the other environment keeps its stamp, in the marker
+        # and in every segment header: importing it here does not
+        # reattribute its results, and the imported store verifies.
+        foreign = clone_store(legacy_root, tmp_path / "foreign")
+        (foreign / PROVENANCE_FILE).write_text(
+            json.dumps({"trace_generator": OTHER}, indent=2) + "\n"
         )
+        imported = tmp_path / "foreign-imported"
+        assert migrate_store(foreign, imported) == (3, 0)
+        assert (imported / PROVENANCE_FILE).read_bytes() == (
+            foreign / PROVENANCE_FILE
+        ).read_bytes()
+        headers = [
+            json.loads(path.read_text().splitlines()[0])["trace_generator"]
+            for path in (imported / "segments").glob("seg-*.jsonl")
+        ]
+        assert headers == [OTHER]
+        assert store_verify(imported).ok
 
     def test_migration_refuses_non_empty_destination(
         self, tmp_path, campaign_stores
     ):
-        json_root, _, _, _ = campaign_stores
+        legacy_root, seg_root, _ = campaign_stores
         destination = tmp_path / "occupied"
         destination.mkdir()
         (destination / "something.txt").write_text("x")
         with pytest.raises(ValueError, match="not empty"):
-            migrate_store(json_root, destination, backend="segment")
+            migrate_store(legacy_root, destination)
+        with pytest.raises(ValueError, match="onto itself"):
+            migrate_store(legacy_root, legacy_root)
+        with pytest.raises(ValueError, match="already a segment store"):
+            migrate_store(seg_root, tmp_path / "fresh")
+        assert not (tmp_path / "fresh").exists()
 
     def test_migrated_store_resumes_without_rerunning(
         self, tmp_path, campaign_stores, arch, requests
     ):
-        json_root, _, sweep_before, _ = campaign_stores
+        legacy_root, _, sweep_before = campaign_stores
         destination = tmp_path / "migrated"
-        migrate_store(json_root, destination, backend="segment")
+        migrate_store(legacy_root, destination)
         sweep, stats = run_campaign(
             requests, points=POINTS, architecture=arch,
             store=destination, resume=True,

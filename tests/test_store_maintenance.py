@@ -3,19 +3,18 @@
 from __future__ import annotations
 
 import io
-import json
 
 import pytest
 
 from repro.campaign.jobs import Job
 from repro.campaign.maintenance import store_gc, store_ls, store_verify
-from repro.campaign.store import ResultStore
+from repro.campaign.store import entry_payload, open_store
 from repro.cli import main as cli_main
 from repro.config.parameters import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.energy.accounting import EnergyBreakdown
 from repro.workloads.suite import WorkloadRequest
-from tests.conftest import make_tiny_architecture
+from tests.conftest import make_tiny_architecture, write_legacy_store
 
 
 def make_job(name: str = "fft") -> Job:
@@ -41,13 +40,39 @@ def make_result(application: str = "fft") -> SimulationResult:
     )
 
 
-@pytest.fixture
-def populated_store(tmp_path):
-    store = ResultStore(tmp_path / "store")
+def populate(root, mutate=None, first_key=None):
+    """A store holding fft and barnes entries.
+
+    ``mutate`` edits fft's payload before it is written, and ``first_key``
+    files it under another key -- damage written as the record's only
+    copy, the way a faulty writer or hand-editing leaves it.
+    """
+    store = open_store(root)
     jobs = [make_job("fft"), make_job("barnes")]
     for job in jobs:
-        store.put(job, make_result(job.application))
+        payload = entry_payload(job, make_result(job.application))
+        key = job.key()
+        if job is jobs[0]:
+            if mutate is not None:
+                mutate(payload)
+            key = first_key or key
+        store.put_record(key, payload)
+    store.check_provenance()
+    store.flush()
     return store, jobs
+
+
+@pytest.fixture
+def populated_store(tmp_path):
+    return populate(tmp_path / "store")
+
+
+def corrupt_record(store, key):
+    """Overwrite one record's bytes in its segment with garbage."""
+    name, offset, length = store._index[key]
+    with store.segment_path(name).open("r+b") as handle:
+        handle.seek(offset)
+        handle.write(b"#" * length)
 
 
 class TestScanAndLs:
@@ -71,30 +96,26 @@ class TestVerify:
         assert report.ok
         assert not report.problems
 
-    def test_tampered_payload_fails_hash_check(self, populated_store):
-        store, jobs = populated_store
-        path = store.path_for(jobs[0].key())
-        data = json.loads(path.read_text())
-        data["hash_payload"]["workload"]["length_scale"] = 0.9
-        path.write_text(json.dumps(data))
+    def test_tampered_payload_fails_hash_check(self, tmp_path):
+        def tamper(data):
+            data["hash_payload"]["workload"]["length_scale"] = 0.9
+
+        store, _ = populate(tmp_path / "store", mutate=tamper)
         report = store_verify(store)
         assert len(report.problems) == 1
         assert "content hash mismatch" in report.problems[0].problem
 
-    def test_renamed_entry_fails_key_check(self, populated_store):
-        store, jobs = populated_store
-        path = store.path_for(jobs[0].key())
-        path.rename(store.root / ("0" * 64 + ".json"))
+    def test_renamed_entry_fails_key_check(self, tmp_path):
+        store, _ = populate(tmp_path / "store", first_key="0" * 64)
         report = store_verify(store)
         assert len(report.problems) == 1
-        assert "does not match filename" in report.problems[0].problem
+        assert "does not match" in report.problems[0].problem
 
-    def test_corrupt_result_detected(self, populated_store):
-        store, jobs = populated_store
-        path = store.path_for(jobs[0].key())
-        data = json.loads(path.read_text())
-        del data["result"]["counters"]
-        path.write_text(json.dumps(data))
+    def test_corrupt_result_detected(self, tmp_path):
+        def corrupt(data):
+            del data["result"]["counters"]
+
+        store, _ = populate(tmp_path / "store", mutate=corrupt)
         report = store_verify(store)
         assert len(report.problems) == 1
         assert "corrupt result" in report.problems[0].problem
@@ -105,16 +126,17 @@ class TestGc:
         store, jobs = populated_store
         orphan = store.root / ".deadbeef-1234.tmp"
         orphan.write_text("partial write")
-        corrupt = store.root / ("f" * 64 + ".json")
-        corrupt.write_text("{not json")
+        # barnes's record is the segment's last: cut it short, as a crash
+        # mid-append does.
+        segment = next((store.root / "segments").glob("seg-*.jsonl"))
+        segment.write_bytes(segment.read_bytes()[:-40])
+        assert not store_verify(store).ok
         report = store_gc(store)
         assert not orphan.exists()
-        assert not corrupt.exists()
-        assert sorted(p.name for p in report.removed) == sorted(
-            [orphan.name, corrupt.name]
-        )
-        # The two healthy entries survive and still verify.
+        assert [p.name for p in report.removed] == [orphan.name]
+        # The healthy entry survives and still verifies.
         assert store_verify(store).ok
+        assert [entry.key for entry in store_ls(store).entries] == [jobs[0].key()]
 
     def test_gc_dry_run_removes_nothing(self, populated_store):
         store, _ = populated_store
@@ -124,17 +146,43 @@ class TestGc:
         assert orphan.exists()
         assert [p.name for p in report.removed] == [orphan.name]
 
-    def test_gc_keeps_legacy_entries_without_hash_payload(self, populated_store):
-        store, jobs = populated_store
-        path = store.path_for(jobs[0].key())
-        data = json.loads(path.read_text())
-        del data["hash_payload"]
-        path.write_text(json.dumps(data))
+    def test_gc_keeps_legacy_entries_without_hash_payload(self, tmp_path):
+        def strip(data):
+            del data["hash_payload"]
+
+        store, jobs = populate(tmp_path / "store", mutate=strip)
         store_gc(store)
-        assert path.exists()
+        assert jobs[0].key() in open_store(store.root)
         # ...but verify flags them as unverifiable.
         report = store_verify(store)
         assert any("no hash payload" in e.problem for e in report.problems)
+
+
+class TestRewrittenKeys:
+    """Putting a key again appends a new record and supersedes the old one."""
+
+    def test_superseded_records_verify_and_survive_gc(self, populated_store):
+        store, jobs = populated_store
+        for job in jobs:
+            store.put(job, make_result(job.application))
+        store.flush()
+        report = store_verify(store)
+        assert report.ok and len(report.entries) == len(jobs)
+        gc = store_gc(store)
+        assert gc.dropped_keys == [] and gc.removed == []
+        assert store_verify(store).ok
+        assert sorted(open_store(store.root).keys()) == sorted(
+            job.key() for job in jobs
+        )
+
+    def test_put_after_drop_keys(self, populated_store):
+        store, jobs = populated_store
+        assert store.drop_keys([jobs[1].key()]) == 1
+        store.put(jobs[1], make_result("barnes"))
+        store.flush()
+        assert store.get(jobs[1].key()).to_dict() == make_result("barnes").to_dict()
+        assert store_verify(store).ok
+        assert jobs[1].key() in open_store(store.root)
 
 
 class TestCli:
@@ -154,8 +202,7 @@ class TestCli:
         store, jobs = populated_store
         code, text = self.run_cli("store", "verify", str(store.root))
         assert code == 0 and "2 ok" in text
-        path = store.path_for(jobs[0].key())
-        path.write_text("garbage")
+        corrupt_record(store, jobs[0].key())
         code, text = self.run_cli("store", "verify", str(store.root))
         assert code == 1
         assert "FAIL" in text
@@ -171,3 +218,13 @@ class TestCli:
     def test_store_missing_directory_errors(self, tmp_path):
         code, _ = self.run_cli("store", "ls", str(tmp_path / "absent"))
         assert code == 2
+
+    @pytest.mark.parametrize("action", ["ls", "gc", "verify"])
+    def test_store_refuses_legacy_directory(self, tmp_path, capsys, action):
+        job = make_job()
+        legacy = write_legacy_store(tmp_path / "legacy", [(job, make_result())])
+        before = sorted(path.name for path in legacy.iterdir())
+        code, _ = self.run_cli("store", action, str(legacy))
+        assert code == 2
+        assert f"store migrate {legacy}" in capsys.readouterr().err
+        assert sorted(path.name for path in legacy.iterdir()) == before

@@ -6,7 +6,7 @@ environments must never alias.  Two independent guards enforce that:
 
 * the provenance is part of every job's content hash, so a campaign in one
   environment can never *reuse* a result computed in the other;
-* a :class:`~repro.campaign.store.ResultStore` stamps itself with the
+* a result store stamps itself with the
   provenance of its first writer and refuses writes (and campaign resumes)
   from the other environment, so the mixing attempt fails loudly instead
   of silently recomputing every point into a mongrel store.
@@ -22,11 +22,8 @@ import repro.campaign.jobs as jobs_module
 from repro.campaign.engine import run_campaign
 from repro.campaign.jobs import Job
 from repro.campaign.maintenance import store_gc, store_verify
-from repro.campaign.store import (
-    PROVENANCE_FILE,
-    ResultStore,
-    StoreProvenanceError,
-)
+from repro.campaign.segments import SegmentResultStore
+from repro.campaign.store import PROVENANCE_FILE, StoreProvenanceError
 from repro.config.parameters import SimulationConfig
 from repro.core.sweep import PolicyPoint
 from repro.workloads.suite import WorkloadRequest
@@ -56,12 +53,12 @@ class TestJobHash:
 
 class TestStoreStamp:
     def test_first_put_stamps_the_store(self, tiny_architecture, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = SegmentResultStore(tmp_path / "store")
         store.check_provenance()
         marker = json.loads((store.root / PROVENANCE_FILE).read_text())
         assert marker == {"trace_generator": TRACE_GENERATOR_PROVENANCE}
         # Same environment: idempotent.
-        ResultStore(store.root).check_provenance()
+        SegmentResultStore(store.root).check_provenance()
 
     def test_other_environment_is_refused(self, tmp_path):
         root = tmp_path / "store"
@@ -70,14 +67,14 @@ class TestStoreStamp:
             json.dumps({"trace_generator": OTHER})
         )
         with pytest.raises(StoreProvenanceError, match="separate store"):
-            ResultStore(root).check_provenance()
+            SegmentResultStore(root).check_provenance()
 
     def test_corrupt_marker_is_refused_not_restamped(self, tmp_path):
         root = tmp_path / "store"
         root.mkdir()
         (root / PROVENANCE_FILE).write_text('{"trace_generator": tru')
         with pytest.raises(StoreProvenanceError, match="unreadable"):
-            ResultStore(root).check_provenance()
+            SegmentResultStore(root).check_provenance()
         # The damaged marker must survive untouched for manual inspection.
         assert (root / PROVENANCE_FILE).read_text() == '{"trace_generator": tru'
 
@@ -87,7 +84,7 @@ class TestStoreStamp:
         root.mkdir()
         (root / PROVENANCE_FILE).write_text(body)
         with pytest.raises(StoreProvenanceError, match="malformed"):
-            ResultStore(root).check_provenance()
+            SegmentResultStore(root).check_provenance()
         assert (root / PROVENANCE_FILE).read_text() == body
 
     def test_campaign_fails_fast_on_mixed_store(self, tiny_architecture, tmp_path):
@@ -105,13 +102,13 @@ class TestStoreStamp:
             )
 
     def test_marker_is_invisible_to_entry_iteration(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = SegmentResultStore(tmp_path / "store")
         store.check_provenance()
         assert list(store.keys()) == []
         assert len(store) == 0
 
     def test_marker_survives_maintenance(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = SegmentResultStore(tmp_path / "store")
         store.check_provenance()
         report = store_verify(store)
         assert report.ok
@@ -127,7 +124,7 @@ class TestEndToEnd:
         """run -> resume -> verify against a stamped store."""
         requests = [WorkloadRequest("fft", length_scale=0.01, seed=3)]
         points: list[PolicyPoint] = []
-        store = ResultStore(tmp_path / "store")
+        store = SegmentResultStore(tmp_path / "store")
         _, first = run_campaign(
             requests=requests, points=points,
             architecture=tiny_architecture, store=store,

@@ -23,7 +23,7 @@ from repro.campaign.executors import (
     plan_chunk,
 )
 from repro.campaign.jobs import Job, enumerate_jobs
-from repro.campaign.store import ResultStore
+from repro.campaign.segments import SegmentResultStore
 from repro.campaign.view import StoreSweep
 from repro.config.parameters import (
     DataPolicySpec,
@@ -139,8 +139,8 @@ class TestPlanChunk:
         assert drained == list(range(100))
 
 
-class RecordingStore(ResultStore):
-    """A JSON store that logs the order of puts for commit-order assertions."""
+class RecordingStore(SegmentResultStore):
+    """A store that logs the order of puts for commit-order assertions."""
 
     def __init__(self, root):
         super().__init__(root)
@@ -153,8 +153,6 @@ class RecordingStore(ResultStore):
 
 class StubExecutor:
     """Replays canned results without simulating (submission order)."""
-
-    uses_prebuilt_workloads = False
 
     def __init__(self, results_by_key):
         self._results = results_by_key
@@ -171,7 +169,7 @@ def canned(arch, requests, jobs, tmp_path_factory):
     sweep, _ = run_campaign(
         requests, points=POINTS, architecture=arch, store=root / "store",
     )
-    store = ResultStore(root / "store")
+    store = SegmentResultStore(root / "store")
     return {key: store.get(key) for key in store.keys()}, sweep
 
 
@@ -198,7 +196,7 @@ class TestCampaignStream:
         self, tmp_path, jobs, canned
     ):
         results, _ = canned
-        store = ResultStore(tmp_path / "store")
+        store = SegmentResultStore(tmp_path / "store")
         cached_job = jobs[0]
         store.put(cached_job, results[cached_job.key()])
 
@@ -231,7 +229,7 @@ class TestCampaignStream:
         _, sweep_before = canned
         stream = stream_campaign(
             requests, points=POINTS, architecture=arch,
-            store=tmp_path / "store", store_backend="segment",
+            store=tmp_path / "store",
         )
         store = stream.store
         seen = 0
@@ -247,7 +245,7 @@ class TestStoreSweep:
     @pytest.fixture()
     def view(self, tmp_path, jobs, canned):
         results, _ = canned
-        store = ResultStore(tmp_path / "store")
+        store = SegmentResultStore(tmp_path / "store")
         for job in jobs:
             store.put(job, results[job.key()])
         return StoreSweep(store, jobs, POINTS, result_cache=1)
@@ -273,7 +271,7 @@ class TestStoreSweep:
 
     def test_baselines_membership_without_loading(self, tmp_path, jobs):
         # An empty store: membership checks must not touch any result.
-        store = ResultStore(tmp_path / "empty")
+        store = SegmentResultStore(tmp_path / "empty")
         view = StoreSweep(store, jobs, POINTS)
         assert "blackscholes" in view.baselines
         assert "fft" not in view.baselines
@@ -282,7 +280,7 @@ class TestStoreSweep:
         assert len(view.missing_keys()) == len(jobs)
 
     def test_missing_cell_raises_key_error(self, tmp_path, jobs):
-        store = ResultStore(tmp_path / "empty")
+        store = SegmentResultStore(tmp_path / "empty")
         view = StoreSweep(store, jobs, POINTS)
         with pytest.raises(KeyError, match="not in store"):
             view.baseline("blackscholes")
@@ -312,7 +310,7 @@ class TestStoreSweep:
         results, _ = canned
         calls = {"keys": 0, "contains": 0}
 
-        class CountingStore(ResultStore):
+        class CountingStore(SegmentResultStore):
             def keys(self):
                 calls["keys"] += 1
                 return super().keys()
@@ -331,34 +329,6 @@ class TestStoreSweep:
         # checks stay O(1) store round-trips however large the grid is.
         assert calls["keys"] == 1
         assert calls["contains"] == 0
-
-
-class TestStreamingRunner:
-    def test_streaming_runner_returns_store_sweep(self, tmp_path, canned):
-        from repro.experiments.runner import ExperimentRunner, ExperimentScale
-
-        _, sweep_before = canned
-        scale = ExperimentScale(
-            applications=("blackscholes",),
-            length_scale=LENGTH_SCALE,
-            retention_times_us=(50.0,),
-            include_all_data_policies=False,
-        )
-        runner = ExperimentRunner(
-            scale=scale, store=tmp_path / "store",
-            store_backend="segment", streaming=True,
-        )
-        sweep = runner.sweep()
-        assert isinstance(sweep, StoreSweep)
-        assert sweep.missing_keys() == []
-        batch = ExperimentRunner(scale=scale)
-        assert sweep.materialise().to_dict() == batch.sweep().to_dict()
-
-    def test_streaming_requires_a_store(self):
-        from repro.experiments.runner import ExperimentRunner
-
-        with pytest.raises(ValueError, match="result store"):
-            ExperimentRunner(streaming=True)
 
 
 class TestParallelStreaming:

@@ -10,11 +10,8 @@ from repro.config.parameters import DataPolicySpec, TimingPolicyKind
 from repro.config.presets import scaled_architecture
 from repro.core.classes import average_by_class, class_members, class_of
 from repro.core.results import average_results
-from repro.core.sweep import (
-    PolicyPoint,
-    default_policy_points,
-    run_sweep,
-)
+from repro.campaign.engine import run_campaign
+from repro.core.sweep import PolicyPoint, default_policy_points
 from repro.experiments.figures import (
     figure_6_1,
     figure_6_2,
@@ -22,7 +19,7 @@ from repro.experiments.figures import (
     figure_6_4,
     render_figure,
 )
-from repro.experiments.runner import ExperimentRunner, ExperimentScale, headline_summary
+from repro.experiments.runner import ExperimentScale, headline_summary
 from repro.experiments.tables import (
     application_binning_table,
     applications_table,
@@ -32,7 +29,7 @@ from repro.experiments.tables import (
     render_table,
     sweep_table,
 )
-from repro.workloads.suite import build_suite
+from repro.workloads.suite import WorkloadRequest
 
 #: A deliberately small sweep so the whole module runs in tens of seconds.
 SMALL_POINTS = [
@@ -44,9 +41,13 @@ SMALL_POINTS = [
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    arch = scaled_architecture()
-    workloads = build_suite(arch, length_scale=0.06, names=["fft", "blackscholes"])
-    return run_sweep(workloads, architecture=arch, points=SMALL_POINTS)
+    requests = [
+        WorkloadRequest(name, length_scale=0.06) for name in ("fft", "blackscholes")
+    ]
+    sweep, _ = run_campaign(
+        requests, points=SMALL_POINTS, architecture=scaled_architecture()
+    )
+    return sweep
 
 
 class TestPolicyPoints:
@@ -216,18 +217,9 @@ class TestRunnerAndHeadline:
         scale = ExperimentScale.full()
         assert len(scale.applications) == 11
 
-    def test_runner_caches_summary(self, tmp_path):
-        scale = ExperimentScale(
-            applications=("blackscholes",),
-            length_scale=0.05,
-            retention_times_us=(50.0,),
-            include_all_data_policies=False,
-        )
-        cache = tmp_path / "sweep.json"
-        runner = ExperimentRunner(scale=scale, cache_path=cache)
-        sweep = runner.sweep()
-        assert cache.exists()
-        saved = json.loads(cache.read_text())
-        assert "baselines" in saved
-        # Re-requesting the sweep does not re-simulate (same object back).
-        assert runner.sweep() is sweep
+    def test_experiment_scale_workload_requests(self):
+        scale = ExperimentScale(applications=("fft", "lu"), length_scale=0.25)
+        assert scale.workload_requests() == [
+            WorkloadRequest("fft", length_scale=0.25),
+            WorkloadRequest("lu", length_scale=0.25),
+        ]

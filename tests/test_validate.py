@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign.jobs import enumerate_jobs
-from repro.campaign.store import ResultStore
+from repro.campaign.segments import SegmentResultStore
 from repro.campaign.view import StoreSweep
 from repro.config.parameters import (
     DataPolicySpec,
@@ -245,7 +245,7 @@ def synthetic_campaign(arch, tmp_path_factory):
     assert len(points) >= 100
     requests = [WorkloadRequest("fft", length_scale=LENGTH_SCALE)]
     jobs = enumerate_jobs(requests, points, arch)
-    store = ResultStore(tmp_path_factory.mktemp("synthetic") / "store")
+    store = SegmentResultStore(tmp_path_factory.mktemp("synthetic") / "store")
     # Mid-series cell of the (Periodic, all) series: retention index 8.
     corrupted = PolicyPoint(
         RETENTIONS[8], TimingPolicyKind.PERIODIC, DataPolicySpec.all_lines()
@@ -325,7 +325,7 @@ class TestAnomalyScan:
         points = _synthetic_points()
         requests = [WorkloadRequest("fft", length_scale=LENGTH_SCALE)]
         jobs = enumerate_jobs(requests, points, arch)
-        store = ResultStore(tmp_path / "store")
+        store = SegmentResultStore(tmp_path / "store")
         hole = points[10]
         for job in jobs:
             if job.point_label == hole.label:
