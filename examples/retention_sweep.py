@@ -5,10 +5,12 @@ Two things are demonstrated here:
 
 1. the effect of the eDRAM retention time (50 / 100 / 200 us in the paper's
    Table 5.4) on refresh energy and on the Periodic-vs-Refrint gap, and
-2. how to plug a *custom* data policy into the refresh controllers -- the
-   policy interface (:class:`repro.refresh.policies.DataPolicy`) is small, so
-   downstream users can experiment with smarter policies (reuse predictors,
-   software hints, ...) without touching the simulator.
+2. how to plug a *custom* data policy into the refresh controllers.  A
+   policy is a :class:`repro.refresh.policies.DataPolicy` whose
+   ``decide()`` looks at one line object.  It runs on the object cache
+   backend (``cache_backend="object"``), whose controllers ask it about
+   every line they walk; the default array backend applies only the
+   paper's four policies and refuses any other.
 
 Run with::
 
@@ -88,11 +90,11 @@ def custom_policy_demo() -> None:
     from repro.hierarchy.hierarchy import CacheHierarchy
     from repro.refresh.refrint import RefrintRefreshController
     from repro.utils.events import EventQueue
-    from repro.config.parameters import RefreshConfig
 
     reference = SimulationConfig.scaled()
     architecture = reference.architecture
-    hierarchy = CacheHierarchy(architecture)
+    # A plugged-in policy needs line objects: the object backend.
+    hierarchy = CacheHierarchy(architecture, cache_backend="object")
     events = EventQueue()
     refresh = reference.refresh
     assert refresh is not None

@@ -135,11 +135,9 @@ class StoreSweep(SweepResult):
     def missing_keys(self) -> List[str]:
         """Keys of cells the store does not hold (empty when complete).
 
-        Takes one ``store.keys()`` snapshot and diffs against it rather
-        than probing ``key in store`` per cell: on the JSON layout
-        ``__contains__`` stats the entry's file on every call, which made
-        completeness checks O(N) stat calls on large campaigns (the
-        segment layout answers membership from its in-memory index).
+        One ``store.keys()`` snapshot, which the segment store answers from
+        its in-memory index, diffed against the grid's keys.  The tests use
+        it to check a campaign's completeness.
         """
         present = set(self.store.keys())
         wanted = list(self._baseline_keys.values()) + list(self._point_keys.values())

@@ -1,39 +1,58 @@
-"""Directory bookkeeping helpers.
+"""The MESI directory of one L3 bank.
 
-The directory lives alongside the L3 tags (Table 5.1): each
-:class:`~repro.mem.line.DirectoryLine` records the set of cores that may hold
-the block (``sharers``) and the single core, if any, that holds it with write
-permission (``owner``).  This module wraps the small state-machine updates on
-those fields so the protocol engine reads declaratively and the invariants
-can be property-tested in isolation.
+The directory lives alongside the L3 tags (Table 5.1): for each line of a
+bank it records the set of cores that may hold the block (``sharers``) and
+the single core, if any, that holds it with write permission (``owner``).
+:class:`Directory` keeps those entries as two vectors indexed like the
+bank's cache lines, and its methods are the only code that knows their
+format.  The protocol calls :meth:`Directory.clear` wherever it fills or
+drops an L3 line, so an entry always describes the block its line holds.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
-
-from repro.mem.line import DirectoryLine
+from typing import List, Optional, Set
 
 
 class Directory:
-    """Operations on the directory entry embedded in an L3 line."""
+    """Directory entries of one L3 bank, indexed by L3 line.
 
-    @staticmethod
-    def sharers_other_than(line: DirectoryLine, core: int) -> Set[int]:
-        """All cores that may hold the block, excluding ``core``."""
-        others = set(line.sharers)
-        if line.owner is not None:
-            others.add(line.owner)
+    ``owner[i] == -1`` means no owner.  A sharer set is created only when a
+    core is first recorded at its line (``sharers[i]`` is None until then),
+    so a fresh bank allocates no per-line sets.
+    """
+
+    __slots__ = ("sharers", "owner")
+
+    def __init__(self, num_lines: int) -> None:
+        self.sharers: List[Optional[Set[int]]] = [None] * num_lines
+        self.owner: List[int] = [-1] * num_lines
+
+    def _sharer_set(self, index: int) -> Set[int]:
+        sharers = self.sharers[index]
+        if sharers is None:
+            sharers = self.sharers[index] = set()
+        return sharers
+
+    def _holder_set(self, index: int) -> Set[int]:
+        sharers = self.sharers[index]
+        holders = set(sharers) if sharers else set()
+        owner = self.owner[index]
+        if owner >= 0:
+            holders.add(owner)
+        return holders
+
+    def holders(self, index: int) -> List[int]:
+        """Cores the entry at ``index`` lists (sharers and owner), ascending."""
+        return sorted(self._holder_set(index))
+
+    def sharers_other_than(self, index: int, core: int) -> Set[int]:
+        """All cores that may hold the block at ``index``, excluding ``core``."""
+        others = self._holder_set(index)
         others.discard(core)
         return others
 
-    @staticmethod
-    def is_present_above(line: DirectoryLine) -> bool:
-        """True when any upper-level cache may hold a copy of the block."""
-        return bool(line.sharers) or line.owner is not None
-
-    @staticmethod
-    def record_reader(line: DirectoryLine, core: int) -> bool:
+    def record_reader(self, index: int, core: int) -> bool:
         """Record ``core`` as a sharer; returns True if it got exclusivity.
 
         A reader is granted an Exclusive copy when nobody else holds the
@@ -42,40 +61,39 @@ class Directory:
         its copy to Modified without informing the directory; the directory
         must therefore consult it before handing the block to anyone else.
         """
-        if line.owner == core:
+        sharers = self._sharer_set(index)
+        owner = self.owner[index]
+        if owner == core:
             # The owner re-reading its own block keeps ownership.
-            line.sharers.add(core)
+            sharers.add(core)
             return True
-        exclusive = not Directory.is_present_above(line)
-        line.sharers.add(core)
+        exclusive = not sharers and owner < 0
+        sharers.add(core)
         if exclusive:
-            line.owner = core
+            self.owner[index] = core
         return exclusive
 
-    @staticmethod
-    def record_writer(line: DirectoryLine, core: int) -> None:
+    def record_writer(self, index: int, core: int) -> None:
         """Record ``core`` as the sole owner after a write request."""
-        line.sharers = {core}
-        line.owner = core
+        self.sharers[index] = {core}
+        self.owner[index] = core
 
-    @staticmethod
-    def clear_owner(line: DirectoryLine, keep_as_sharer: bool = True) -> Optional[int]:
-        """Remove the current owner, optionally demoting it to a sharer."""
-        owner = line.owner
-        line.owner = None
-        if owner is not None and keep_as_sharer:
-            line.sharers.add(owner)
-        return owner
+    def clear_owner(self, index: int) -> None:
+        """Demote the current owner, if any, to a plain sharer."""
+        owner = self.owner[index]
+        if owner >= 0:
+            self.owner[index] = -1
+            self._sharer_set(index).add(owner)
 
-    @staticmethod
-    def remove_core(line: DirectoryLine, core: int) -> None:
+    def remove_core(self, index: int, core: int) -> None:
         """Forget any copy ``core`` may have held (eviction or invalidation)."""
-        line.sharers.discard(core)
-        if line.owner == core:
-            line.owner = None
+        sharers = self.sharers[index]
+        if sharers is not None:
+            sharers.discard(core)
+        if self.owner[index] == core:
+            self.owner[index] = -1
 
-    @staticmethod
-    def remove_cores(line: DirectoryLine, cores: Iterable[int]) -> None:
-        """Forget copies held by several cores at once."""
-        for core in cores:
-            Directory.remove_core(line, core)
+    def clear(self, index: int) -> None:
+        """Empty the entry at ``index`` (its L3 line was filled or dropped)."""
+        self.sharers[index] = None
+        self.owner[index] = -1

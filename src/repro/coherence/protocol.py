@@ -15,14 +15,13 @@ event order and interact with the protocol only through the well-defined
 entry points ``policy_invalidate_l3 / policy_writeback_l3 /
 policy_invalidate_l2 / policy_writeback_l2``.
 
-The common-case path (an L1 or L2 hit) is *staged*: it asks the cache for a
-packed line index (:meth:`~repro.mem.cache.Cache.access_index`) and reads
-the MESI state as an integer code, so a hit costs a handful of list reads
-and no allocation.  The refresh-policy entry points, inclusion
-back-invalidations and the L3 victim path work the same way, from line
-indices.  Rarer access transactions (misses, directory actions)
-materialise the per-line views, whose object interface carries the
-directory's sharer sets.
+Every transaction reaches a line by its index: the protocol asks a cache
+for a line index (:meth:`~repro.mem.cache.Cache.access_index`,
+``probe_index``, ``choose_victim_index``), reads and writes the MESI state
+as an integer code, and acts on the line through the cache's ``*_index``
+methods, so a hit costs a handful of list reads and no allocation.  The
+directory entry of an L3 line is reached the same way, at the same index
+in its bank's :class:`~repro.coherence.directory.Directory`.
 
 Every cache access, network message and DRAM access is recorded in a shared
 :class:`~repro.utils.statistics.Counter`, from which the energy model builds
@@ -34,19 +33,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.coherence.directory import Directory
 from repro.coherence.messages import MessageKind
 from repro.config.parameters import ArchitectureConfig
 from repro.hierarchy.levels import CoreCaches, L3Bank
 from repro.mem.cache import Cache
 from repro.mem.dram import MainMemory
-from repro.mem.line import (
-    DirectoryLine,
-    MESI_EXCLUSIVE,
-    MESI_MODIFIED,
-    MESI_SHARED,
-    MESIState,
-)
+from repro.mem.line import MESI_EXCLUSIVE, MESI_MODIFIED, MESI_SHARED
 from repro.noc.network import TorusNetwork
 from repro.utils.statistics import Counter
 
@@ -75,7 +67,7 @@ class DirectoryProtocol:
         self._block_mask = ~(architecture.line_bytes - 1)
         self._num_banks = len(self.banks)
         # Counter keys are interned once; building an f-string per access
-        # would dominate the staged fast path.
+        # would dominate the hit path.
         self._msg_keys = {kind: kind.counter_name for kind in MessageKind}
         #: Access-path protocol invocations: one per read / write /
         #: instruction fetch entered.  Kept off the :class:`Counter`
@@ -174,10 +166,10 @@ class DirectoryProtocol:
                 self._array_access(
                     bank.cache, "l3_writes", "l3_refresh_stall_cycles", cycle, block
                 )
-                l3_line = bank.cache.probe(block)
-                if isinstance(l3_line, DirectoryLine) and l3_line.valid:
-                    l3_line.mark_dirty()
-                    Directory.clear_owner(l3_line)
+                l3_index = bank.cache.probe_index(block)
+                if l3_index >= 0:
+                    bank.cache.mark_dirty_index(l3_index)
+                    bank.directory.clear_owner(l3_index)
                 l2.set_state_code(index, MESI_SHARED)
         for bank in self.banks:
             for index in bank.cache.dirty_indices():
@@ -206,6 +198,7 @@ class DirectoryProtocol:
             self.dram.write(block)
             self.counters.add("l3_policy_writebacks_to_dram")
         cache.invalidate_index(index)
+        bank.directory.clear(index)
 
     def policy_writeback_l3(self, bank: L3Bank, index: int, cycle: int) -> None:
         """Write a dirty L3 line back to DRAM and mark it valid-clean.
@@ -313,24 +306,23 @@ class DirectoryProtocol:
             bank.cache, "l3_reads", "l3_refresh_stall_cycles", cycle + latency, block
         )
 
+        directory = bank.directory
         l3_index = bank.cache.access_index(block, cycle + latency)
         if l3_index >= 0:
             self._counts["l3_hits"] += 1
-            line = bank.cache.view(l3_index)
-            assert isinstance(line, DirectoryLine)
             latency += self._serve_from_l3(
-                core_id, bank, block, line, cycle, for_write
+                core_id, bank, block, l3_index, cycle, for_write
             )
         else:
             self._counts["l3_misses"] += 1
-            line = self._fill_l3_from_dram(bank, block, cycle + latency)
+            l3_index = self._fill_l3_from_dram(bank, block, cycle + latency)
             latency += self.dram.access_cycles
             if for_write:
-                Directory.record_writer(line, core_id)
+                directory.record_writer(l3_index, core_id)
             else:
-                Directory.record_reader(line, core_id)
-        granted_exclusive = for_write or not Directory.sharers_other_than(
-            line, core_id
+                directory.record_reader(l3_index, core_id)
+        granted_exclusive = for_write or not directory.sharers_other_than(
+            l3_index, core_id
         )
 
         # Data reply back to the requesting core.
@@ -353,26 +345,27 @@ class DirectoryProtocol:
         core_id: int,
         bank: L3Bank,
         block: int,
-        line: DirectoryLine,
+        index: int,
         cycle: int,
         for_write: bool,
     ) -> int:
-        """Directory actions for a hit at the home L3 bank."""
+        """Directory actions for a hit at line ``index`` of the home bank."""
         latency = 0
-        owner = line.owner
-        if owner is not None and owner != core_id:
-            latency += self._recall_from_owner(bank, block, line, owner, cycle)
+        directory = bank.directory
+        owner = directory.owner[index]
+        if owner >= 0 and owner != core_id:
+            latency += self._recall_from_owner(bank, block, index, owner, cycle)
         if for_write:
             # Invalidate every other copy and hand exclusive ownership over.
-            for other in sorted(Directory.sharers_other_than(line, core_id)):
-                latency += self._invalidate_upper(bank, block, line, other, cycle)
-            Directory.record_writer(line, core_id)
+            for other in sorted(directory.sharers_other_than(index, core_id)):
+                latency += self._invalidate_upper(bank, block, index, other, cycle)
+            directory.record_writer(index, core_id)
         else:
-            Directory.record_reader(line, core_id)
+            directory.record_reader(index, core_id)
         return latency
 
     def _recall_from_owner(
-        self, bank: L3Bank, block: int, line: DirectoryLine, owner: int, cycle: int
+        self, bank: L3Bank, block: int, index: int, owner: int, cycle: int
     ) -> int:
         """Fetch the latest data from the owning core's L2 (M or E copy)."""
         latency = self._count_message(
@@ -383,10 +376,12 @@ class DirectoryProtocol:
             owner_caches.l2, "l2_reads", "l2_refresh_stall_cycles",
             cycle + latency, block,
         )
-        owner_line = owner_caches.l2.probe(block)
-        dirty = owner_line is not None and owner_line.state is MESIState.MODIFIED
-        if owner_line is not None:
-            owner_line.state = MESIState.SHARED
+        owner_l2 = owner_caches.l2
+        owner_index = owner_l2.probe_index(block)
+        dirty = False
+        if owner_index >= 0:
+            dirty = owner_l2.state_code(owner_index) == MESI_MODIFIED
+            owner_l2.set_state_code(owner_index, MESI_SHARED)
         if dirty:
             latency += self._count_message(
                 MessageKind.WRITEBACK, owner, bank.vertex, data=True
@@ -395,19 +390,20 @@ class DirectoryProtocol:
                 bank.cache, "l3_writes", "l3_refresh_stall_cycles",
                 cycle + latency, block,
             )
-            line.mark_dirty()
-            line.refresh(cycle + latency)
+            bank.cache.mark_dirty_index(index)
+            bank.cache.refresh_index(index, cycle + latency)
         else:
             latency += self._count_message(
                 MessageKind.ACK, owner, bank.vertex, data=False
             )
-        Directory.clear_owner(line)
+        bank.directory.clear_owner(index)
         return latency
 
-    def _fill_l3_from_dram(
-        self, bank: L3Bank, block: int, cycle: int
-    ) -> DirectoryLine:
-        """Bring a block on chip, evicting (and back-invalidating) a victim."""
+    def _fill_l3_from_dram(self, bank: L3Bank, block: int, cycle: int) -> int:
+        """Bring a block on chip, evicting (and back-invalidating) a victim.
+
+        Returns the block's new line index, whose directory entry is empty.
+        """
         self.dram.read(block)
         cache = bank.cache
         victim = cache.choose_victim_index(block)
@@ -419,10 +415,9 @@ class DirectoryProtocol:
                 self.dram.write(victim_block)
                 self.counters.add("l3_eviction_writebacks")
         cache.fill_index(victim, block, MESI_SHARED, cycle)
+        bank.directory.clear(victim)
         self.counters.add("l3_writes")
-        line = cache.view(victim)
-        assert isinstance(line, DirectoryLine)
-        return line
+        return victim
 
     # ------------------------------------------------------------------
     # Upgrades, write-backs, invalidations
@@ -437,12 +432,13 @@ class DirectoryProtocol:
         latency += self._array_access(
             bank.cache, "l3_reads", "l3_refresh_stall_cycles", cycle + latency, block
         )
-        line = bank.cache.probe(block)
-        if isinstance(line, DirectoryLine) and line.valid:
-            line.touch(cycle + latency)
-            for other in sorted(Directory.sharers_other_than(line, core_id)):
-                latency += self._invalidate_upper(bank, block, line, other, cycle)
-            Directory.record_writer(line, core_id)
+        index = bank.cache.probe_index(block)
+        if index >= 0:
+            bank.cache.touch_index(index, cycle + latency)
+            directory = bank.directory
+            for other in sorted(directory.sharers_other_than(index, core_id)):
+                latency += self._invalidate_upper(bank, block, index, other, cycle)
+            directory.record_writer(index, core_id)
         latency += self._count_message(
             MessageKind.ACK, bank.vertex, core_id, data=False
         )
@@ -462,12 +458,12 @@ class DirectoryProtocol:
         self._array_access(
             bank.cache, "l3_writes", "l3_refresh_stall_cycles", cycle, block
         )
-        line = bank.cache.probe(block)
-        if isinstance(line, DirectoryLine) and line.valid:
-            line.mark_dirty()
-            line.refresh(cycle)
+        index = bank.cache.probe_index(block)
+        if index >= 0:
+            bank.cache.mark_dirty_index(index)
+            bank.cache.refresh_index(index, cycle)
             if not keeps_exclusive:
-                Directory.clear_owner(line)
+                bank.directory.clear_owner(index)
         else:
             # Inclusion means the block should be present; if the refresh
             # policy already discarded it, the data goes straight to DRAM.
@@ -480,9 +476,9 @@ class DirectoryProtocol:
         self._count_message(
             MessageKind.EVICTION_NOTICE, core_id, bank.vertex, data=False
         )
-        line = bank.cache.probe(block)
-        if isinstance(line, DirectoryLine) and line.valid:
-            Directory.remove_core(line, core_id)
+        index = bank.cache.probe_index(block)
+        if index >= 0:
+            bank.directory.remove_core(index, core_id)
 
     def _handle_l2_eviction(
         self, core_id: int, victim_index: int, cycle: int
@@ -499,16 +495,20 @@ class DirectoryProtocol:
         caches.invalidate_l1_copies(block)
 
     def _invalidate_upper(
-        self, bank: L3Bank, block: int, line: DirectoryLine, core_id: int, cycle: int
+        self, bank: L3Bank, block: int, index: int, core_id: int, cycle: int
     ) -> int:
-        """Invalidate one core's private copies of a block (coherence)."""
+        """Invalidate one core's private copies of a block (coherence).
+
+        ``index`` is the block's line in ``bank``.
+        """
         latency = self._count_message(
             MessageKind.INVALIDATE, bank.vertex, core_id, data=False
         )
         caches = self.cores[core_id]
-        l2_line = caches.l2.probe(block)
-        if l2_line is not None:
-            if l2_line.state is MESIState.MODIFIED:
+        l2 = caches.l2
+        l2_index = l2.probe_index(block)
+        if l2_index >= 0:
+            if l2.state_code(l2_index) == MESI_MODIFIED:
                 latency += self._count_message(
                     MessageKind.WRITEBACK, core_id, bank.vertex, data=True
                 )
@@ -516,14 +516,14 @@ class DirectoryProtocol:
                     bank.cache, "l3_writes", "l3_refresh_stall_cycles",
                     cycle + latency, block,
                 )
-                line.mark_dirty()
-                line.refresh(cycle + latency)
-            l2_line.invalidate()
+                bank.cache.mark_dirty_index(index)
+                bank.cache.refresh_index(index, cycle + latency)
+            l2.invalidate_index(l2_index)
         caches.invalidate_l1_copies(block)
         latency += self._count_message(
             MessageKind.ACK, core_id, bank.vertex, data=False
         )
-        Directory.remove_core(line, core_id)
+        bank.directory.remove_core(index, core_id)
         self.counters.add("coherence_invalidations")
         return latency
 
@@ -533,13 +533,13 @@ class DirectoryProtocol:
         """Invalidate every upper-level copy of a block leaving the L3.
 
         ``index`` is the block's line in ``bank``; the caller invalidates
-        or refills that line next, which clears its directory entry.
+        or refills that line next and clears its directory entry.
         Returns True if any upper-level copy was dirty (its data must then
         be written back to DRAM by the caller, since the L3 line is going
         away).
         """
         dirty_above = False
-        for core_id in bank.cache.holders_at(index):
+        for core_id in bank.directory.holders(index):
             self._count_message(MessageKind.INVALIDATE, bank.vertex, core_id, data=False)
             caches = self.cores[core_id]
             l2 = caches.l2

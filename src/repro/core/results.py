@@ -21,8 +21,9 @@ class SimulationResult:
     """Everything measured in one simulation run.
 
     Attributes:
-        config: the configuration that was simulated (None for results
-            restored from a JSON summary, which only keeps the label).
+        config: the configuration that was simulated (None for a result
+            rebuilt by :meth:`from_dict` -- read from a store, or from a
+            ``sweep --json`` summary -- which keeps only the label).
         application: name of the workload.
         execution_cycles: end-to-end execution time in cycles (the finish
             time of the slowest core).
@@ -119,7 +120,8 @@ class SimulationResult:
     # -- serialisation ------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-serialisable summary (used by the experiment cache).
+        """A JSON-serialisable summary: the ``result`` of a store payload,
+        the cells of ``sweep --json`` and of a served answer.
 
         Energies are coerced to float so a summary is byte-identical whether
         it came from a fresh run or a :meth:`from_dict` round-trip (an empty

@@ -59,8 +59,9 @@ class PolicyPoint:
     def from_label(cls, label: str) -> "PolicyPoint":
         """Parse a fully qualified label back into a point.
 
-        Inverse of :attr:`label`; used when reloading a sweep summary from
-        JSON, which stores points by label only.
+        Inverse of :attr:`label`.  :meth:`SweepResult.from_dict` uses it to
+        read back a ``sweep --json`` summary, which stores points by label
+        only (the tests round-trip those).
         """
         import re
 

@@ -10,8 +10,8 @@ plus the *total system* energy including cores and network (Fig. 6.3).  The
 :class:`EnergyAccount` here records every contribution with both its level
 and its component so that all three views can be produced from one run.
 
-The activity counters an account is built from are produced by the staged
-simulation fast path: refresh counts arrive as bulk deltas from the
+The activity counters an account is built from are produced by the
+simulation's index paths: refresh counts arrive as bulk deltas from the
 controllers' vectorized group sweeps over the cache state arrays, and
 access counts are incremented with pre-interned keys on the protocol's
 per-access path -- the accounting layer itself only ever sees the final

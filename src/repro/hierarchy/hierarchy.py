@@ -3,8 +3,8 @@
 :class:`CacheHierarchy` wires together the per-core private caches, the 16
 shared L3 banks, the torus network, the DRAM and the directory protocol, and
 exposes the three operations a core performs (instruction fetch, load,
-store) plus the hooks the refresh subsystem needs (per-cache access to lines
-and the policy-driven invalidate / write-back entry points).
+store) plus the hooks the refresh subsystem needs (every cache array, and
+the policy-driven invalidate / write-back entry points, by line index).
 
 The hierarchy itself is technology-agnostic: whether the arrays are SRAM or
 eDRAM only matters to the refresh controllers layered on top and to the
@@ -157,13 +157,6 @@ class CacheHierarchy:
 
     # -- introspection ---------------------------------------------------------
 
-    def occupancy(self) -> Dict[str, int]:
-        """Number of valid lines per level (summed over instances)."""
-        totals: Dict[str, int] = {"l1i": 0, "l1d": 0, "l2": 0, "l3": 0}
-        for level, _, cache in self.all_caches():
-            totals[level] += cache.count_valid()
-        return totals
-
     def dirty_lines(self) -> Dict[str, int]:
         """Number of dirty lines per level (summed over instances)."""
         totals: Dict[str, int] = {"l1i": 0, "l1d": 0, "l2": 0, "l3": 0}
@@ -182,11 +175,10 @@ class CacheHierarchy:
             for level_name, cache in (
                 ("l1i", caches.l1i), ("l1d", caches.l1d), ("l2", caches.l2),
             ):
-                for set_idx, line in cache.valid_lines():
-                    block = cache.block_address_of(set_idx, line)
+                for index in cache.valid_indices_in_range(0, cache.num_lines):
+                    block = cache.block_address_at(index)
                     bank = self.protocol.home_bank(block)
-                    l3_line = bank.cache.probe(block)
-                    if l3_line is None or not l3_line.valid:
+                    if bank.cache.probe_index(block) < 0:
                         violations.append(
                             f"core {caches.core_id} {level_name} holds block "
                             f"{block:#x} absent from L3 bank {bank.bank_id}"

@@ -1,9 +1,14 @@
-"""Physical cache instances: per-core private caches and shared L3 banks."""
+"""Physical cache instances: per-core private caches and shared L3 banks.
+
+An L3 bank is its cache plus the directory beside it; both are indexed by
+the same line number, and the protocol reaches either by that index.
+"""
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.coherence.directory import Directory
 from repro.config.parameters import ArchitectureConfig
 from repro.mem.cache import Cache
 
@@ -30,8 +35,7 @@ class CoreCaches:
     def invalidate_l1_copies(self, block_address: int) -> int:
         """Invalidate any L1 copy of a block (inclusion with the L2).
 
-        Returns the number of copies dropped (0, 1 or 2).  Staged: no line
-        view is built for the dropped copies.
+        Returns the number of copies dropped (0, 1 or 2).
         """
         dropped = 0
         for l1 in (self.l1d, self.l1i):
@@ -48,9 +52,10 @@ class CoreCaches:
 class L3Bank:
     """One bank of the shared L3, co-located with a torus vertex.
 
-    Each bank holds :class:`~repro.mem.line.DirectoryLine` lines so the MESI
-    directory state travels with the cached block, and has its own refresh
-    interrupt logic (Fig. 4.3) attached by the refresh subsystem.
+    The bank's cache follows the L3 state machine, and its MESI directory
+    (:class:`~repro.coherence.directory.Directory`) sits beside it, one
+    entry per cache line, at the same index.  Each bank has its own refresh
+    interrupt logic (Fig. 4.3), attached by the refresh subsystem.
     """
 
     def __init__(
@@ -72,6 +77,7 @@ class L3Bank:
             backend=backend,
             directory=True,
         )
+        self.directory = Directory(self.cache.num_lines)
 
     def __repr__(self) -> str:
         return f"L3Bank(bank={self.bank_id}, vertex={self.vertex})"

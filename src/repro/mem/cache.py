@@ -7,92 +7,46 @@ protocol behaviour -- what to do on a miss, coherence actions, write-backs --
 lives in :mod:`repro.hierarchy` and :mod:`repro.coherence` so that the same
 array is reused by every level.
 
-Two storage backends share this one class (see :data:`CACHE_BACKENDS`):
+Every caller reaches a line by its global index ``set_idx * ways + way``:
+:meth:`~Cache.probe_index` and :meth:`~Cache.access_index` find a block,
+:meth:`~Cache.choose_victim_index` and :meth:`~Cache.fill_index` replace
+one, and the state is read and written through ``valid_at`` / ``dirty_at``
+/ ``state_code`` (integer MESI codes) and the other ``*_index`` mutators.
+A lookup is a few list reads and integer compares, with no per-access
+allocation.
+
+Two storage backends sit behind this one API (see :data:`CACHE_BACKENDS`):
 
 * ``backend="array"`` (the default) keeps all line state in the
-  struct-of-arrays lists of :class:`~repro.mem.arrays.LineArrays`.  The
-  *staged* access API (:meth:`probe_index`, :meth:`access_index`,
-  :meth:`choose_victim_index`, :meth:`fill_index`, ...) works in plain line
-  indices -- a lookup is a few list reads and integer compares, with no
-  per-access object allocation.  Thin :class:`~repro.mem.arrays.ArrayCacheLine`
-  views keep the object interface alive for the directory's sharer sets,
-  plugged-in refresh policies and the tests; :meth:`Cache.view` builds a line's
-  view the first time it is asked for, so building a cache costs a handful
-  of lists whatever its line count.
-* ``backend="object"`` preserves the original one-object-per-line model.
-  It is the test oracle: an independent implementation the array backend
-  must match byte for byte in simulation results.  ``Cache(...,
-  backend="object")`` returns a :class:`_ObjectCache`, the subclass whose
-  staged methods walk the line objects.
-
-The compatibility API (:meth:`lookup`, :meth:`access`, :meth:`fill`,
-:meth:`choose_victim`, iteration helpers) behaves identically on both
-backends; the staged API is what the protocol's hot path uses.
+  struct-of-arrays lists of :class:`~repro.mem.arrays.LineArrays`, so
+  building a cache costs a handful of lists whatever its line count.  The
+  refresh controllers sweep those vectors directly.
+* ``backend="object"`` preserves the original one-object-per-line model
+  (:class:`~repro.mem.line.CacheLine` / ``DirectoryLine``).  It is the test
+  oracle: an independent implementation the array backend must match byte
+  for byte in simulation results.  ``Cache(..., backend="object")`` returns
+  an :class:`_ObjectCache`, whose index methods act on the line objects and
+  whose :meth:`_ObjectCache.line` hands one to the refresh controllers'
+  ``decide()`` walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config.parameters import CacheGeometry
-from repro.mem.arrays import ArrayCacheLine, ArrayDirectoryLine, LineArrays
+from repro.mem.arrays import LineArrays
 from repro.mem.line import (
     CacheLine,
     DirectoryLine,
-    L3_CLEAN,
     MESI_CODES,
     MESI_MODIFIED,
     MESI_STATES,
-    MESIState,
 )
 
 #: Cache storage models: the struct-of-arrays layout and the original
 #: one-object-per-line model kept as the test oracle.
 CACHE_BACKENDS = ("array", "object")
-
-
-def _resolve_backend(backend: Optional[str], line_factory) -> str:
-    """The storage model a cache is built with; an explicit
-    ``line_factory`` implies the object backend."""
-    if backend is None:
-        backend = "object" if line_factory is not None else "array"
-    if backend not in CACHE_BACKENDS:
-        raise ValueError(
-            f"unknown cache backend {backend!r}; expected one of {CACHE_BACKENDS}"
-        )
-    return backend
-
-
-@dataclass(frozen=True)
-class LookupResult:
-    """Outcome of a lookup: the line (if present) and its location."""
-
-    hit: bool
-    line: Optional[CacheLine]
-    set_idx: int
-    way: Optional[int]
-
-
-@dataclass(frozen=True)
-class EvictionResult:
-    """A victim chosen for replacement.
-
-    Attributes:
-        line: the victim line object (still holding the victim's tag/state;
-            the caller handles write-back / directory clean-up, then fills).
-        block_address: byte block address reconstructed from the victim tag.
-        was_valid: True when a real block was displaced.
-        was_dirty: True when the displaced block held dirty data.
-        index: global line index of the victim (``set_idx * ways + way``),
-            for callers on the staged path.
-    """
-
-    line: CacheLine
-    block_address: int
-    was_valid: bool
-    was_dirty: bool
-    index: int = -1
 
 
 class Cache:
@@ -105,50 +59,52 @@ class Cache:
     is the number of banks and ``index_offset`` this bank's residue; private
     caches leave both at their defaults.
 
-    ``backend`` selects the storage model ("array" or "object"); passing an
-    explicit ``line_factory`` implies the object backend (the factory's
-    instances *are* the storage).  ``directory=True`` gives the array
-    backend L3 directory state per line.
+    ``backend`` selects the storage model ("array" or "object").
+    ``directory=True`` makes it an L3 bank: its lines follow the L3 state
+    machine (a fill is valid-clean whatever its MESI code, and
+    :meth:`mark_dirty_index` / :meth:`mark_clean_index` move it).
     """
 
     def __new__(
         cls,
         geometry: CacheGeometry,
-        line_factory: Optional[Callable[[], CacheLine]] = None,
         name: Optional[str] = None,
         index_interleave: int = 1,
         index_offset: int = 0,
-        backend: Optional[str] = None,
+        backend: str = "array",
         directory: bool = False,
     ) -> "Cache":
-        # The object backend overrides the staged methods in a subclass:
+        # The object backend overrides the index methods in a subclass:
         # bound methods stored on the instance would make every cache a
         # reference cycle, leaving it (and its thousands of line objects)
         # to the cyclic garbage collector.
-        if _resolve_backend(backend, line_factory) == "object":
+        if backend == "object":
             cls = _ObjectCache
         return super().__new__(cls)
 
     def __init__(
         self,
         geometry: CacheGeometry,
-        line_factory: Optional[Callable[[], CacheLine]] = None,
         name: Optional[str] = None,
         index_interleave: int = 1,
         index_offset: int = 0,
-        backend: Optional[str] = None,
+        backend: str = "array",
         directory: bool = False,
     ) -> None:
         if index_interleave < 1:
             raise ValueError("index_interleave must be >= 1")
         if not 0 <= index_offset < index_interleave:
             raise ValueError("index_offset must lie in [0, index_interleave)")
-        backend = _resolve_backend(backend, line_factory)
+        if backend not in CACHE_BACKENDS:
+            raise ValueError(
+                f"unknown cache backend {backend!r}; expected one of {CACHE_BACKENDS}"
+            )
         self.geometry = geometry
         self.name = name if name is not None else geometry.name
         self.index_interleave = index_interleave
         self.index_offset = index_offset
         self.backend = backend
+        self.directory = directory
         self.access_cycles = geometry.access_cycles
         self._assoc = geometry.associativity
         self._num_sets = geometry.num_sets
@@ -161,22 +117,11 @@ class Cache:
         self._set_shift = self._num_sets.bit_length() - 1
 
         if backend == "array":
-            self.directory = directory
-            self.arrays: Optional[LineArrays] = LineArrays(
-                geometry.num_lines, directory=directory
-            )
-            self._view_cls = ArrayDirectoryLine if directory else ArrayCacheLine
-            # Filled in by view() on first use.
-            self._views: List[Optional[CacheLine]] = [None] * geometry.num_lines
+            self.arrays: Optional[LineArrays] = LineArrays(geometry.num_lines)
         else:
-            factory = line_factory if line_factory is not None else (
-                DirectoryLine if directory else CacheLine
-            )
-            self._views = [factory() for _ in range(geometry.num_lines)]
-            self.directory = bool(self._views) and isinstance(
-                self._views[0], DirectoryLine
-            )
             self.arrays = None
+            line_class = DirectoryLine if directory else CacheLine
+            self._lines = [line_class() for _ in range(geometry.num_lines)]
 
         # Refresh blocking state.  ``busy_until`` blocks the whole array
         # (used for the short Refrint interrupt bursts); ``group_busy_until``
@@ -254,39 +199,17 @@ class Cache:
 
     def block_address_at(self, index: int) -> int:
         """Reconstruct the byte block address stored at a line index."""
-        if self.arrays is not None:
-            tag = self.arrays.tag[index]
-            if tag < 0:
-                raise ValueError("line has never been filled")
-        else:
-            line_tag = self.view(index).tag
-            if line_tag is None:
-                raise ValueError("line has never been filled")
-            tag = line_tag
+        tag = self._tag_at(index)
+        if tag < 0:
+            raise ValueError("line has never been filled")
         local_number = tag * self._num_sets + (index // self._assoc)
         block_number = local_number * self.index_interleave + self.index_offset
         return block_number << self._line_shift
 
-    def block_address_of(self, set_idx: int, line: CacheLine) -> int:
-        """Reconstruct the byte block address stored in ``line``."""
-        if line.tag is None:
-            raise ValueError("line has never been filled")
-        local_number = line.tag * self._num_sets + set_idx
-        block_number = local_number * self.index_interleave + self.index_offset
-        return block_number << self._line_shift
+    # -- the index API (array backend; _ObjectCache overrides it) -------------
 
-    # -- staged fast path (array backend; _ObjectCache overrides it) ----------
-
-    def view(self, index: int) -> CacheLine:
-        """The persistent line view (or line object) at a global index.
-
-        On the array backend the view is built on the first call for its
-        line and the same object is returned from then on.
-        """
-        view = self._views[index]
-        if view is None:
-            view = self._views[index] = self._view_cls(self.arrays, index)
-        return view
+    def _tag_at(self, index: int) -> int:
+        return self.arrays.tag[index]
 
     def probe_index(self, block_address: int) -> int:
         """Line index holding a block, or -1; replacement state untouched."""
@@ -304,7 +227,7 @@ class Cache:
         return -1
 
     def access_index(self, block_address: int, cycle: int) -> int:
-        """Staged access: find a block and, on a hit, touch LRU + refresh.
+        """Find a block and, on a hit, touch LRU + refresh.
 
         Returns the hit line's index, or -1 on a miss.  This is the
         protocol's per-access entry point: index arithmetic over the state
@@ -366,14 +289,10 @@ class Cache:
         arrays.last_access_cycle[index] = cycle
         arrays.last_refresh_cycle[index] = cycle
         arrays.refresh_count[index] = -1
-        if arrays.directory:
-            # DirectoryLine.fill: fresh CLEAN line with an empty directory
-            # entry; the MESI argument is bookkeeping only.
-            arrays.l3_state[index] = 1
+        if self.directory:
+            # An L3 fill is valid-clean; the MESI code is bookkeeping only.
             arrays.valid[index] = 1
             arrays.dirty[index] = 0
-            arrays.sharers[index] = None
-            arrays.owner[index] = -1
         else:
             arrays.valid[index] = 1 if state_code else 0
             arrays.dirty[index] = 1 if state_code == MESI_MODIFIED else 0
@@ -394,10 +313,6 @@ class Cache:
         arrays.refresh_count[index] = -1
         arrays.valid[index] = 0
         arrays.dirty[index] = 0
-        if arrays.directory:
-            arrays.l3_state[index] = 0
-            arrays.sharers[index] = None
-            arrays.owner[index] = -1
 
     def state_code(self, index: int) -> int:
         """MESI state code of the line at ``index``."""
@@ -422,100 +337,23 @@ class Cache:
         """Record an explicit refresh of the line at ``index`` (Count kept)."""
         self.arrays.last_refresh_cycle[index] = cycle
 
+    def touch_index(self, index: int, cycle: int) -> None:
+        """Record a normal access to the line at ``index`` without touching
+        LRU: its cells are recharged and its WB(n, m) Count is reset."""
+        arrays = self.arrays
+        arrays.last_access_cycle[index] = cycle
+        arrays.last_refresh_cycle[index] = cycle
+        arrays.refresh_count[index] = -1
+
+    def mark_dirty_index(self, index: int) -> None:
+        """Mark the valid L3 line at ``index`` as newer than DRAM."""
+        self.arrays.dirty[index] = 1
+
     def mark_clean_index(self, index: int) -> None:
         """Mark the valid L3 line at ``index`` as matching DRAM."""
-        arrays = self.arrays
-        arrays.l3_state[index] = L3_CLEAN
-        arrays.dirty[index] = 0
+        self.arrays.dirty[index] = 0
 
-    def holders_at(self, index: int) -> List[int]:
-        """Cores the directory entry at ``index`` lists (sharers and owner),
-        in ascending order."""
-        arrays = self.arrays
-        sharers = arrays.sharers[index]
-        holders = set(sharers) if sharers else set()
-        owner = arrays.owner[index]
-        if owner >= 0:
-            holders.add(owner)
-        return sorted(holders)
-
-    # -- compatibility API (shared by both backends) ---------------------------
-
-    def lookup(self, block_address: int) -> LookupResult:
-        """Find a block without modifying replacement or refresh state."""
-        return self._lookup_result(block_address, self.probe_index(block_address))
-
-    def probe(self, block_address: int) -> Optional[CacheLine]:
-        """Return the line holding ``block_address`` if present, else None."""
-        index = self.probe_index(block_address)
-        return self.view(index) if index >= 0 else None
-
-    def access(self, block_address: int, cycle: int) -> LookupResult:
-        """Look up a block and, on a hit, update LRU and refresh the cells."""
-        return self._lookup_result(
-            block_address, self.access_index(block_address, cycle)
-        )
-
-    def _lookup_result(self, block_address: int, index: int) -> LookupResult:
-        set_idx, _ = self.set_and_tag(block_address)
-        if index < 0:
-            return LookupResult(hit=False, line=None, set_idx=set_idx, way=None)
-        return LookupResult(
-            hit=True,
-            line=self.view(index),
-            set_idx=set_idx,
-            way=index - set_idx * self._assoc,
-        )
-
-    # -- fills and evictions --------------------------------------------------
-
-    def choose_victim(self, block_address: int) -> EvictionResult:
-        """Pick the LRU victim in the block's set (preferring invalid ways)."""
-        index = self.choose_victim_index(block_address)
-        line = self.view(index)
-        block = self.block_address_at(index) if line.tag is not None else 0
-        return EvictionResult(
-            line=line,
-            block_address=block,
-            was_valid=line.valid,
-            was_dirty=line.dirty,
-            index=index,
-        )
-
-    def fill(
-        self,
-        block_address: int,
-        state: MESIState,
-        cycle: int,
-        victim: Optional[EvictionResult] = None,
-    ) -> CacheLine:
-        """Install a block (using ``victim`` if provided, else choosing one).
-
-        The caller is responsible for having handled the victim's write-back
-        and coherence clean-up *before* calling fill.
-        """
-        if victim is not None and victim.index >= 0:
-            index = victim.index
-        else:
-            index = self.choose_victim_index(block_address)
-        self.fill_index(index, block_address, MESI_CODES[state], cycle)
-        return self.view(index)
-
-    def invalidate(self, block_address: int) -> Optional[CacheLine]:
-        """Invalidate the line holding ``block_address`` if present."""
-        index = self.probe_index(block_address)
-        if index < 0:
-            return None
-        self.invalidate_index(index)
-        return self.view(index)
-
-    # -- iteration for the refresh machinery ----------------------------------
-
-    def iter_lines(self) -> Iterator[Tuple[int, CacheLine]]:
-        """Yield (set index, line) for every line in the cache."""
-        assoc = self._assoc
-        for index in range(self.geometry.num_lines):
-            yield index // assoc, self.view(index)
+    # -- refresh groups --------------------------------------------------------
 
     def refresh_group_line_range(self, group: int) -> Tuple[int, int]:
         """Contiguous ``[start, end)`` global line range of one refresh group.
@@ -534,23 +372,13 @@ class Cache:
         )
         return start_set * self._assoc, end_set * self._assoc
 
-    def valid_lines(self) -> Iterator[Tuple[int, CacheLine]]:
-        """Yield (set index, line) for every valid line."""
-        assoc = self._assoc
-        for index in self.valid_indices_in_range(0, self.geometry.num_lines):
-            yield index // assoc, self.view(index)
-
     def count_valid(self) -> int:
         """Number of valid lines currently held."""
-        if self.arrays is not None:
-            return sum(self.arrays.valid)
-        return sum(1 for _ in self.valid_lines())
+        return len(self.valid_indices_in_range(0, self.geometry.num_lines))
 
     def count_dirty(self) -> int:
         """Number of dirty lines currently held."""
-        if self.arrays is not None:
-            return sum(self.arrays.dirty)
-        return sum(1 for _, line in self.iter_lines() if line.dirty)
+        return len(self.dirty_indices())
 
     # -- vectorized sweeps for the refresh controllers -------------------------
 
@@ -584,41 +412,6 @@ class Cache:
         processed = (end - start) if include_invalid else num_valid
         return processed, violations
 
-    def refresh_due_indices(
-        self, start: int, end: int, cutoff: int, include_invalid: bool
-    ) -> List[int]:
-        """Line indices in ``[start, end)`` whose last refresh is <= cutoff.
-
-        This is the Refrint controller's vectorized Sentry-decay compare:
-        a line's sentry has fired by cycle ``c`` exactly when its last
-        refresh happened at or before ``c - sentry_retention``.
-        """
-        arrays = self.arrays
-        refreshed = arrays.last_refresh_cycle
-        if include_invalid:
-            return [i for i in range(start, end) if refreshed[i] <= cutoff]
-        valid = arrays.valid
-        return [
-            i for i in range(start, end) if valid[i] and refreshed[i] <= cutoff
-        ]
-
-    def min_last_refresh(
-        self, start: int, end: int, include_invalid: bool
-    ) -> Optional[int]:
-        """Earliest last-refresh cycle in ``[start, end)`` (None when empty)."""
-        arrays = self.arrays
-        refreshed = arrays.last_refresh_cycle
-        if include_invalid:
-            return min(refreshed[start:end])
-        valid = arrays.valid
-        earliest: Optional[int] = None
-        for i in range(start, end):
-            if valid[i]:
-                stamp = refreshed[i]
-                if earliest is None or stamp < earliest:
-                    earliest = stamp
-        return earliest
-
     def valid_indices_in_range(self, start: int, end: int) -> List[int]:
         """Indices of valid lines in ``[start, end)``."""
         valid = self.arrays.valid
@@ -639,43 +432,44 @@ class Cache:
 class _ObjectCache(Cache):
     """The one-object-per-line backend (``Cache(..., backend="object")``).
 
-    Its staged and sweep methods are transliterations of the original
-    per-line-object code, walking the line objects that are the storage;
-    everything else is inherited from :class:`Cache`.
+    Its index methods are transliterations of the original per-line-object
+    code, acting on the line objects that are the storage; everything else
+    is inherited from :class:`Cache`.
     """
 
-    def lookup(self, block_address: int) -> LookupResult:
-        """Find a block without modifying replacement or refresh state."""
-        set_idx, tag = self.set_and_tag(block_address)
-        base = set_idx * self._assoc
-        for way in range(self._assoc):
-            line = self._views[base + way]
-            if line.valid and line.tag == tag:
-                return LookupResult(hit=True, line=line, set_idx=set_idx, way=way)
-        return LookupResult(hit=False, line=None, set_idx=set_idx, way=None)
+    def line(self, index: int) -> CacheLine:
+        """The line object at ``index``, for the refresh controllers'
+        ``decide()`` walk."""
+        return self._lines[index]
+
+    def _tag_at(self, index: int) -> int:
+        tag = self._lines[index].tag
+        return -1 if tag is None else tag
 
     def probe_index(self, block_address: int) -> int:
-        result = self.lookup(block_address)
-        if not result.hit:
-            return -1
-        return result.set_idx * self._assoc + result.way
+        set_idx, tag = self.set_and_tag(block_address)
+        base = set_idx * self._assoc
+        lines = self._lines
+        for index in range(base, base + self._assoc):
+            line = lines[index]
+            if line.valid and line.tag == tag:
+                return index
+        return -1
 
     def access_index(self, block_address: int, cycle: int) -> int:
-        # The original access path, result dataclass and all.
-        result = self.lookup(block_address)
-        if not result.hit:
-            return -1
-        line = result.line
-        line.touch(cycle)
-        tick = self._lru_tick + 1
-        self._lru_tick = tick
-        line.lru_stamp = tick
-        return result.set_idx * self._assoc + result.way
+        index = self.probe_index(block_address)
+        if index >= 0:
+            line = self._lines[index]
+            line.touch(cycle)
+            tick = self._lru_tick + 1
+            self._lru_tick = tick
+            line.lru_stamp = tick
+        return index
 
     def choose_victim_index(self, block_address: int) -> int:
         set_idx, _ = self.set_and_tag(block_address)
         base = set_idx * self._assoc
-        ways = self._views[base:base + self._assoc]
+        ways = self._lines[base:base + self._assoc]
         for way, line in enumerate(ways):
             if not line.valid:
                 return base + way
@@ -686,39 +480,38 @@ class _ObjectCache(Cache):
         self, index: int, block_address: int, state_code: int, cycle: int
     ) -> None:
         _, tag = self.set_and_tag(block_address)
-        line = self._views[index]
+        line = self._lines[index]
         line.fill(tag, MESI_STATES[state_code], cycle)
         tick = self._lru_tick + 1
         self._lru_tick = tick
         line.lru_stamp = tick
 
     def invalidate_index(self, index: int) -> None:
-        self._views[index].invalidate()
+        self._lines[index].invalidate()
 
     def state_code(self, index: int) -> int:
-        return MESI_CODES[self._views[index].state]
+        return MESI_CODES[self._lines[index].state]
 
     def set_state_code(self, index: int, code: int) -> None:
-        self._views[index].state = MESI_STATES[code]
+        self._lines[index].state = MESI_STATES[code]
 
     def valid_at(self, index: int) -> bool:
-        return self._views[index].valid
+        return self._lines[index].valid
 
     def dirty_at(self, index: int) -> bool:
-        return self._views[index].dirty
+        return self._lines[index].dirty
 
     def refresh_index(self, index: int, cycle: int) -> None:
-        self._views[index].refresh(cycle)
+        self._lines[index].refresh(cycle)
+
+    def touch_index(self, index: int, cycle: int) -> None:
+        self._lines[index].touch(cycle)
+
+    def mark_dirty_index(self, index: int) -> None:
+        self._lines[index].mark_dirty()
 
     def mark_clean_index(self, index: int) -> None:
-        self._views[index].mark_clean()
-
-    def holders_at(self, index: int) -> List[int]:
-        line = self._views[index]
-        holders = set(line.sharers)
-        if line.owner is not None:
-            holders.add(line.owner)
-        return sorted(holders)
+        self._lines[index].mark_clean()
 
     def bulk_refresh_range(
         self,
@@ -731,7 +524,7 @@ class _ObjectCache(Cache):
         processed = 0
         violations = 0
         for i in range(start, end):
-            line = self._views[i]
+            line = self._lines[i]
             if line.valid:
                 if line.is_expired(cycle, retention_cycles):
                     violations += 1
@@ -747,26 +540,33 @@ class _ObjectCache(Cache):
     def refresh_due_indices(
         self, start: int, end: int, cutoff: int, include_invalid: bool
     ) -> List[int]:
-        views = self._views
+        """Line indices in ``[start, end)`` whose last refresh is <= cutoff.
+
+        The Refrint walk's Sentry-decay compare: a line's sentry has fired
+        by cycle ``c`` exactly when its last refresh happened at or before
+        ``c - sentry_retention``.
+        """
+        lines = self._lines
         return [
             i for i in range(start, end)
-            if (include_invalid or views[i].valid)
-            and views[i].last_refresh_cycle <= cutoff
+            if (include_invalid or lines[i].valid)
+            and lines[i].last_refresh_cycle <= cutoff
         ]
 
     def min_last_refresh(
         self, start: int, end: int, include_invalid: bool
     ) -> Optional[int]:
+        """Earliest last-refresh cycle in ``[start, end)`` (None when empty)."""
         stamps = [
             line.last_refresh_cycle
-            for line in self._views[start:end]
+            for line in self._lines[start:end]
             if include_invalid or line.valid
         ]
         return min(stamps) if stamps else None
 
     def valid_indices_in_range(self, start: int, end: int) -> List[int]:
-        views = self._views
-        return [i for i in range(start, end) if views[i].valid]
+        lines = self._lines
+        return [i for i in range(start, end) if lines[i].valid]
 
     def dirty_indices(self) -> List[int]:
-        return [i for i, line in enumerate(self._views) if line.dirty]
+        return [i for i, line in enumerate(self._lines) if line.dirty]

@@ -6,10 +6,10 @@ Two state machines coexist in the hierarchy:
   is write-through, so its lines are never MODIFIED; the instruction L1 only
   reads.  The private L2 uses the full MESI range.
 * the shared, banked L3 holds :class:`L3State` lines (invalid / valid-clean
-  / valid-dirty with respect to DRAM) and, because the directory lives in
-  the L3 (Table 5.1), each L3 line also records which cores share it and
-  which single core, if any, owns it with write permission
-  (:class:`DirectoryLine`).
+  / valid-dirty with respect to DRAM).  The directory lives in the L3
+  (Table 5.1), but its entries -- which cores share a block, which one owns
+  it -- are kept beside each bank's lines, in
+  :class:`~repro.coherence.directory.Directory`.
 
 For the refresh policies only two predicates matter -- is the line valid,
 and is it dirty -- so :class:`CacheLine` exposes ``valid`` and ``dirty``
@@ -19,12 +19,19 @@ Lines also carry the eDRAM book-keeping the paper's Section 4 describes: the
 cycle of the last (implicit or explicit) refresh, and the per-line ``Count``
 used by the WB(n, m) policy, stored as a handful of extra eDRAM cells next
 to the tag.
+
+The line objects are the storage of the object cache backend (the test
+oracle) and what its refresh walk hands to
+:meth:`DataPolicy.decide <repro.refresh.policies.DataPolicy.decide>`.  The
+array backend stores the same fields as vectors
+(:mod:`repro.mem.arrays`) and the MESI state as the integer codes below;
+every layer above the caches reads and writes lines by index, in codes.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional, Set
+from typing import Optional
 
 
 class MESIState(enum.Enum):
@@ -44,23 +51,20 @@ class L3State(enum.Enum):
     DIRTY = "D"
 
 
-# Integer state codes used by the struct-of-arrays cache backend and the
-# protocol's staged fast path.  The enum objects remain the public vocabulary
-# (line views translate in both directions); the codes exist so the hot path
-# can compare and store plain ints instead of enum members.
+# Integer MESI state codes: the vocabulary of the cache index API
+# (``state_code`` / ``set_state_code`` / ``fill_index``), so the protocol
+# compares and stores plain ints instead of enum members.  The object
+# backend translates them to and from its lines' enum members.
 
 MESI_INVALID, MESI_SHARED, MESI_EXCLUSIVE, MESI_MODIFIED = 0, 1, 2, 3
-L3_INVALID, L3_CLEAN, L3_DIRTY = 0, 1, 2
 
 #: Code -> enum member, indexable by the integer code.
 MESI_STATES: tuple = (
     MESIState.INVALID, MESIState.SHARED, MESIState.EXCLUSIVE, MESIState.MODIFIED
 )
-L3_STATES: tuple = (L3State.INVALID, L3State.CLEAN, L3State.DIRTY)
 
 #: Enum member -> code.
 MESI_CODES = {state: code for code, state in enumerate(MESI_STATES)}
-L3_CODES = {state: code for code, state in enumerate(L3_STATES)}
 
 
 class CacheLine:
@@ -144,20 +148,19 @@ class CacheLine:
 
 
 class DirectoryLine(CacheLine):
-    """An L3 line augmented with the directory entry for its block.
+    """An L3 line: a :class:`CacheLine` whose validity is its L3 state.
 
-    The L3 keeps the MESI directory (Table 5.1): ``sharers`` is the set of
-    cores whose private hierarchy may hold the block, and ``owner`` is the
-    single core holding it with write permission (M or E in its L2), if any.
+    The MESI ``state`` field is bookkeeping only; ``valid`` and ``dirty``
+    follow ``l3_state``.  The block's directory entry is not part of the
+    line: each L3 bank keeps its entries in a
+    :class:`~repro.coherence.directory.Directory`, indexed like its lines.
     """
 
-    __slots__ = ("l3_state", "sharers", "owner")
+    __slots__ = ("l3_state",)
 
     def __init__(self) -> None:
         super().__init__()
         self.l3_state: L3State = L3State.INVALID
-        self.sharers: Set[int] = set()
-        self.owner: Optional[int] = None
 
     # The generic predicates map onto the L3 state machine.
 
@@ -172,18 +175,14 @@ class DirectoryLine(CacheLine):
         return self.l3_state is L3State.DIRTY
 
     def fill(self, tag: int, state: MESIState, cycle: int) -> None:
-        """Install a new block; the MESI ``state`` argument is ignored."""
+        """Install a new, valid-clean block (``state`` is bookkeeping)."""
         super().fill(tag, state, cycle)
         self.l3_state = L3State.CLEAN
-        self.sharers = set()
-        self.owner = None
 
     def invalidate(self) -> None:
-        """Drop the line's contents and its directory entry."""
+        """Drop the line's contents."""
         super().invalidate()
         self.l3_state = L3State.INVALID
-        self.sharers = set()
-        self.owner = None
 
     def mark_dirty(self) -> None:
         """Mark the line as holding data newer than DRAM."""
@@ -200,5 +199,5 @@ class DirectoryLine(CacheLine):
     def __repr__(self) -> str:
         return (
             f"DirectoryLine(tag={self.tag}, state={self.l3_state.value}, "
-            f"sharers={sorted(self.sharers)}, owner={self.owner})"
+            f"refresh@{self.last_refresh_cycle})"
         )

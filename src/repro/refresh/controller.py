@@ -12,10 +12,13 @@ On the array backend the four paper policies (All, Valid, Dirty, WB(n, m))
 are applied as index arithmetic over the cache's state vectors: the
 refresh ticks happen in place, and the verdict for a line that cannot be
 refreshed is already known (:meth:`RefreshController._take_policy_actions`),
-so no :class:`~repro.refresh.policies.PolicyDecision` is built.  The object
-backend and plugged-in policies go through :meth:`DataPolicy.decide
-<repro.refresh.policies.DataPolicy.decide>` line by line
-(:meth:`RefreshController.apply_policy`).
+so no :class:`~repro.refresh.policies.PolicyDecision` is built.  Those four
+are the only policies the array backend runs: a controller for an array
+cache with any other :class:`~repro.refresh.policies.DataPolicy` raises
+``TypeError``.  The object backend (the test oracle) asks
+:meth:`DataPolicy.decide <repro.refresh.policies.DataPolicy.decide>` line
+by line (:meth:`RefreshController.apply_policy`), so it also runs a
+plugged-in policy.
 
 Two concrete controllers exist:
 
@@ -95,15 +98,17 @@ class RefreshController(abc.ABC):
         self._setup_policy_dispatch()
 
     def _setup_policy_dispatch(self) -> None:
-        """Classify the data policy for the staged per-line fast path.
+        """Classify the data policy by exact type.
 
         On the array backend the refresh decisions of the paper policies
         (REFRESH under Valid/All, a Count decrement under WB(n, m)) are
         pure index arithmetic, and only write-backs and invalidations go
-        through the hierarchy entry points.  Exact types only: a subclassed
-        policy falls back to the generic :meth:`apply_policy` walk.
+        through the hierarchy entry points; no other policy runs there.
+        On the object backend a policy of any other type (``_policy_kind``
+        None) is asked through :meth:`apply_policy` for every line.
         """
-        policy_type = type(self.policy)
+        policy = self.policy
+        policy_type = type(policy)
         if policy_type is AllPolicy:
             self._policy_kind = "all"
         elif policy_type is ValidPolicy:
@@ -112,10 +117,17 @@ class RefreshController(abc.ABC):
             self._policy_kind = "dirty"
         elif policy_type is WritebackPolicy:
             self._policy_kind = "wb"
-            self._dirty_budget = self.policy.dirty_refreshes
-            self._clean_budget = self.policy.clean_refreshes
+            self._dirty_budget = policy.dirty_refreshes
+            self._clean_budget = policy.clean_refreshes
+        elif self.cache.backend == "array":
+            raise TypeError(
+                f"the array cache backend applies only the paper's data "
+                f"policies (All, Valid, Dirty, WB(n, m)), not "
+                f"{policy_type.__name__}; run a plugged-in policy on the "
+                f'object backend (cache_backend="object")'
+            )
         else:
-            self._policy_kind = "custom"
+            self._policy_kind = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -128,11 +140,11 @@ class RefreshController(abc.ABC):
     def apply_policy(self, index: int, cycle: int) -> PolicyAction:
         """Ask the data policy about one line and carry out its verdict.
 
-        The generic path, for the object backend and plugged-in policies.
+        The object backend's walk: ``decide()`` sees the line object itself.
         Returns the action taken, so the timing controllers can decide how
         many controller cycles the pass consumed.
         """
-        line = self.cache.view(index)
+        line = self.cache.line(index)
         decision = self.policy.decide(line)
         action = decision.action
         if action is PolicyAction.REFRESH:
@@ -170,7 +182,7 @@ class RefreshController(abc.ABC):
         return processed
 
     def _take_policy_actions(self, indices: List[int], cycle: int) -> None:
-        """Write back or invalidate lines a staged pass could not refresh.
+        """Write back or invalidate lines an array pass could not refresh.
 
         Array backend, Dirty and WB(n, m) only; the verdict is known from
         the line's state (Table 3.1, Fig. 4.1).  Under WB(n, m) these are

@@ -21,9 +21,10 @@ state -- run as one slice operation over the cache's timestamp vectors
 a Dirty or WB(n, m) pass is one walk of its range over the state vectors:
 it stamps the invalid lines, takes the refresh ticks (and Count
 decrements) in place, and collects the lines that need a write-back or an
-invalidation, which are then carried out by line index.  The object
-backend and plugged-in policies judge every line of the group through the
-policy's ``decide()``.
+invalidation, which are then carried out by line index.  On the object
+backend (the test oracle) a Dirty or WB(n, m) pass, and every pass of a
+plugged-in policy, judges each line of the group through the policy's
+``decide()``.
 
 Each group pass is one exact timer (``ready == deadline``) on the
 simulation's refresh-timer calendar (:class:`~repro.utils.events.EventQueue`);
@@ -53,8 +54,9 @@ class PeriodicRefreshController(RefreshController):
         # All and Valid act uniformly on (in)valid lines, so a whole group
         # can be refreshed with slice operations; Dirty / WB need a per-line
         # decision on every valid line.  Exact types only (the policy-kind
-        # classification from the base class): a subclassed policy must keep
-        # the generic every-line walk so its decide() overrides are honoured.
+        # classification from the base class): a subclassed policy on the
+        # object backend keeps the every-line walk, so its decide()
+        # overrides are honoured.
         self._include_invalid = self._policy_kind == "all"
         cache = self.cache
         num_groups = cache.geometry.num_refresh_groups
@@ -109,14 +111,14 @@ class PeriodicRefreshController(RefreshController):
                 # happens.
                 self.counters.add("decay_violations", violations)
             return processed
-        if kind == "custom" or self.cache.arrays is None:
+        if self.cache.backend == "object":
             # Every line of the group through decide(): plugged-in policies
             # may act on invalid lines too, and a SKIP advances an invalid
             # line's refresh timestamp.
             return self.process_indices(range(start, end), cycle)
-        return self._staged_pass(start, end, cycle)
+        return self._array_pass(start, end, cycle)
 
-    def _staged_pass(self, start: int, end: int, cycle: int) -> int:
+    def _array_pass(self, start: int, end: int, cycle: int) -> int:
         """One Dirty or WB(n, m) pass over ``[start, end)`` (array backend).
 
         Invalid lines hold nothing: their timestamp is advanced, so lazy

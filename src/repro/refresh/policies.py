@@ -9,9 +9,15 @@ for its new valid-clean life), and a valid-clean line is invalidated.  Any
 normal access resets Count to the state-appropriate reference value.
 
 Policies are deliberately simple -- they look only at the line's state, not
-at reuse predictors or software hints -- exactly as the paper proposes.  The
-:class:`DataPolicy` interface is small so that downstream users can plug in
-smarter policies without touching the controllers.
+at reuse predictors or software hints -- exactly as the paper proposes.
+
+The classes here state each policy as a :meth:`DataPolicy.decide` over one
+line object.  On the array backend the refresh controllers apply the four
+paper policies as index arithmetic instead (matched by exact type), and
+they refuse any other policy.  A plugged-in :class:`DataPolicy` subclass
+runs on the object backend (``cache_backend="object"``), whose controllers
+ask ``decide()`` for every line they walk; ``examples/retention_sweep.py``
+shows one.
 """
 
 from __future__ import annotations
@@ -57,16 +63,6 @@ class DataPolicy(abc.ABC):
     @abc.abstractmethod
     def decide(self, line: CacheLine) -> PolicyDecision:
         """Decide what to do with ``line`` when its refresh moment arrives."""
-
-    def on_access(self, line: CacheLine) -> None:
-        """Reset per-line policy state after a normal (non-refresh) access.
-
-        The default resets nothing; WB(n, m) resets the Count field.
-        """
-
-    def uses_count(self) -> bool:
-        """True if the policy maintains the per-line Count field."""
-        return False
 
 
 class AllPolicy(DataPolicy):
@@ -118,16 +114,9 @@ class WritebackPolicy(DataPolicy):
         self.clean_refreshes = clean_refreshes
         self.label = f"WB({dirty_refreshes},{clean_refreshes})"
 
-    def uses_count(self) -> bool:
-        return True
-
     def reference_count(self, line: CacheLine) -> int:
         """The Count reference value for a line in its current state."""
         return self.dirty_refreshes if line.dirty else self.clean_refreshes
-
-    def on_access(self, line: CacheLine) -> None:
-        """A normal access resets Count to the state's reference value."""
-        line.refresh_count = self.reference_count(line)
 
     def decide(self, line: CacheLine) -> PolicyDecision:
         if not line.valid:

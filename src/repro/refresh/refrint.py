@@ -38,8 +38,9 @@ array backend one walk of the range over the cache's state vectors answers
 "which lines have decayed", takes their refresh ticks in place and finds
 "when does this group fire next"; the lines a tick cannot keep (a WB(n, m)
 Count that ran out, a clean line under Dirty) are written back or
-invalidated by index, with no per-line objects.  The object backend and
-plugged-in policies walk the due lines through the policy's ``decide()``.
+invalidated by index, with no per-line objects.  The object backend (the
+test oracle, and the home of plugged-in policies) walks the due lines
+through the policy's ``decide()``.
 """
 
 from __future__ import annotations
@@ -91,20 +92,21 @@ class RefrintRefreshController(RefreshController):
     def _handler(self) -> Callable[[int, Any], int]:
         """The group-interrupt handler this controller's timers run.
 
-        The single-pass handler fuses the due scan, the refresh ticks and
-        the next-fire computation into one int-compare loop over the raw
-        state vectors; the object backend and plugged-in policies keep the
-        generic two-pass walk.  A property, not an attribute: a bound
+        The array backend's single-pass handler fuses the due scan, the
+        refresh ticks and the next-fire computation into one int-compare
+        loop over the raw state vectors; the object backend keeps the
+        two-pass ``decide()`` walk.  A property, not an attribute: a bound
         method stored on the controller would be a reference cycle.
         """
-        if self._policy_kind == "custom" or self.cache.arrays is None:
+        if self.cache.backend == "object":
             return self._on_group_interrupt
         return self._on_group_interrupt_fast
 
     # -- event handling --------------------------------------------------------
 
     def _on_group_interrupt(self, cycle: int, payload: Any) -> int:
-        """Generic group interrupt; returns the group's next fire time."""
+        """Object-backend group interrupt; returns the group's next fire
+        time."""
         start, end = payload
         include_invalid = self._include_invalid
         sentry_retention = self._sentry_retention

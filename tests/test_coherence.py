@@ -1,4 +1,4 @@
-"""Unit tests for the directory helpers and the MESI protocol engine."""
+"""Unit tests for the directory and the MESI protocol engine."""
 
 from __future__ import annotations
 
@@ -7,58 +7,73 @@ import pytest
 from repro.coherence.directory import Directory
 from repro.hierarchy.hierarchy import CacheHierarchy
 from repro.mem.cache import CACHE_BACKENDS
-from repro.mem.line import DirectoryLine, L3State, MESIState
+from repro.mem.line import MESI_EXCLUSIVE, MESI_MODIFIED, MESI_SHARED
 
-
-def directory_line() -> DirectoryLine:
-    line = DirectoryLine()
-    line.fill(tag=1, state=MESIState.SHARED, cycle=0)
-    return line
+#: The directory line the helper tests work on.
+LINE = 2
 
 
 class TestDirectoryHelpers:
     def test_first_reader_gets_exclusivity(self):
-        line = directory_line()
-        assert Directory.record_reader(line, core=3)
-        assert line.sharers == {3}
+        directory = Directory(4)
+        assert directory.record_reader(LINE, core=3)
+        assert directory.sharers[LINE] == {3}
+        assert directory.owner[LINE] == 3
 
     def test_second_reader_is_shared(self):
-        line = directory_line()
-        Directory.record_reader(line, core=3)
-        assert not Directory.record_reader(line, core=5)
-        assert line.sharers == {3, 5}
+        directory = Directory(4)
+        directory.record_reader(LINE, core=3)
+        assert not directory.record_reader(LINE, core=5)
+        assert directory.sharers[LINE] == {3, 5}
 
     def test_record_writer_claims_sole_ownership(self):
-        line = directory_line()
-        Directory.record_reader(line, core=1)
-        Directory.record_reader(line, core=2)
-        Directory.record_writer(line, core=2)
-        assert line.owner == 2
-        assert line.sharers == {2}
+        directory = Directory(4)
+        directory.record_reader(LINE, core=1)
+        directory.record_reader(LINE, core=2)
+        directory.record_writer(LINE, core=2)
+        assert directory.owner[LINE] == 2
+        assert directory.sharers[LINE] == {2}
 
     def test_clear_owner_demotes_to_sharer(self):
-        line = directory_line()
-        Directory.record_writer(line, core=7)
-        owner = Directory.clear_owner(line)
-        assert owner == 7
-        assert line.owner is None
-        assert 7 in line.sharers
+        directory = Directory(4)
+        directory.record_writer(LINE, core=7)
+        directory.clear_owner(LINE)
+        assert directory.owner[LINE] == -1
+        assert 7 in directory.sharers[LINE]
+        assert directory.holders(LINE) == [7]
 
     def test_remove_core(self):
-        line = directory_line()
-        Directory.record_writer(line, core=4)
-        Directory.remove_core(line, 4)
-        assert line.owner is None
-        assert line.sharers == set()
+        directory = Directory(4)
+        directory.record_writer(LINE, core=4)
+        directory.remove_core(LINE, 4)
+        assert directory.owner[LINE] == -1
+        assert directory.sharers[LINE] == set()
 
     def test_sharers_other_than(self):
-        line = directory_line()
-        Directory.record_reader(line, core=1)
-        Directory.record_reader(line, core=2)
-        Directory.record_writer(line, core=3)
-        assert Directory.sharers_other_than(line, 3) == set()
-        line.sharers = {1, 2, 3}
-        assert Directory.sharers_other_than(line, 1) == {2, 3}
+        directory = Directory(4)
+        directory.record_reader(LINE, core=1)
+        directory.record_reader(LINE, core=2)
+        directory.record_writer(LINE, core=3)
+        assert directory.sharers_other_than(LINE, 3) == set()
+        directory.sharers[LINE] = {1, 2, 3}
+        assert directory.sharers_other_than(LINE, 1) == {2, 3}
+
+    def test_sharer_sets_are_built_when_a_core_is_first_recorded(self):
+        directory = Directory(8)
+        assert directory.sharers == [None] * 8
+        assert directory.owner == [-1] * 8
+        # Reads, and updates that record nobody, build no set.
+        assert directory.holders(LINE) == []
+        assert directory.sharers_other_than(LINE, 1) == set()
+        directory.remove_core(LINE, 1)
+        directory.clear_owner(LINE)
+        assert directory.sharers == [None] * 8
+        directory.record_reader(LINE, core=5)
+        assert directory.sharers[LINE] == {5}
+        assert directory.sharers.count(None) == 7
+        directory.clear(LINE)
+        assert directory.sharers[LINE] is None
+        assert directory.owner[LINE] == -1
 
 
 @pytest.fixture
@@ -75,12 +90,12 @@ class TestProtocolReadWrite:
         assert latency >= hierarchy.architecture.dram_access_cycles
         caches = hierarchy.cores[0]
         block = hierarchy.protocol.block_of(ADDR)
-        assert caches.l1d.probe(block) is not None
-        assert caches.l2.probe(block) is not None
+        assert caches.l1d.probe_index(block) >= 0
+        assert caches.l2.probe_index(block) >= 0
         bank = hierarchy.protocol.home_bank(block)
-        l3_line = bank.cache.probe(block)
-        assert l3_line is not None and l3_line.valid
-        assert 0 in l3_line.sharers
+        index = bank.cache.probe_index(block)
+        assert index >= 0 and bank.cache.valid_at(index)
+        assert 0 in bank.directory.sharers[index]
         assert hierarchy.counters["dram_accesses"] == 1
 
     def test_read_hit_is_cheap_and_causes_no_dram(self, hierarchy):
@@ -93,24 +108,24 @@ class TestProtocolReadWrite:
     def test_write_makes_l2_modified_but_l1_stays_clean(self, hierarchy):
         hierarchy.write(0, ADDR, cycle=0)
         block = hierarchy.protocol.block_of(ADDR)
-        l2_line = hierarchy.cores[0].l2.probe(block)
-        assert l2_line is not None and l2_line.state is MESIState.MODIFIED
-        l1_line = hierarchy.cores[0].l1d.probe(block)
+        l2 = hierarchy.cores[0].l2
+        l2_index = l2.probe_index(block)
+        assert l2_index >= 0 and l2.state_code(l2_index) == MESI_MODIFIED
+        l1d = hierarchy.cores[0].l1d
+        l1_index = l1d.probe_index(block)
         # Write-through, write-no-allocate L1: either absent or clean.
-        assert l1_line is None or not l1_line.dirty
+        assert l1_index < 0 or not l1d.dirty_at(l1_index)
 
     def test_write_after_shared_read_invalidates_other_copies(self, hierarchy):
         hierarchy.read(0, ADDR, cycle=0)
         hierarchy.read(1, ADDR, cycle=10)
         block = hierarchy.protocol.block_of(ADDR)
-        assert hierarchy.cores[0].l2.probe(block) is not None
+        assert hierarchy.cores[0].l2.probe_index(block) >= 0
         hierarchy.write(1, ADDR, cycle=20)
         # Core 0's copy has been invalidated by the directory.
-        line0 = hierarchy.cores[0].l2.probe(block)
-        assert line0 is None or not line0.valid
+        assert hierarchy.cores[0].l2.probe_index(block) < 0
         bank = hierarchy.protocol.home_bank(block)
-        l3_line = bank.cache.probe(block)
-        assert l3_line.owner == 1
+        assert bank.directory.owner[bank.cache.probe_index(block)] == 1
         assert hierarchy.counters["coherence_invalidations"] >= 1
 
     def test_read_after_remote_write_recalls_dirty_data(self, hierarchy):
@@ -118,18 +133,19 @@ class TestProtocolReadWrite:
         hierarchy.read(1, ADDR, cycle=100)
         block = hierarchy.protocol.block_of(ADDR)
         bank = hierarchy.protocol.home_bank(block)
-        l3_line = bank.cache.probe(block)
+        index = bank.cache.probe_index(block)
         # The owner's dirty data was written back into the L3 (now dirty).
-        assert l3_line.l3_state is L3State.DIRTY
-        assert l3_line.owner is None
-        owner_l2 = hierarchy.cores[0].l2.probe(block)
-        assert owner_l2 is not None and owner_l2.state is MESIState.SHARED
+        assert bank.cache.dirty_at(index)
+        assert bank.directory.owner[index] == -1
+        owner_l2 = hierarchy.cores[0].l2
+        owner_index = owner_l2.probe_index(block)
+        assert owner_index >= 0 and owner_l2.state_code(owner_index) == MESI_SHARED
 
     def test_instruction_fetch_uses_l1i(self, hierarchy):
         hierarchy.instruction_fetch(0, ADDR, cycle=0)
         block = hierarchy.protocol.block_of(ADDR)
-        assert hierarchy.cores[0].l1i.probe(block) is not None
-        assert hierarchy.cores[0].l1d.probe(block) is None
+        assert hierarchy.cores[0].l1i.probe_index(block) >= 0
+        assert hierarchy.cores[0].l1d.probe_index(block) < 0
 
     def test_inclusion_holds_after_mixed_traffic(self, hierarchy):
         for i in range(64):
@@ -160,8 +176,8 @@ class TestPolicyEntryPoints:
         assert not bank.cache.valid_at(index)
         # The modified data held above was flushed to DRAM.
         assert hierarchy.counters["dram_writes"] == dram_before + 1
-        l2_line = hierarchy.cores[0].l2.probe(block)
-        assert l2_line is None or not l2_line.valid
+        assert hierarchy.cores[0].l2.probe_index(block) < 0
+        assert bank.directory.holders(index) == []
         assert hierarchy.check_inclusion() == []
 
     def test_policy_writeback_l3_cleans_line(self, hierarchy):
@@ -173,9 +189,8 @@ class TestPolicyEntryPoints:
         assert bank.cache.dirty_at(index)
         dram_before = hierarchy.counters["dram_writes"]
         hierarchy.policy_writeback("l3", bank.bank_id, index, 50)
-        line = bank.cache.view(index)
-        assert line.valid and not line.dirty
-        assert line.last_refresh_cycle == 50
+        assert bank.cache.valid_at(index) and not bank.cache.dirty_at(index)
+        assert bank.cache.arrays.last_refresh_cycle[index] == 50
         assert hierarchy.counters["dram_writes"] == dram_before + 1
 
     def test_policy_invalidate_l2_writes_dirty_data_down(self, hierarchy):
@@ -183,11 +198,11 @@ class TestPolicyEntryPoints:
         block = hierarchy.protocol.block_of(ADDR)
         l2 = hierarchy.cores[0].l2
         index = l2.probe_index(block)
-        assert l2.view(index).state is MESIState.MODIFIED
+        assert l2.state_code(index) == MESI_MODIFIED
         hierarchy.policy_invalidate("l2", 0, index, cycle=50)
         assert not l2.valid_at(index)
         bank = hierarchy.protocol.home_bank(block)
-        assert bank.cache.probe(block).l3_state is L3State.DIRTY
+        assert bank.cache.dirty_at(bank.cache.probe_index(block))
         assert hierarchy.check_inclusion() == []
 
     def test_policy_invalidate_l1_is_silent(self, hierarchy):
@@ -213,17 +228,19 @@ class TestPolicyEntryPoints:
         l2 = hierarchy.cores[0].l2
         index = l2.probe_index(block)
         hierarchy.policy_writeback("l2", 0, index, cycle=50)
-        assert l2.view(index).state is MESIState.EXCLUSIVE
+        assert l2.state_code(index) == MESI_EXCLUSIVE
         bank = hierarchy.protocol.home_bank(block)
-        assert bank.cache.probe(block).owner == 0
+        l3_index = bank.cache.probe_index(block)
+        assert bank.directory.owner[l3_index] == 0
         hierarchy.write(0, ADDR, cycle=100)  # silent E -> M
-        assert l2.view(index).state is MESIState.MODIFIED
+        assert l2.state_code(index) == MESI_MODIFIED
         fetches = hierarchy.counters["msg_owner_fetch"]
         hierarchy.read(1, ADDR, cycle=200)
         assert hierarchy.counters["msg_owner_fetch"] == fetches + 1
-        assert l2.view(index).state is MESIState.SHARED
-        assert hierarchy.cores[1].l2.probe(block).state is MESIState.SHARED
-        assert bank.cache.probe(block).l3_state is L3State.DIRTY
+        assert l2.state_code(index) == MESI_SHARED
+        reader_l2 = hierarchy.cores[1].l2
+        assert reader_l2.state_code(reader_l2.probe_index(block)) == MESI_SHARED
+        assert bank.cache.dirty_at(l3_index)
 
     def test_flush_dirty_writes_everything_to_dram(self, hierarchy):
         for i in range(8):
@@ -232,3 +249,29 @@ class TestPolicyEntryPoints:
         assert hierarchy.dirty_lines()["l2"] == 0
         assert hierarchy.dirty_lines()["l3"] == 0
         assert hierarchy.counters["dram_writes"] >= 8
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 6: a dirty L2 eviction leaves its core listed as a "
+        "sharer, so a later write sends it a spurious INVALIDATE"
+    ),
+)
+def test_dirty_l2_eviction_forgets_the_evicting_core(hierarchy):
+    arch = hierarchy.architecture
+    # Five blocks 1,024 B apart share one 4-way L2 set (and L3 bank 0):
+    # the fifth write evicts block 0, dirty.
+    stride = arch.l2.num_sets * arch.line_bytes
+    for way in range(arch.l2.associativity + 1):
+        hierarchy.write(0, way * stride, cycle=way * 10)
+    assert hierarchy.cores[0].l2.probe_index(0) < 0
+    bank = hierarchy.protocol.home_bank(0)
+    index = bank.cache.probe_index(0)
+    assert bank.cache.dirty_at(index)
+    holders = bank.directory.holders(index)
+    invalidates = hierarchy.counters["msg_invalidate"]
+    hierarchy.write(1, 0, cycle=100)
+    assert 0 not in holders
+    assert hierarchy.counters["msg_invalidate"] == invalidates

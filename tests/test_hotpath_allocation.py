@@ -1,15 +1,9 @@
-"""The staged cache fast path must not allocate per access.
+"""The cache index API must not allocate per access.
 
-The original ``Cache.lookup`` returned a frozen ``LookupResult`` dataclass
-on every access -- hit *and* miss -- and ``choose_victim`` allocated an
-``EvictionResult`` per fill.  The staged index API replaces both with plain
-ints.  Two independent checks pin that down:
-
-* a tripwire: the result dataclasses are monkeypatched to explode, and the
-  staged access/fill/evict cycle is driven through anyway;
-* a GC-churn bound: with the gen-0 threshold squeezed, a hundred thousand
-  staged accesses must not trigger collections (ints are untracked; one
-  tracked container per access would force thousands of gen-0 passes).
+A lookup returns a plain int line index, hit or miss.  A GC-churn bound
+pins that down: with the gen-0 threshold squeezed, a hundred thousand
+accesses must not trigger collections (ints are untracked; one tracked
+container per access would force thousands of gen-0 passes).
 
 The refresh layer has the same contract: on the array backend the four
 paper policies are applied as index arithmetic, so a whole simulation never
@@ -23,9 +17,8 @@ import gc
 import pytest
 
 from repro.config.parameters import CacheGeometry
-from repro.mem import cache as cache_module
 from repro.mem.cache import Cache
-from repro.mem.line import MESI_MODIFIED, MESI_SHARED
+from repro.mem.line import MESI_SHARED
 
 
 def geometry() -> CacheGeometry:
@@ -34,36 +27,6 @@ def geometry() -> CacheGeometry:
         access_cycles=1, write_back=True, num_refresh_groups=4,
         sentry_group_size=4,
     )
-
-
-class _Exploding:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError(
-            "result dataclass constructed on the staged fast path"
-        )
-
-
-@pytest.fixture
-def no_result_objects(monkeypatch):
-    monkeypatch.setattr(cache_module, "LookupResult", _Exploding)
-    monkeypatch.setattr(cache_module, "EvictionResult", _Exploding)
-
-
-def test_staged_path_builds_no_result_objects(no_result_objects):
-    cache = Cache(geometry())
-    # Misses, fills, hits, victim choice, invalidation -- the complete
-    # per-access repertoire of the protocol's hot path.
-    for block in range(0, 64 * 64, 64):
-        assert cache.probe_index(block) == -1
-        assert cache.access_index(block, cycle=0) == -1
-        index = cache.fill_block(block, MESI_SHARED, cycle=0)
-        assert isinstance(index, int)
-        assert cache.access_index(block, cycle=1) == index
-        assert isinstance(cache.choose_victim_index(block), int)
-        cache.set_state_code(index, MESI_MODIFIED)
-        assert cache.dirty_at(index)
-    cache.invalidate_index(cache.probe_index(0))
-    assert cache.probe_index(0) == -1
 
 
 def test_staged_hits_cause_no_gc_churn():
@@ -86,28 +49,6 @@ def test_staged_hits_cause_no_gc_churn():
         gc.set_threshold(*old_threshold)
     # One tracked object per access would mean ~2000 gen-0 collections.
     assert after - before < 50
-
-
-def test_object_path_allocates_per_access(monkeypatch):
-    """Sanity: the preserved object backend does build a result per access.
-
-    This is the allocation the refactor eliminates; counting it here keeps
-    the tripwire above honest (if the object path stopped constructing
-    ``LookupResult``, the no-allocation tests would be vacuous).
-    """
-    constructed = []
-    real = cache_module.LookupResult
-
-    def counting(*args, **kwargs):
-        constructed.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cache_module, "LookupResult", counting)
-    cache = Cache(geometry(), backend="object")
-    cache.fill_block(0x1000, MESI_SHARED, cycle=0)
-    for cycle in range(100):
-        cache.access_index(0x1000, cycle)
-    assert len(constructed) >= 100
 
 
 # -- refresh policy actions --------------------------------------------------

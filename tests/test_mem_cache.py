@@ -1,17 +1,28 @@
-"""Unit and property tests for the set-associative cache array."""
+"""Unit and property tests for the set-associative cache array.
+
+Every case runs on both storage backends: the classes below build their
+caches on ``backend = "array"``, and the ``...OnObjects`` subclasses at the
+end re-run them with ``backend = "object"``; the properties draw the
+backend.
+"""
 
 from __future__ import annotations
 
-import gc
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.parameters import CacheGeometry
-from repro.mem.arrays import ArrayCacheLine
-from repro.mem.cache import Cache
-from repro.mem.line import DirectoryLine, MESI_MODIFIED, MESI_SHARED, MESIState
+from repro.mem.cache import CACHE_BACKENDS, Cache
+from repro.mem.line import (
+    DirectoryLine,
+    MESI_EXCLUSIVE,
+    MESI_INVALID,
+    MESI_MODIFIED,
+    MESI_SHARED,
+)
 
 
 def small_geometry(**overrides) -> CacheGeometry:
@@ -24,106 +35,175 @@ def small_geometry(**overrides) -> CacheGeometry:
     return CacheGeometry(**parameters)
 
 
-class TestBasicOperation:
+def last_refresh(cache: Cache, index: int) -> int:
+    """A line's last refresh cycle, read from its backend's storage."""
+    if cache.arrays is not None:
+        return cache.arrays.last_refresh_cycle[index]
+    return cache.line(index).last_refresh_cycle
+
+
+class CacheCase:
+    """Builds a test class's caches on its ``backend``."""
+
+    backend = "array"
+
+    def cache(self, geometry: Optional[CacheGeometry] = None, **kwargs) -> Cache:
+        return Cache(
+            geometry if geometry is not None else small_geometry(),
+            backend=self.backend, **kwargs,
+        )
+
+
+class TestBasicOperation(CacheCase):
     def test_miss_then_hit(self):
-        cache = Cache(small_geometry())
-        assert not cache.lookup(0x1000).hit
-        cache.fill(0x1000, MESIState.SHARED, cycle=0)
-        assert cache.lookup(0x1000).hit
-        assert cache.access(0x1000, cycle=5).hit
+        cache = self.cache()
+        assert cache.probe_index(0x1000) == -1
+        index = cache.fill_block(0x1000, MESI_SHARED, cycle=0)
+        assert cache.probe_index(0x1000) == index
+        assert cache.access_index(0x1000, cycle=5) == index
 
     def test_access_refreshes_line(self):
-        cache = Cache(small_geometry())
-        line = cache.fill(0x1000, MESIState.SHARED, cycle=0)
-        cache.access(0x1000, cycle=42)
-        assert line.last_refresh_cycle == 42
+        cache = self.cache()
+        index = cache.fill_block(0x1000, MESI_SHARED, cycle=0)
+        cache.access_index(0x1000, cycle=42)
+        assert last_refresh(cache, index) == 42
 
     def test_lookup_does_not_touch(self):
-        cache = Cache(small_geometry())
-        line = cache.fill(0x1000, MESIState.SHARED, cycle=0)
-        cache.lookup(0x1000)
-        assert line.last_refresh_cycle == 0
+        cache = self.cache()
+        index = cache.fill_block(0x1000, MESI_SHARED, cycle=0)
+        cache.probe_index(0x1000)
+        assert last_refresh(cache, index) == 0
 
     def test_invalidate(self):
-        cache = Cache(small_geometry())
-        cache.fill(0x1000, MESIState.SHARED, cycle=0)
-        assert cache.invalidate(0x1000) is not None
-        assert not cache.lookup(0x1000).hit
-        assert cache.invalidate(0x2000) is None
+        cache = self.cache()
+        index = cache.fill_block(0x1000, MESI_SHARED, cycle=0)
+        cache.invalidate_index(index)
+        assert not cache.valid_at(index)
+        assert cache.probe_index(0x1000) == -1
+        assert cache.probe_index(0x2000) == -1
 
     def test_block_address_roundtrip(self):
-        cache = Cache(small_geometry())
+        cache = self.cache()
         block = 0x1234 & ~63
-        result = cache.lookup(block)
-        line = cache.fill(block, MESIState.SHARED, cycle=0)
-        assert cache.block_address_of(result.set_idx, line) == block
+        index = cache.fill_block(block, MESI_SHARED, cycle=0)
+        assert cache.set_of_index(index) == cache.set_and_tag(block)[0]
+        assert cache.block_address_at(index) == block
 
     def test_counts(self):
-        cache = Cache(small_geometry())
-        cache.fill(0x0, MESIState.SHARED, cycle=0)
-        cache.fill(0x40, MESIState.MODIFIED, cycle=0)
+        cache = self.cache()
+        cache.fill_block(0x0, MESI_SHARED, cycle=0)
+        cache.fill_block(0x40, MESI_MODIFIED, cycle=0)
         assert cache.count_valid() == 2
         assert cache.count_dirty() == 1
 
 
-class TestReplacement:
+class TestLineState(CacheCase):
+    def test_state_codes_drive_valid_and_dirty(self):
+        cache = self.cache()
+        index = cache.fill_block(0x40, MESI_EXCLUSIVE, cycle=0)
+        assert cache.state_code(index) == MESI_EXCLUSIVE
+        assert cache.valid_at(index) and not cache.dirty_at(index)
+        cache.set_state_code(index, MESI_MODIFIED)
+        assert cache.dirty_at(index)
+        assert cache.dirty_indices() == [index]
+        cache.set_state_code(index, MESI_INVALID)
+        assert not cache.valid_at(index)
+        assert cache.probe_index(0x40) == -1
+
+    def test_touch_recharges_without_updating_lru(self):
+        cache = self.cache(small_geometry(size_bytes=2 * 64 * 2, associativity=2))
+        a = cache.fill_block(0x000, MESI_SHARED, cycle=0)
+        cache.fill_block(0x100, MESI_SHARED, cycle=1)
+        cache.touch_index(a, cycle=50)
+        cache.refresh_index(a, cycle=60)
+        assert last_refresh(cache, a) == 60
+        # Touched or refreshed, ``a`` is still the set's LRU line.
+        assert cache.choose_victim_index(0x200) == a
+        cache.access_index(0x000, cycle=70)
+        assert cache.choose_victim_index(0x200) != a
+
+    def test_l3_lines_fill_clean_and_are_marked_dirty_and_clean(self):
+        cache = self.cache(directory=True)
+        index = cache.fill_block(0x40, MESI_SHARED, cycle=0)
+        assert cache.valid_at(index) and not cache.dirty_at(index)
+        cache.mark_dirty_index(index)
+        assert cache.dirty_at(index)
+        cache.mark_clean_index(index)
+        assert cache.valid_at(index) and not cache.dirty_at(index)
+        cache.invalidate_index(index)
+        assert not cache.valid_at(index)
+
+    def test_bulk_refresh_of_a_range(self):
+        cache = self.cache()
+        start, end = cache.refresh_group_line_range(0)
+        index = cache.fill_block(0x0, MESI_SHARED, cycle=0)
+        assert cache.valid_indices_in_range(start, end) == [index]
+        # Valid: only the one valid line counts, and it had decayed.
+        assert cache.bulk_refresh_range(start, end, 500, 100, False) == (1, 1)
+        assert last_refresh(cache, index) == 500
+        # All: every line of the group counts; none has decayed now.
+        assert cache.bulk_refresh_range(start, end, 550, 100, True) == (
+            end - start, 0,
+        )
+
+
+class TestReplacement(CacheCase):
     def test_lru_victim_is_least_recently_used(self):
         geometry = small_geometry(size_bytes=2 * 64 * 2, associativity=2)
-        cache = Cache(geometry)
+        cache = self.cache(geometry)
         # Two blocks mapping to set 0 (num_sets == 2, so stride is 128).
         a, b, c = 0x000, 0x100, 0x200
-        cache.fill(a, MESIState.SHARED, cycle=0)
-        cache.fill(b, MESIState.SHARED, cycle=1)
-        cache.access(a, cycle=2)  # b becomes LRU
-        victim = cache.choose_victim(c)
-        assert victim.was_valid
-        assert victim.block_address == b
+        cache.fill_block(a, MESI_SHARED, cycle=0)
+        cache.fill_block(b, MESI_SHARED, cycle=1)
+        cache.access_index(a, cycle=2)  # b becomes LRU
+        victim = cache.choose_victim_index(c)
+        assert cache.valid_at(victim)
+        assert cache.block_address_at(victim) == b
 
     def test_invalid_way_preferred_over_eviction(self):
         geometry = small_geometry(size_bytes=2 * 64 * 2, associativity=2)
-        cache = Cache(geometry)
-        cache.fill(0x000, MESIState.SHARED, cycle=0)
-        victim = cache.choose_victim(0x100)
-        assert not victim.was_valid
+        cache = self.cache(geometry)
+        cache.fill_block(0x000, MESI_SHARED, cycle=0)
+        assert not cache.valid_at(cache.choose_victim_index(0x100))
 
     def test_eviction_reports_dirty(self):
         geometry = small_geometry(size_bytes=64 * 2, associativity=2)
-        cache = Cache(geometry)
-        cache.fill(0x000, MESIState.MODIFIED, cycle=0)
-        cache.fill(0x080, MESIState.SHARED, cycle=1)
-        victim = cache.choose_victim(0x100)
-        assert victim.was_valid
-        assert victim.was_dirty == (victim.block_address == 0x000)
+        cache = self.cache(geometry)
+        cache.fill_block(0x000, MESI_MODIFIED, cycle=0)
+        cache.fill_block(0x080, MESI_SHARED, cycle=1)
+        victim = cache.choose_victim_index(0x100)
+        assert cache.valid_at(victim)
+        assert cache.dirty_at(victim) == (cache.block_address_at(victim) == 0x000)
 
 
-class TestBankInterleaving:
+class TestBankInterleaving(CacheCase):
     def test_interleaved_blocks_spread_over_sets(self):
         geometry = small_geometry()
         banks = 16
-        cache = Cache(geometry, index_interleave=banks, index_offset=3)
+        cache = self.cache(geometry, index_interleave=banks, index_offset=3)
         # Blocks belonging to bank 3: block_number % 16 == 3.
         blocks = [(3 + banks * i) * 64 for i in range(geometry.num_sets)]
         sets = {cache.set_and_tag(block)[0] for block in blocks}
         assert len(sets) == geometry.num_sets
 
     def test_roundtrip_with_interleaving(self):
-        cache = Cache(small_geometry(), index_interleave=16, index_offset=5)
+        cache = self.cache(index_interleave=16, index_offset=5)
         block = (5 + 16 * 37) * 64
-        result = cache.lookup(block)
-        line = cache.fill(block, MESIState.SHARED, cycle=0)
-        assert cache.block_address_of(result.set_idx, line) == block
+        index = cache.fill_block(block, MESI_SHARED, cycle=0)
+        assert cache.set_of_index(index) == cache.set_and_tag(block)[0]
+        assert cache.block_address_at(index) == block
 
     def test_invalid_interleave_rejected(self):
         with pytest.raises(ValueError):
-            Cache(small_geometry(), index_interleave=0)
+            self.cache(index_interleave=0)
         with pytest.raises(ValueError):
-            Cache(small_geometry(), index_interleave=4, index_offset=4)
+            self.cache(index_interleave=4, index_offset=4)
 
 
-class TestRefreshGroups:
+class TestRefreshGroups(CacheCase):
     def test_groups_partition_all_lines(self):
         geometry = small_geometry()
-        cache = Cache(geometry)
+        cache = self.cache(geometry)
         seen = []
         for group in range(geometry.num_refresh_groups):
             start, end = cache.refresh_group_line_range(group)
@@ -132,20 +212,20 @@ class TestRefreshGroups:
 
     def test_group_of_set_matches_partition(self):
         geometry = small_geometry()
-        cache = Cache(geometry)
+        cache = self.cache(geometry)
         for group in range(geometry.num_refresh_groups):
             start, end = cache.refresh_group_line_range(group)
             for index in range(start, end):
                 assert cache.refresh_group_of_set(cache.set_of_index(index)) == group
 
     def test_bad_group_rejected(self):
-        cache = Cache(small_geometry())
+        cache = self.cache()
         with pytest.raises(ValueError):
             cache.refresh_group_line_range(99)
 
     def test_group_blocking_delays_only_that_group(self):
         geometry = small_geometry()
-        cache = Cache(geometry)
+        cache = self.cache(geometry)
         cache.block_group(0, until=100)
         # A block mapping to set 0 (group 0) waits; one in the last group
         # does not.
@@ -156,7 +236,7 @@ class TestRefreshGroups:
         assert cache.wait_cycles(block_in_last_group, cycle=40) == 0
 
     def test_whole_array_blocking(self):
-        cache = Cache(small_geometry())
+        cache = self.cache()
         cache.busy_until = 50
         assert cache.wait_cycles(0, cycle=20) == 30
         assert cache.wait_cycles(0, cycle=60) == 0
@@ -164,53 +244,33 @@ class TestRefreshGroups:
 
 class TestDirectoryLineFactory:
     def test_l3_style_cache_uses_directory_lines(self):
-        cache = Cache(small_geometry(), line_factory=DirectoryLine)
-        line = cache.fill(0x40, MESIState.SHARED, cycle=0)
-        assert isinstance(line, DirectoryLine)
-
-
-def live_instances(cls) -> int:
-    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
-
-
-class TestLazyLineViews:
-    """The array backend builds line objects on first use, not per line."""
-
-    def test_view_is_built_once_and_reads_and_writes_the_vectors(self):
-        before = live_instances(ArrayCacheLine)
-        cache = Cache(small_geometry())
-        assert live_instances(ArrayCacheLine) == before
-        index = cache.fill_block(0x40, MESI_SHARED, cycle=3)
-        view = cache.view(index)
-        assert cache.view(index) is view
-        assert cache.probe(0x40) is view
-        assert live_instances(ArrayCacheLine) == before + 1
-        assert view.valid and view.state is MESIState.SHARED
-        assert view.last_refresh_cycle == 3
-        cache.set_state_code(index, MESI_MODIFIED)
-        assert view.dirty
-        view.refresh(9)
-        assert cache.arrays.last_refresh_cycle[index] == 9
-        view.invalidate()
-        assert not cache.valid_at(index)
-        assert cache.probe(0x40) is None
-
-    def test_directory_sharer_sets_are_built_on_first_read(self):
-        cache = Cache(small_geometry(), directory=True)
-        sharers = cache.arrays.sharers
-        assert sharers == [None] * cache.num_lines
-        assert cache.view(0).sharers == set()  # never filled
+        cache = Cache(small_geometry(), backend="object", directory=True)
         index = cache.fill_block(0x40, MESI_SHARED, cycle=0)
-        line = cache.view(index)
-        assert line.sharers == set()
-        line.sharers.add(3)
-        assert cache.view(index).sharers == {3}
-        cache.invalidate_index(index)
-        assert sharers[index] is None
-        assert line.sharers == set()
-        line.sharers.add(5)
-        cache.fill_index(index, 0x40, MESI_SHARED, cycle=1)
-        assert line.sharers == set()
+        assert isinstance(cache.line(index), DirectoryLine)
+
+
+# The same cases on the object backend, the oracle the array layout must
+# match.
+
+
+class TestBasicOperationOnObjects(TestBasicOperation):
+    backend = "object"
+
+
+class TestLineStateOnObjects(TestLineState):
+    backend = "object"
+
+
+class TestReplacementOnObjects(TestReplacement):
+    backend = "object"
+
+
+class TestBankInterleavingOnObjects(TestBankInterleaving):
+    backend = "object"
+
+
+class TestRefreshGroupsOnObjects(TestRefreshGroups):
+    backend = "object"
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +278,26 @@ class TestLazyLineViews:
 # ---------------------------------------------------------------------------
 
 block_addresses = st.integers(min_value=0, max_value=2**20).map(lambda n: n * 64)
+backends = st.sampled_from(CACHE_BACKENDS)
 
 
 @settings(max_examples=50, deadline=None)
-@given(blocks=st.lists(block_addresses, min_size=1, max_size=200))
-def test_property_most_recent_fill_always_present_until_capacity(blocks):
+@given(blocks=st.lists(block_addresses, min_size=1, max_size=200), backend=backends)
+def test_property_most_recent_fill_always_present_until_capacity(blocks, backend):
     """After filling a block it is immediately visible."""
-    cache = Cache(small_geometry())
+    cache = Cache(small_geometry(), backend=backend)
     for cycle, block in enumerate(blocks):
-        cache.fill(block, MESIState.SHARED, cycle=cycle)
-        assert cache.lookup(block).hit
+        cache.fill_block(block, MESI_SHARED, cycle=cycle)
+        assert cache.probe_index(block) >= 0
 
 
 @settings(max_examples=50, deadline=None)
-@given(blocks=st.lists(block_addresses, min_size=1, max_size=300))
-def test_property_valid_count_never_exceeds_capacity(blocks):
-    cache = Cache(small_geometry())
+@given(blocks=st.lists(block_addresses, min_size=1, max_size=300), backend=backends)
+def test_property_valid_count_never_exceeds_capacity(blocks, backend):
+    cache = Cache(small_geometry(), backend=backend)
     for cycle, block in enumerate(blocks):
-        if not cache.lookup(block).hit:
-            cache.fill(block, MESIState.SHARED, cycle=cycle)
+        if cache.probe_index(block) < 0:
+            cache.fill_block(block, MESI_SHARED, cycle=cycle)
     assert cache.count_valid() <= cache.num_lines
 
 
@@ -244,14 +305,18 @@ def test_property_valid_count_never_exceeds_capacity(blocks):
 @given(
     blocks=st.lists(block_addresses, min_size=1, max_size=200),
     interleave=st.sampled_from([1, 4, 16]),
+    backend=backends,
 )
-def test_property_block_address_roundtrip(blocks, interleave):
-    """block_address_of inverts set_and_tag for blocks owned by the bank."""
-    cache = Cache(small_geometry(), index_interleave=interleave, index_offset=0)
+def test_property_block_address_roundtrip(blocks, interleave, backend):
+    """block_address_at inverts set_and_tag for blocks owned by the bank."""
+    cache = Cache(
+        small_geometry(), index_interleave=interleave, index_offset=0,
+        backend=backend,
+    )
     for cycle, block in enumerate(blocks):
         owned = (block // 64) % interleave == 0
         if not owned:
             continue
-        result = cache.lookup(block)
-        line = cache.fill(block, MESIState.SHARED, cycle=cycle)
-        assert cache.block_address_of(result.set_idx, line) == block
+        index = cache.fill_block(block, MESI_SHARED, cycle=cycle)
+        assert cache.set_of_index(index) == cache.set_and_tag(block)[0]
+        assert cache.block_address_at(index) == block

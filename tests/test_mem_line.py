@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.hierarchy.hierarchy import CacheHierarchy
+from repro.hierarchy.levels import L3Bank
 from repro.mem.line import CacheLine, DirectoryLine, L3State, MESIState
 
 
@@ -59,21 +61,37 @@ class TestCacheLine:
 
 
 class TestDirectoryLine:
-    def test_starts_invalid_with_empty_directory(self):
+    """An L3 line's state machine, and the directory entry beside it.
+
+    The entry lives in the bank's :class:`Directory`, at the line's index;
+    the protocol empties it wherever it fills or drops the line.
+    """
+
+    def test_starts_invalid_with_empty_directory(self, tiny_architecture):
         line = DirectoryLine()
         assert not line.valid
-        assert line.sharers == set()
-        assert line.owner is None
+        assert line.l3_state is L3State.INVALID
+        bank = L3Bank(0, tiny_architecture)
+        assert not bank.cache.valid_at(0)
+        assert bank.directory.holders(0) == []
+        assert bank.directory.owner[0] == -1
 
-    def test_fill_is_clean_and_clears_directory(self):
+    def test_fill_is_clean_and_clears_directory(self, tiny_architecture):
         line = DirectoryLine()
-        line.sharers = {1, 2}
-        line.owner = 3
         line.fill(tag=5, state=MESIState.SHARED, cycle=10)
         assert line.valid and not line.dirty
         assert line.l3_state is L3State.CLEAN
-        assert line.sharers == set()
-        assert line.owner is None
+        hierarchy = CacheHierarchy(tiny_architecture)
+        bank = hierarchy.protocol.home_bank(0)
+        index = bank.cache.choose_victim_index(0)
+        bank.directory.sharers[index] = {1, 2}
+        bank.directory.owner[index] = 3
+        hierarchy.read(0, 0, cycle=10)  # an L3 miss fills ``index``
+        assert bank.cache.probe_index(0) == index
+        assert bank.cache.valid_at(index) and not bank.cache.dirty_at(index)
+        # Only the reader the fill was for is recorded.
+        assert bank.directory.sharers[index] == {0}
+        assert bank.directory.owner[index] == 0
 
     def test_dirty_clean_cycle(self):
         line = DirectoryLine()
@@ -90,13 +108,20 @@ class TestDirectoryLine:
         with pytest.raises(ValueError):
             line.mark_clean()
 
-    def test_invalidate_resets_directory(self):
+    def test_invalidate_resets_directory(self, tiny_architecture):
         line = DirectoryLine()
         line.fill(tag=5, state=MESIState.SHARED, cycle=0)
-        line.sharers = {0, 4}
-        line.owner = 4
         line.mark_dirty()
         line.invalidate()
         assert not line.valid
-        assert line.sharers == set()
-        assert line.owner is None
+        hierarchy = CacheHierarchy(tiny_architecture)
+        hierarchy.write(4, 0, cycle=0)
+        hierarchy.read(0, 0, cycle=100)  # recalls core 4's dirty copy
+        bank = hierarchy.protocol.home_bank(0)
+        index = bank.cache.probe_index(0)
+        assert bank.cache.dirty_at(index)
+        assert bank.directory.holders(index) == [0, 4]
+        hierarchy.policy_invalidate("l3", bank.bank_id, index, cycle=200)
+        assert not bank.cache.valid_at(index)
+        assert bank.directory.sharers[index] is None
+        assert bank.directory.owner[index] == -1

@@ -4,8 +4,9 @@ Building a hierarchy must not cost one object per cache line, and once
 ``RefrintSimulator.run`` returns nothing may hold the run's hierarchy alive:
 not the queued refresh timers (which can never fire again), not a
 controller or cache holding a bound method of itself.  Either would leave
-every line view and sharer set of the run for the cyclic garbage collector,
-whose full passes then cost more than building the hierarchy.
+every line object and sharer set of the run for the cyclic garbage
+collector, whose full passes then cost more than building the hierarchy.
+An array-backend run builds no line object at all.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.config.presets import scaled_architecture
 from repro.core import simulator as simulator_module
 from repro.core.simulator import RefrintSimulator
 from repro.hierarchy.hierarchy import CacheHierarchy
+from repro.mem.line import CacheLine
 from repro.workloads.suite import build_application
 from tests.conftest import make_refresh_config, make_tiny_architecture
 
@@ -89,3 +91,28 @@ def test_run_leaves_nothing_for_the_cycle_collector(
         assert simulator.last_replay_stats.wheel_drains > 0
     assert not hierarchy_alive
     assert unreachable == 0
+
+
+def live_line_objects() -> int:
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, CacheLine))
+
+
+@pytest.mark.parametrize("backend", ["array", "object"])
+def test_line_objects_exist_only_on_the_object_backend(
+    monkeypatch, tiny_workload, backend
+):
+    kept = []
+
+    class KeptHierarchy(CacheHierarchy):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            kept.append(self)
+
+    monkeypatch.setattr(simulator_module, "CacheHierarchy", KeptHierarchy)
+    gc.collect()
+    before = live_line_objects()
+    RefrintSimulator(configs()["refrint"], cache_backend=backend).run(tiny_workload)
+    built = live_line_objects() - before
+    (hierarchy,) = kept
+    all_lines = sum(cache.num_lines for _, _, cache in hierarchy.all_caches())
+    assert built == (0 if backend == "array" else all_lines)

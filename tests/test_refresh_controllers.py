@@ -136,19 +136,17 @@ class TestPeriodicController:
             if controller.level == "l3":
                 controller.start(0)
         events.run(until=399)
-        line = bank.cache.probe(block)
-        assert line is None or not line.valid
+        assert bank.cache.probe_index(block) < 0
         assert hierarchy.counters["l3_policy_invalidations"] >= 1
         assert hierarchy.check_inclusion() == []
 
 
 class TestSubclassedPolicies:
-    """Plugged-in (subclassed) policies must keep the generic decide() walk.
+    """Plugged-in (subclassed) policies run on the object backend only.
 
-    The staged fast paths dispatch on exact policy types; a downstream
-    subclass with an overridden decide() has to see every line of a
-    periodic group (valid or not) and must not be routed through the bulk
-    slice path that never consults the policy.
+    The array backend applies the four paper policies as index arithmetic,
+    matched by exact type, and refuses any other policy; the object backend
+    asks a plugged-in policy's decide() about every line it walks.
     """
 
     class CountingValidPolicy(ValidPolicy):
@@ -159,12 +157,22 @@ class TestSubclassedPolicies:
             self.calls += 1
             return super().decide(line)
 
-    def test_periodic_walk_consults_subclassed_policy_per_line(self, tiny_architecture):
-        from repro.hierarchy.hierarchy import CacheHierarchy
-        from repro.refresh.periodic import PeriodicRefreshController
-        from repro.utils.events import EventQueue
-
+    @pytest.mark.parametrize(
+        "controller_class", [PeriodicRefreshController, RefrintRefreshController]
+    )
+    def test_array_backend_rejects_subclassed_policy(
+        self, tiny_architecture, controller_class
+    ):
         hierarchy = CacheHierarchy(tiny_architecture)
+        refresh = make_refresh_config(tiny_architecture, retention_cycles=400)
+        with pytest.raises(TypeError, match="object backend"):
+            controller_class(
+                "l3", 0, hierarchy.banks[0].cache, self.CountingValidPolicy(),
+                refresh, hierarchy, EventQueue(),
+            )
+
+    def test_periodic_walk_consults_subclassed_policy_per_line(self, tiny_architecture):
+        hierarchy = CacheHierarchy(tiny_architecture, cache_backend="object")
         events = EventQueue()
         bank = hierarchy.banks[0]
         policy = self.CountingValidPolicy()
@@ -172,27 +180,12 @@ class TestSubclassedPolicies:
         controller = PeriodicRefreshController(
             "l3", 0, bank.cache, policy, refresh, hierarchy, events
         )
-        assert controller._policy_kind == "custom"
         controller.start(0)
         events.run(until=399)
         # One decide() per line per retention period, invalid lines included.
         assert policy.calls == bank.cache.num_lines
-
-    def test_refrint_uses_generic_handler_for_subclassed_policy(self, tiny_architecture):
-        from repro.hierarchy.hierarchy import CacheHierarchy
-        from repro.refresh.refrint import RefrintRefreshController
-        from repro.utils.events import EventQueue
-
-        hierarchy = CacheHierarchy(tiny_architecture)
-        events = EventQueue()
-        bank = hierarchy.banks[0]
-        refresh = make_refresh_config(tiny_architecture, retention_cycles=400)
-        controller = RefrintRefreshController(
-            "l3", 0, bank.cache, self.CountingValidPolicy(), refresh,
-            hierarchy, events,
-        )
-        controller.start(0)
-        assert controller._handler == controller._on_group_interrupt
+        events.run(until=799)
+        assert policy.calls == 2 * bank.cache.num_lines
 
 
 class TestSentryGroups:
@@ -275,8 +268,7 @@ class TestRefrintController:
         # After enough sentry periods the dirty line is written back and
         # then invalidated (1 refresh in each state).
         events.run(until=5000)
-        line = bank.cache.probe(block)
-        assert line is None or not line.valid
+        assert bank.cache.probe_index(block) < 0
         assert hierarchy.counters["dram_writes"] >= 1
         assert hierarchy.check_inclusion() == []
 
@@ -295,5 +287,4 @@ class TestRefrintController:
         for step in range(20):
             hierarchy.read(step % 16, ADDR, cycle=step * 300)
             events.run(until=(step + 1) * 300)
-        line = bank.cache.probe(block)
-        assert line is not None and line.valid
+        assert bank.cache.probe_index(block) >= 0

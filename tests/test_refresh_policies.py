@@ -86,17 +86,6 @@ class TestWritebackPolicy:
         assert policy.decide(dirty_line()).action is PolicyAction.WRITEBACK
         assert policy.decide(clean_line()).action is PolicyAction.INVALIDATE
 
-    def test_access_resets_count(self):
-        policy = WritebackPolicy(2, 5)
-        line = dirty_line()
-        line.refresh_count = 0
-        policy.on_access(line)
-        assert line.refresh_count == 2
-        clean = clean_line()
-        clean.refresh_count = 0
-        policy.on_access(clean)
-        assert clean.refresh_count == 5
-
     def test_invalid_lines_skipped(self):
         policy = WritebackPolicy(2, 2)
         assert policy.decide(invalid_line()).action is PolicyAction.SKIP
@@ -104,10 +93,6 @@ class TestWritebackPolicy:
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
             WritebackPolicy(-1, 0)
-
-    def test_uses_count(self):
-        assert WritebackPolicy(1, 1).uses_count()
-        assert not ValidPolicy().uses_count()
 
 
 class TestEquivalences:
