@@ -4,30 +4,31 @@ Given a normalised query and a result store, each unique job resolves by a
 fixed preference order:
 
 1. **store hit** -- the exact result is already memoised; answer instantly.
-2. **surrogate** -- the point is off the lattice grid but inside its hull
-   with every corner stored; answer with an ``exact=False`` interpolation
-   (the async service additionally backfills the exact result).
+2. **surrogate** -- the point's retention lies between two grid retentions
+   whose exact results are both stored; answer with an ``exact=False``
+   interpolation (the async service additionally backfills the exact
+   result).
 3. **simulate** -- run the job on a campaign executor, commit the result to
    the store, answer exactly.
 
 :func:`answer_query` is the blocking one-shot used by the Python facade
 (``repro.answer_query``) and by tests; :mod:`repro.service` wraps the same
 building blocks (:func:`exact_answer`, :func:`surrogate_answer_for`,
-:func:`response_for`) in an asyncio core that adds per-job coalescing,
-backpressure and asynchronous backfill.
+:func:`attach_normalised`, :func:`grid_aggregates`) in an asyncio core
+that adds per-job coalescing, backpressure and asynchronous backfill.
 
-Aggregation of exact grid answers (the per-point all-application averages
-of Table 5.4) is delegated to
-:func:`~repro.experiments.runner.point_averages` -- the same code path the
-figure/report layer uses, so a served aggregate can never disagree with a
-rendered table.  It averages an in-memory
-:class:`~repro.core.sweep.SweepResult` of the results the query was
-answered from, rather than reading them from the store a second time.
+The per-point all-application averages of Table 5.4 (``aggregates``) are
+means of the ``normalised`` blocks :func:`attach_normalised` puts on the
+answers, taken in the request's application order -- the same ratios and
+the same summation order as
+:func:`~repro.experiments.runner.point_averages`, which the figure and
+report layer uses, so a served aggregate equals a rendered table's value
+without re-deriving a single ratio.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.query import (
     NormalisedQuery,
@@ -43,12 +44,15 @@ from repro.campaign.jobs import Job
 from repro.campaign.store import BaseResultStore
 from repro.config.parameters import ArchitectureConfig
 from repro.core.results import SimulationResult
-from repro.core.sweep import SweepResult
 
 #: A runner takes jobs and returns their results, in order.  Injectable so
 #: tests (and the service's stats layer) can count simulator invocations
 #: exactly; the default builds a serial in-process executor.
 RunJobs = Callable[[Sequence[Job]], List[SimulationResult]]
+
+#: The ratios :func:`attach_normalised` puts on an answer, which every grid
+#: aggregate averages.
+AGGREGATE_METRICS = ("memory", "system", "time")
 
 
 def default_run_jobs(jobs: Sequence[Job]) -> List[SimulationResult]:
@@ -151,41 +155,40 @@ def attach_normalised(
 def grid_aggregates(
     normalised: NormalisedQuery,
     store: Optional[BaseResultStore],
-    results_by_key: Dict[str, SimulationResult],
+    answers_by_key: Dict[str, PointAnswer],
 ) -> Optional[Dict[str, Dict[str, float]]]:
     """Per-point-label averages across applications (the Table 5.4 view).
 
-    ``results_by_key`` holds the exact results the query was answered
-    from.  Aggregates are served only when every point has one (no
-    surrogate among the answers), baselines were included and a store is
-    attached.  The results then fill an in-memory :class:`SweepResult`,
-    the first key of each (application, label) cell winning as in
-    :class:`~repro.campaign.view.StoreSweep`, and :func:`point_averages`
-    -- the exact code path the figure layer uses -- averages it.
-    Otherwise (surrogates present, storeless service, baselines excluded)
-    returns None instead of an average that mixes approximations into a
-    table masquerading as measurement.
+    Each aggregate averages the answers' ``normalised`` blocks over
+    ``request.applications``.  A cell's answer is looked up by its query
+    point's job key, so two labels that normalise to one job both get their
+    cell; the first point of an (application, label) cell wins, as in
+    :class:`~repro.campaign.view.StoreSweep`.  Aggregates are served only
+    when every answer is exact, baselines were included and a store is
+    attached; otherwise (surrogates present, storeless service, baselines
+    excluded) returns None instead of an average that mixes approximations
+    into a table masquerading as measurement.
     """
     if store is None or not normalised.request.include_baseline:
         return None
-    if not normalised.policy_points or any(
-        query_point.key not in results_by_key for query_point in normalised.points
+    if not normalised.policy_points or not all(
+        answers_by_key[query_point.key].exact for query_point in normalised.points
     ):
         return None
-    from repro.experiments.runner import point_averages
-
-    sweep = SweepResult(points=list(normalised.policy_points))
+    cells: Dict[Tuple[str, str], Dict[str, float]] = {}
     for query_point in normalised.points:
-        result = results_by_key[query_point.key]
-        if query_point.is_baseline:
-            sweep.baselines.setdefault(query_point.application, result)
-        else:
-            sweep.results.setdefault(query_point.application, {}).setdefault(
-                query_point.label, result
+        if not query_point.is_baseline:
+            cells.setdefault(
+                (query_point.application, query_point.label),
+                answers_by_key[query_point.key].normalised,
             )
-    applications = list(normalised.request.applications)
+    applications = normalised.request.applications
     return {
-        point.label: point_averages(sweep, point, applications)
+        point.label: {
+            name: sum(cells[app, point.label][name] for app in applications)
+            / len(applications)
+            for name in AGGREGATE_METRICS
+        }
         for point in normalised.policy_points
     }
 
@@ -215,12 +218,10 @@ def answer_query(
     runner = run_jobs if run_jobs is not None else default_run_jobs
 
     answers_by_key: Dict[str, PointAnswer] = {}
-    results_by_key: Dict[str, SimulationResult] = {}
     misses: List[QueryPoint] = []
     for query_point in unique_points:
         result = store.get(query_point.key) if store is not None else None
         if result is not None:
-            results_by_key[query_point.key] = result
             answers_by_key[query_point.key] = exact_answer(
                 query_point, result, source="store", store=store
             )
@@ -239,7 +240,6 @@ def answer_query(
         for query_point, result in zip(misses, results):
             if store is not None:
                 store.put(query_point.job, result)
-            results_by_key[query_point.key] = result
             answers_by_key[query_point.key] = exact_answer(
                 query_point, result, source="simulated", store=store
             )
@@ -252,5 +252,5 @@ def answer_query(
         answers=[
             answers_by_key[query_point.key] for query_point in unique_points
         ],
-        aggregates=grid_aggregates(normalised, store, results_by_key),
+        aggregates=grid_aggregates(normalised, store, answers_by_key),
     )

@@ -574,8 +574,8 @@ class PointAnswer:
             for a surrogate interpolation.
         metrics: the energy/time surface values (:data:`ANSWER_METRICS`).
         provenance: where the values came from.
-        bounds: for surrogates, the interpolation interval per axis, e.g.
-            ``{"retention_us": [50.0, 200.0]}``; None for exact answers.
+        bounds: for surrogates, the retention interval interpolated over,
+            e.g. ``{"retention_us": [50.0, 200.0]}``; None for exact answers.
         normalised: memory/system/time relative to the application's SRAM
             baseline, when the query included the baseline.
         result: the full result payload for exact answers (everything
@@ -657,15 +657,6 @@ class QueryResponse:
     def exact(self) -> bool:
         """True when every served answer is simulator ground truth."""
         return all(answer.exact for answer in self.answers)
-
-    def answer_for(
-        self, application: str, label: str
-    ) -> Optional[PointAnswer]:
-        """The answer of one (application, cell-label) pair, if present."""
-        for answer in self.answers:
-            if answer.application == application and answer.label == label:
-                return answer
-        return None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON form; inverse of :meth:`from_dict`."""

@@ -1,21 +1,22 @@
-"""Surrogate answers: multilinear interpolation over the stored sweep surface.
+"""Surrogate answers: linear interpolation on retention over stored results.
 
 The Table 5.4 campaign samples the retention axis at a handful of grid
 points (50/100/200 us by default).  A "what-if" query between those points
 does not need a fresh simulation to be *useful*: the energy/time surface is
 smooth in retention (refresh energy scales with refresh cadence), so a
-multilinear interpolation over already-stored exact results answers in
-microseconds instead of minutes.
+linear interpolation between the two bracketing stored exact results
+answers in microseconds instead of minutes.  Every other coordinate of the
+query (application, trace length, policies) must match the stored runs.
 
 The contract is strict, in the CounterPoint spirit of never letting an
 approximation masquerade as measurement:
 
 - A surrogate is only offered *between* stored grid points (inside the
-  convex hull, every corner result present in the store).  Outside the
-  hull, or with any corner missing, the lattice declines and the service
+  retention grid, both corner results present in the store).  Outside the
+  grid, or with a corner missing, the lattice declines and the service
   falls back to a real simulation.
 - Every surrogate answer is stamped ``exact=False``, carries the
-  interpolation interval per off-grid axis (``bounds``) and the job hashes
+  retention interval it interpolated over (``bounds``) and the job hashes
   of the exact corner results it was built from (``corner_keys``).
 - Interpolated metrics are convex combinations of the corner metrics, so
   each lies within the corner envelope -- an invariant
@@ -28,8 +29,7 @@ a backfilled exact result is picked up without invalidation logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.query import ANSWER_METRICS, QueryPoint, metrics_from_result
@@ -42,14 +42,13 @@ from repro.core.sweep import DEFAULT_RETENTION_TIMES_US, PolicyPoint
 
 @dataclass(frozen=True)
 class AxisBracket:
-    """One axis of an interpolation: the value sits in [lo, hi].
+    """Where a retention sits on the grid: the value lies in [lo, hi].
 
     ``weight`` is the fractional position of the query value between the
-    bracketing grid points (0 at ``lo``, 1 at ``hi``); on-grid axes are
+    bracketing grid points (0 at ``lo``, 1 at ``hi``); an on-grid value is
     represented by lo == hi and weight 0.
     """
 
-    name: str
     value: float
     lo: float
     hi: float
@@ -69,46 +68,42 @@ class AxisBracket:
 
 @dataclass
 class SurrogateAnswer:
-    """An interpolated answer: metrics, the interval per off-grid axis and
-    the exact corner results it was combined from."""
+    """An interpolated answer: metrics, the retention interval and the
+    exact corner results it was combined from."""
 
     metrics: Dict[str, float]
     bounds: Dict[str, List[float]]
     corner_keys: Tuple[str, ...]
 
 
-def bracket_axis(name: str, value: float, grid: Sequence[float]) -> Optional[AxisBracket]:
+def bracket_axis(value: float, grid: Sequence[float]) -> Optional[AxisBracket]:
     """Bracket ``value`` inside a sorted ``grid``; None outside the hull.
 
     An on-grid value returns a degenerate (lo == hi) bracket, so callers
-    can distinguish "no interpolation needed on this axis" from "outside
-    the lattice entirely".
+    can distinguish "no interpolation needed" from "outside the lattice
+    entirely".
     """
     points = sorted(grid)
     if not points or value < points[0] or value > points[-1]:
         return None
     for point in points:
         if value == point:
-            return AxisBracket(name=name, value=value, lo=point, hi=point)
+            return AxisBracket(value=value, lo=point, hi=point)
     for lo, hi in zip(points, points[1:]):
         if lo < value < hi:
-            return AxisBracket(name=name, value=value, lo=lo, hi=hi)
+            return AxisBracket(value=value, lo=lo, hi=hi)
     return None
 
 
 class SurrogateLattice:
-    """Multilinear interpolator over the stored retention/energy surface.
+    """Linear interpolator over the stored retention/energy curve.
 
     Args:
-        store: any :func:`~repro.campaign.store.open_store` backend holding
-            the exact corner results.
+        store: the result store holding the exact corner results.
         architecture: the machine model queries are normalised against
             (must match the one the corners were simulated on, or the
             corner job hashes will not resolve).
         retentions_us: the retention grid the lattice interpolates over.
-        length_scales: optional second axis -- when given, off-grid trace
-            lengths are interpolated too; when None (the default) the
-            query's length scale must match the stored runs exactly.
     """
 
     def __init__(
@@ -116,24 +111,15 @@ class SurrogateLattice:
         store: BaseResultStore,
         architecture: Optional[ArchitectureConfig] = None,
         retentions_us: Sequence[float] = DEFAULT_RETENTION_TIMES_US,
-        length_scales: Optional[Sequence[float]] = None,
     ) -> None:
         self.store = store
         self.architecture = (
             architecture if architecture is not None else scaled_architecture()
         )
         self.retentions_us = tuple(sorted(retentions_us))
-        self.length_scales = (
-            tuple(sorted(length_scales)) if length_scales is not None else None
-        )
 
-    # -- corner construction ------------------------------------------------------
-
-    def corner_job(
-        self, query_point: QueryPoint, retention_us: float, length_scale: float
-    ) -> Job:
-        """The exact job at one lattice corner of a query point."""
-        workload = replace(query_point.job.workload, length_scale=length_scale)
+    def corner_job(self, query_point: QueryPoint, retention_us: float) -> Job:
+        """The exact job of a query point at one grid retention."""
         point = query_point.point
         assert point is not None  # baselines are never interpolated
         corner_point = PolicyPoint(
@@ -142,83 +128,39 @@ class SurrogateLattice:
             data_policy=point.data_policy,
         )
         return Job(
-            workload=workload,
+            workload=query_point.job.workload,
             config=corner_point.simulation_config(self.architecture),
             point_label=corner_point.label,
         )
-
-    def brackets_for(self, query_point: QueryPoint) -> Optional[List[AxisBracket]]:
-        """Bracket every lattice axis for a query point; None when the point
-        lies outside the hull or is not interpolable (baseline, or an
-        off-grid axis the lattice does not span)."""
-        point = query_point.point
-        if point is None:
-            return None  # the SRAM baseline has no retention axis
-        retention = bracket_axis(
-            "retention_us", point.retention_us, self.retentions_us
-        )
-        if retention is None:
-            return None
-        brackets = [retention]
-        if self.length_scales is not None:
-            scale = bracket_axis(
-                "length_scale",
-                query_point.job.workload.length_scale,
-                self.length_scales,
-            )
-            if scale is None:
-                return None
-            brackets.append(scale)
-        return brackets
-
-    # -- interpolation ------------------------------------------------------------
 
     def interpolate(self, query_point: QueryPoint) -> Optional[SurrogateAnswer]:
         """Interpolate one off-grid query point from stored exact corners.
 
         Returns None -- meaning "no surrogate available, simulate instead"
-        -- when the point is a baseline, lies on the lattice grid exactly
+        -- when the point is a baseline, lies on the retention grid exactly
         (an exact answer should be produced instead), falls outside the
-        hull, or any corner result is missing from the store.
+        grid, or either corner result is missing from the store.
         """
-        brackets = self.brackets_for(query_point)
-        if brackets is None:
-            return None
-        off_grid = [b for b in brackets if not b.on_grid]
-        if not off_grid:
-            return None  # on-grid everywhere: this is a plain store miss/hit
-        # Cartesian corners over the off-grid axes (on-grid axes are pinned).
-        corner_values: List[Tuple[float, ...]] = list(
-            product(*[(b.lo, b.hi) if not b.on_grid else (b.lo,) for b in brackets])
-        )
-        axis_names = [b.name for b in brackets]
-        corner_results: List[Tuple[float, Dict[str, float], str]] = []
-        for values in corner_values:
-            coords = dict(zip(axis_names, values))
-            weight = 1.0
-            for bracket in brackets:
-                position = coords[bracket.name]
-                w = bracket.weight
-                weight *= (w if position == bracket.hi else 1.0 - w) if not bracket.on_grid else 1.0
-            retention = coords["retention_us"]
-            length_scale = coords.get(
-                "length_scale", query_point.job.workload.length_scale
-            )
-            job = self.corner_job(query_point, retention, length_scale)
-            result = self.store.get(job.key())
+        point = query_point.point
+        if point is None:
+            return None  # the SRAM baseline has no retention axis
+        bracket = bracket_axis(point.retention_us, self.retentions_us)
+        if bracket is None or bracket.on_grid:
+            return None  # outside the grid, or a plain store miss/hit
+        w = bracket.weight
+        corners: List[Tuple[float, Dict[str, float], str]] = []
+        for retention, weight in ((bracket.lo, 1.0 - w), (bracket.hi, w)):
+            key = self.corner_job(query_point, retention).key()
+            result = self.store.get(key)
             if result is None:
                 return None  # a missing corner disqualifies the surrogate
-            corner_results.append((weight, metrics_from_result(result), job.key()))
+            corners.append((weight, metrics_from_result(result), key))
         metrics = {
-            name: sum(
-                weight * corner_metrics[name]
-                for weight, corner_metrics, _ in corner_results
-            )
+            name: sum(weight * corner[name] for weight, corner, _ in corners)
             for name in ANSWER_METRICS
         }
-        bounds = {b.name: [b.lo, b.hi] for b in off_grid}
         return SurrogateAnswer(
             metrics=metrics,
-            bounds=bounds,
-            corner_keys=tuple(key for _, _, key in corner_results),
+            bounds={"retention_us": [bracket.lo, bracket.hi]},
+            corner_keys=tuple(key for _, _, key in corners),
         )

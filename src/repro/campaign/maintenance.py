@@ -4,7 +4,13 @@ A campaign result store accretes state over many runs: a crash can leave
 a truncated record or an unindexed one, disk corruption or hand-editing can
 damage records, and an entry's identity is a content hash that should always
 match what is inside the record.  The operations here keep a segment store
-healthy; each refuses a legacy per-file directory (import it first):
+healthy; each refuses a legacy per-file directory (import it first).
+
+This module holds policy only: what counts as damage, what ``gc`` removes,
+and the legacy import.  It reads a store's files through the decoders of
+:mod:`repro.campaign.segments` that crash recovery uses (``index_lines``,
+``segment_lines``, ``read_record``), never through the store class, whose
+recovery would repair the very damage a scan must report.
 
 ``ls``
     One line per entry (key prefix, application, policy label) without
@@ -20,11 +26,12 @@ healthy; each refuses a legacy per-file directory (import it first):
     Re-derive each entry's content hash from the persisted canonical job
     payload and compare it to its key, and check the result payload
     round-trips bit-exactly through :class:`SimulationResult`.  Also
-    detects index mismatches (an index entry whose record bytes hold a
-    different key), index entries pointing at missing or shortened
-    segments, unindexed records, truncated tails and per-segment
-    provenance stamps that disagree with the store's.  A record superseded
-    by a later put of the same key is neither checked nor reported.
+    detects every damaged index line, index mismatches (an index entry
+    whose record bytes hold a different key), index entries pointing at
+    missing or shortened segments, unindexed records, truncated tails and
+    per-segment provenance stamps that disagree with the store's.  A record
+    superseded by a later put of the same key is neither checked nor
+    reported.
 
 ``migrate``
     Import a legacy per-file store (one ``<key>.json`` per result) into a
@@ -37,18 +44,26 @@ All of these are exposed through ``python -m repro.cli store ...``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.campaign.jobs import hash_payload_digest
 from repro.campaign.segments import (
+    ENTRY,
+    HEADER,
     INDEX_FILE,
+    PARTIAL,
+    RECORD,
     SEGMENT_META_FILE,
     SEGMENTS_DIR,
+    UNPARSEABLE,
+    IndexEntry,
     SegmentResultStore,
-    parse_segment_number,
+    index_lines,
+    read_record,
+    segment_files,
+    segment_lines,
 )
 from repro.campaign.store import (
     PROVENANCE_FILE,
@@ -99,279 +114,174 @@ class StoreReport:
         """True when every entry is healthy and no orphans remain."""
         return not self.problems and not self.orphans
 
-
-def _store_root(store: Union[BaseResultStore, str, Path]) -> Path:
-    if isinstance(store, BaseResultStore):
-        return store.root
-    return Path(store)
+    def flag(self, path: Path, problem: str, key: Optional[str] = None) -> None:
+        """Record a problem with a file, or with the entry of ``key``."""
+        self.entries.append(EntryStatus(path=path, key=key, problem=problem))
 
 
-def _check_payload(
-    path: Path, key: str, data: dict, check_hash: bool
-) -> EntryStatus:
-    """Structural checks for one entry record indexed under ``key``."""
+def _payload_problem(key: str, data: dict, check_hash: bool) -> Optional[str]:
+    """What is wrong with the record indexed under ``key``, or None."""
     job = data["job"] if isinstance(data.get("job"), dict) else {}
-    application = job.get("application")
-    label = job.get("label")
     recorded = job.get("key")
     if recorded != key:
-        return EntryStatus(
-            path=path, key=key, application=application, label=label,
-            problem=f"recorded key {str(recorded)[:16]}... does not match {key[:16]}...",
-        )
+        return f"recorded key {str(recorded)[:16]}... does not match {key[:16]}..."
     if "result" not in data:
-        return EntryStatus(
-            path=path, key=key, application=application, label=label,
-            problem="missing job/result sections",
-        )
+        return "missing job/result sections"
     try:
         restored = SimulationResult.from_dict(data["result"])
         if restored.to_dict() != data["result"]:
             raise ValueError("result payload does not round-trip")
     except (KeyError, TypeError, ValueError) as error:
-        return EntryStatus(
-            path=path, key=key, application=application, label=label,
-            problem=f"corrupt result payload ({error})",
-        )
-    if check_hash:
-        payload = data.get("hash_payload")
-        if payload is None:
-            return EntryStatus(
-                path=path, key=key, application=application, label=label,
-                problem="no hash payload recorded (written by a pre-hash store)",
-            )
-        digest = hash_payload_digest(payload)
-        if digest != key:
-            return EntryStatus(
-                path=path, key=key, application=application, label=label,
-                problem=f"content hash mismatch (recomputed {digest[:16]}...)",
-            )
-    return EntryStatus(path=path, key=key, application=application, label=label)
+        return f"corrupt result payload ({error})"
+    if not check_hash:
+        return None
+    payload = data.get("hash_payload")
+    if payload is None:
+        return "no hash payload recorded (written by a pre-hash store)"
+    digest = hash_payload_digest(payload)
+    if digest != key:
+        return f"content hash mismatch (recomputed {digest[:16]}...)"
+    return None
+
+
+#: How damaged lines are reported, by what :func:`index_lines` and
+#: :func:`segment_lines` call the damage.
+_INDEX_DAMAGE = {
+    PARTIAL: "truncated index tail at byte {} (reopen the store to recover)",
+    UNPARSEABLE: "unparseable index line at byte {}",
+}
+_SEGMENT_DAMAGE = {
+    PARTIAL: "truncated record tail at byte {} (reopen the store to recover)",
+    UNPARSEABLE: "unparseable record at byte {}",
+}
+
+
+def _scan_index(root: Path, report: StoreReport) -> Dict[str, IndexEntry]:
+    """The index's entries.  Every damaged line is flagged and none ends
+    the scan, where recovery stops at the first."""
+    index_path = root / INDEX_FILE
+    entries: Dict[str, IndexEntry] = {}
+    if not index_path.exists():
+        return entries
+    try:
+        blob = index_path.read_bytes()
+    except OSError as error:
+        report.flag(index_path, f"unreadable index ({error})")
+        return entries
+    for offset, kind, key, entry in index_lines(blob):
+        if kind == ENTRY:
+            entries[key] = entry
+        else:
+            report.flag(index_path, _INDEX_DAMAGE[kind].format(offset))
+    return entries
 
 
 def _scan_segment_store(root: Path, check_hashes: bool) -> StoreReport:
-    """Inspect a segment store without mutating it.
-
-    Replays the on-disk index directly (not through the store class, whose
-    recovery would repair the very damage this scan must report) and walks
-    every segment for unindexed records, truncated tails, orphaned files
-    and provenance mismatches.
-    """
+    """Inspect a segment store without mutating it."""
     report = StoreReport()
     segments_dir = root / SEGMENTS_DIR
-    index_path = root / INDEX_FILE
-
-    store_provenance = stamped_provenance(root)
-
-    # Replay the index file leniently: report damage instead of stopping.
-    entries: dict = {}
-    if index_path.exists():
-        try:
-            blob = index_path.read_bytes()
-        except OSError as error:
-            report.entries.append(
-                EntryStatus(path=index_path, problem=f"unreadable index ({error})")
-            )
-            blob = b""
-        position = 0
-        total = len(blob)
-        while position < total:
-            newline = blob.find(b"\n", position)
-            if newline == -1:
-                report.entries.append(
-                    EntryStatus(
-                        path=index_path,
-                        problem=f"truncated index tail at byte {position} "
-                        f"(reopen the store to recover)",
-                    )
-                )
-                break
-            raw = blob[position:newline]
-            if raw:
-                try:
-                    entry = json.loads(raw.decode("utf-8"))
-                    entries[entry["key"]] = (
-                        entry["segment"],
-                        int(entry["offset"]),
-                        int(entry["length"]),
-                    )
-                except (ValueError, KeyError, TypeError):
-                    report.entries.append(
-                        EntryStatus(
-                            path=index_path,
-                            problem=f"unparseable index line at byte {position}",
-                        )
-                    )
-            position = newline + 1
-
-    # Segment inventory: sizes, foreign files.
-    sizes: dict = {}
-    if segments_dir.is_dir():
-        for path in sorted(segments_dir.iterdir()):
-            if path.is_dir() or parse_segment_number(path.name) is None:
-                report.orphans.append(path)
-                continue
-            sizes[path.name] = path.stat().st_size
+    entries = _scan_index(root, report)
+    sizes, foreign = segment_files(segments_dir)
+    report.orphans.extend(foreign)
 
     # Check every index entry against its record bytes.
-    referenced: set = set()
-    covered: dict = {}  # segment name -> set of byte ranges claimed
+    claimed: Dict[str, Set[Tuple[int, int]]] = {}
     for key, (name, offset, length) in sorted(entries.items()):
-        seg_path = segments_dir / name
-        referenced.add(name)
+        path = segments_dir / name
         if name not in sizes:
-            report.entries.append(
-                EntryStatus(
-                    path=seg_path, key=key,
-                    problem="index references a missing segment",
-                )
-            )
+            report.flag(path, "index references a missing segment", key)
             continue
         if sizes[name] < offset + length + 1:
-            report.entries.append(
-                EntryStatus(
-                    path=seg_path, key=key,
-                    problem=f"index points past segment end "
-                    f"(offset {offset}+{length} > {sizes[name]}; "
-                    f"reopen the store to recover)",
-                )
+            report.flag(
+                path,
+                f"index points past segment end "
+                f"(offset {offset}+{length} > {sizes[name]}; "
+                f"reopen the store to recover)",
+                key,
             )
             continue
-        covered.setdefault(name, set()).add((offset, length))
+        claimed.setdefault(name, set()).add((offset, length))
         try:
-            with seg_path.open("rb") as handle:
-                handle.seek(offset)
-                blob = handle.read(length)
-            record = json.loads(blob.decode("utf-8"))
+            record = read_record(path, offset, length)
         except (OSError, ValueError) as error:
-            report.entries.append(
-                EntryStatus(
-                    path=seg_path, key=key,
-                    problem=f"unreadable record at offset {offset} ({error})",
-                )
-            )
+            report.flag(path, f"unreadable record at offset {offset} ({error})", key)
             continue
         if not isinstance(record, dict):
-            report.entries.append(
-                EntryStatus(
-                    path=seg_path, key=key,
-                    problem=f"index mismatch: no record object at offset {offset}",
-                )
+            report.flag(
+                path, f"index mismatch: no record object at offset {offset}", key
             )
             continue
-        recorded_key = record.get("key")
-        if recorded_key != key:
-            report.entries.append(
-                EntryStatus(
-                    path=seg_path, key=key,
-                    application=(record.get("job") or {}).get("application"),
-                    label=(record.get("job") or {}).get("label"),
-                    problem=f"index mismatch: record holds key "
-                    f"{str(recorded_key)[:16]}...",
-                )
+        job = record["job"] if isinstance(record.get("job"), dict) else {}
+        recorded = record.get("key")
+        report.entries.append(
+            EntryStatus(
+                path=path,
+                key=key,
+                application=job.get("application"),
+                label=job.get("label"),
+                problem=f"index mismatch: record holds key {str(recorded)[:16]}..."
+                if recorded != key
+                else _payload_problem(key, record, check_hashes),
             )
-            continue
-        report.entries.append(_check_payload(seg_path, key, record, check_hashes))
+        )
 
     # Walk every segment for header sanity, unindexed records and tails.
-    for name, size in sizes.items():
-        seg_path = segments_dir / name
-        claimed = covered.get(name, set())
+    store_provenance = stamped_provenance(root)
+    referenced = {name for name, _, _ in entries.values()}
+    for name in sizes:
+        path = segments_dir / name
         try:
-            blob = seg_path.read_bytes()
+            blob = path.read_bytes()
         except OSError as error:
-            report.entries.append(
-                EntryStatus(path=seg_path, problem=f"unreadable segment ({error})")
-            )
+            report.flag(path, f"unreadable segment ({error})")
             continue
-        position = 0
         saw_header = False
-        has_records = bool(claimed)
-        while position < len(blob):
-            newline = blob.find(b"\n", position)
-            if newline == -1:
-                report.entries.append(
-                    EntryStatus(
-                        path=seg_path,
-                        problem=f"truncated record tail at byte {position} "
-                        f"(reopen the store to recover)",
-                    )
-                )
+        has_records = name in claimed
+        for offset, length, kind, value in segment_lines(blob):
+            if kind in _SEGMENT_DAMAGE:
+                report.flag(path, _SEGMENT_DAMAGE[kind].format(offset))
                 break
-            raw = blob[position:newline]
-            if raw:
-                try:
-                    record = json.loads(raw.decode("utf-8"))
-                except ValueError:
-                    report.entries.append(
-                        EntryStatus(
-                            path=seg_path,
-                            problem=f"unparseable record at byte {position}",
-                        )
-                    )
-                    break
-                if position == 0 and isinstance(record, dict) and (
-                    "store_format" in record
+            if kind == HEADER:
+                saw_header = True
+                stamped = value.get("trace_generator")
+                if (
+                    store_provenance is not None
+                    and isinstance(stamped, str)
+                    and stamped != store_provenance
                 ):
-                    saw_header = True
-                    stamped = record.get("trace_generator")
-                    if (
-                        store_provenance is not None
-                        and isinstance(stamped, str)
-                        and stamped != store_provenance
-                    ):
-                        report.entries.append(
-                            EntryStatus(
-                                path=seg_path,
-                                problem=f"segment provenance {stamped!r} "
-                                f"disagrees with store marker "
-                                f"{store_provenance!r}",
-                            )
-                        )
-                elif isinstance(record, dict) and isinstance(
-                    record.get("key"), str
-                ):
-                    has_records = True
-                    # A record whose key is indexed elsewhere was superseded
-                    # by a later put of the same key (a sweep re-run without
-                    # resume): its bytes are dead, not damage.
-                    if (position, len(raw)) not in claimed and (
-                        record["key"] not in entries
-                    ):
-                        report.entries.append(
-                            EntryStatus(
-                                path=seg_path, key=record["key"],
-                                problem=f"unindexed record at byte {position} "
-                                f"(reopen the store to reindex)",
-                            )
-                        )
-                else:
-                    report.entries.append(
-                        EntryStatus(
-                            path=seg_path,
-                            problem=f"foreign line at byte {position}",
-                        )
+                    report.flag(
+                        path,
+                        f"segment provenance {stamped!r} disagrees with "
+                        f"store marker {store_provenance!r}",
                     )
-            position = newline + 1
+            elif kind == RECORD:
+                has_records = True
+                # A record whose key is indexed elsewhere was superseded by
+                # a later put of the same key (a sweep re-run without
+                # resume): its bytes are dead, not damage.
+                if (offset, length) not in claimed.get(name, ()) and (
+                    value["key"] not in entries
+                ):
+                    report.flag(
+                        path,
+                        f"unindexed record at byte {offset} "
+                        f"(reopen the store to reindex)",
+                        value["key"],
+                    )
+            else:
+                report.flag(path, f"foreign line at byte {offset}")
         if not saw_header:
-            report.entries.append(
-                EntryStatus(path=seg_path, problem="segment has no header line")
-            )
+            report.flag(path, "segment has no header line")
         if not has_records and name not in referenced:
             # Header-only (or unreadable) segment nothing points at: an
             # orphan a gc may delete.
-            report.orphans.append(seg_path)
+            report.orphans.append(path)
 
-    # Stray files in the store root (anything but metadata and the index).
+    # Stray files in the store root: anything but the index and the
+    # underscore-prefixed metadata (the segment meta and provenance files).
     for path in sorted(root.iterdir()):
-        if path.is_dir() or path.name.startswith("_"):
-            continue
-        if path.name == INDEX_FILE:
-            continue
-        report.orphans.append(path)
-    # The meta file is metadata, never an orphan (covered by the "_" rule:
-    # SEGMENT_META_FILE and PROVENANCE_FILE are underscore-prefixed).
-    assert SEGMENT_META_FILE.startswith("_")
+        if not (path.is_dir() or path.name.startswith("_") or path.name == INDEX_FILE):
+            report.orphans.append(path)
     return report
 
 
@@ -387,7 +297,7 @@ def scan_store(
     Raises:
         ValueError: when the directory holds a legacy per-file store.
     """
-    root = _store_root(store)
+    root = store.root if isinstance(store, BaseResultStore) else Path(store)
     if not root.is_dir():
         return StoreReport()
     refuse_legacy_store(root)
@@ -418,7 +328,7 @@ def store_gc(
 
     Returns the report with ``removed``/``dropped_keys`` filled in.
     """
-    root = _store_root(store)
+    root = store.root if isinstance(store, BaseResultStore) else Path(store)
     report = scan_store(root, check_hashes=False)
     if not root.is_dir():
         return report
@@ -437,8 +347,7 @@ def store_gc(
         entry.key for entry in rescanned.problems if entry.key in segment_store
     }
     if bad_keys:
-        for key in sorted(bad_keys):
-            report.dropped_keys.append(key)
+        report.dropped_keys.extend(sorted(bad_keys))
         segment_store.drop_keys(bad_keys)
     segment_store.close()
     # 3. Delete orphaned files.

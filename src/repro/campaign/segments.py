@@ -1,9 +1,10 @@
 """Indexed, append-only segment store for campaign results.
 
-The one on-disk layout of a campaign result store.  A per-file layout pays
-one ``open``/``write``/``rename`` per result and a directory scan per
-resume -- fine at hundreds of points, a syscall storm at 100k.  This
-module uses the classic log-structured layout instead:
+The one on-disk layout of a campaign result store, and the only code that
+encodes or decodes its files.  A per-file layout pays one
+``open``/``write``/``rename`` per result and a directory scan per resume --
+fine at hundreds of points, a syscall storm at 100k.  This module uses the
+classic log-structured layout instead:
 
 ``<root>/segments/seg-00000001.jsonl``
     Append-only JSONL segments, size-capped (:data:`DEFAULT_SEGMENT_BYTES`).
@@ -22,12 +23,21 @@ module uses the classic log-structured layout instead:
 ``<root>/_segment_store.json``
     Store meta (format version, configured segment cap).
 
+Every line of both files is written by :func:`encode_line` (an index line
+by :func:`index_line`) and read back through one walk over the bytes,
+decoded by :func:`index_lines` or :func:`segment_lines`;
+:func:`read_record` reads one record at its indexed offset.  Crash recovery
+here and ``store verify``/``gc`` in :mod:`repro.campaign.maintenance` read
+the files through these same functions, so they cannot disagree about
+what a line holds -- only about what to do with damage.
+
 Crash safety is recovery-based rather than rename-based: on open the store
-replays the index, drops entries pointing past a segment's end (the record
-bytes were lost), re-indexes complete records that never got their index
-line (crash between the two appends), and truncates a partial record off
-the active segment's tail.  A result is therefore either fully durable or
-cleanly absent -- a resumed campaign re-runs exactly the lost jobs.
+replays the index up to its first damaged line, drops entries pointing past
+a segment's end (the record bytes were lost), re-indexes complete records
+that never got their index line (crash between the two appends) by walking
+only each segment's unindexed tail, and truncates a partial record off the
+tail.  A result is therefore either fully durable or cleanly absent -- a
+resumed campaign re-runs exactly the lost jobs.
 
 Writes go through a single in-process writer (a lock around two buffered
 appends); a persistent worker pool streams results back to the campaign
@@ -53,7 +63,7 @@ import json
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.campaign.store import (
     BaseResultStore,
@@ -86,6 +96,17 @@ DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 #: retentions (161 keys).
 DECODED_CACHE_ENTRIES = 256
 
+#: Where one record lives: segment name, byte offset, length without the
+#: newline.
+IndexEntry = Tuple[str, int, int]
+
+#: What a line of a store file holds.  A segment's first line may be its
+#: HEADER; a RECORD is a dict with a string ``key``; an index line that
+#: decodes is an ENTRY; any other JSON is FOREIGN.  UNPARSEABLE and PARTIAL
+#: (a final line without its newline) are damage.
+HEADER, RECORD, ENTRY, FOREIGN = "header", "record", "entry", "foreign"
+UNPARSEABLE, PARTIAL = "unparseable", "partial"
+
 
 def segment_name(number: int) -> str:
     """Canonical file name of segment ``number`` (1-based)."""
@@ -98,6 +119,114 @@ def parse_segment_number(name: str) -> Optional[int]:
         return None
     digits = name[len("seg-"):-len(".jsonl")]
     return int(digits) if digits.isdigit() and len(digits) == 8 else None
+
+
+def encode_line(value: dict) -> bytes:
+    """One line of a segment or of the index: compact key-sorted JSON."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode(
+        "utf-8"
+    ) + b"\n"
+
+
+def index_line(key: str, entry: IndexEntry) -> bytes:
+    """The index line filing ``key`` at ``entry``."""
+    name, offset, length = entry
+    return encode_line(
+        {"key": key, "segment": name, "offset": offset, "length": length}
+    )
+
+
+def _lines(
+    blob: bytes, start: int
+) -> Iterator[Tuple[int, int, Optional[str], object]]:
+    """The one walk over newline-delimited JSON, read from byte ``start``.
+
+    Yields ``(offset, length, damage, value)`` per non-empty line, with
+    ``offset`` counted from the start of the file and ``value`` the decoded
+    JSON; ``damage`` is UNPARSEABLE, PARTIAL for a final line that lacks its
+    newline, or None.
+    """
+    position, total = 0, len(blob)
+    while position < total:
+        newline = blob.find(b"\n", position)
+        if newline == -1:
+            yield start + position, total - position, PARTIAL, None
+            return
+        if newline > position:
+            try:
+                value = json.loads(blob[position:newline].decode("utf-8"))
+            except ValueError:
+                yield start + position, newline - position, UNPARSEABLE, None
+            else:
+                yield start + position, newline - position, None, value
+        position = newline + 1
+
+
+def index_lines(
+    blob: bytes,
+) -> Iterator[Tuple[int, str, Optional[str], Optional[IndexEntry]]]:
+    """Decode ``index.jsonl``: ``(offset, kind, key, entry)`` per line.
+
+    ``kind`` is ENTRY, or UNPARSEABLE or PARTIAL with ``key`` and ``entry``
+    None.  Recovery stops at the first damaged line; ``store verify``
+    reports every one.
+    """
+    for offset, _, damage, line in _lines(blob, 0):
+        if damage is not None:
+            yield offset, damage, None, None
+            continue
+        try:
+            key = line["key"]
+            entry = (line["segment"], int(line["offset"]), int(line["length"]))
+        except (ValueError, KeyError, TypeError):
+            yield offset, UNPARSEABLE, None, None
+        else:
+            yield offset, ENTRY, key, entry
+
+
+def segment_lines(
+    blob: bytes, start: int = 0
+) -> Iterator[Tuple[int, int, str, object]]:
+    """Decode a segment's bytes read from byte ``start``.
+
+    Yields ``(offset, length, kind, value)`` per line: HEADER, RECORD or
+    FOREIGN with the decoded JSON, or UNPARSEABLE or PARTIAL with None.
+    """
+    for offset, length, damage, value in _lines(blob, start):
+        if damage is not None:
+            kind = damage
+        elif not isinstance(value, dict):
+            kind = FOREIGN
+        elif offset == 0 and "store_format" in value:
+            kind = HEADER
+        else:
+            kind = RECORD if isinstance(value.get("key"), str) else FOREIGN
+        yield offset, length, kind, value
+
+
+def read_record(path: Path, offset: int, length: int) -> object:
+    """Decode the ``length`` bytes at ``offset`` of segment ``path``.
+
+    Raises:
+        OSError, ValueError: when the bytes cannot be read or decoded.
+    """
+    with path.open("rb") as handle:
+        handle.seek(offset)
+        return json.loads(handle.read(length).decode("utf-8"))
+
+
+def segment_files(segments_dir: Path) -> Tuple[Dict[str, int], List[Path]]:
+    """Sizes of the segment files in ``segments_dir`` by name, and every
+    other entry there (both sorted by name; empty without the directory)."""
+    sizes: Dict[str, int] = {}
+    foreign: List[Path] = []
+    if segments_dir.is_dir():
+        for path in sorted(segments_dir.iterdir()):
+            if parse_segment_number(path.name) is None or path.is_dir():
+                foreign.append(path)
+            else:
+                sizes[path.name] = path.stat().st_size
+    return sizes, foreign
 
 
 class SegmentResultStore(BaseResultStore):
@@ -120,7 +249,7 @@ class SegmentResultStore(BaseResultStore):
             raise ValueError("segment_max_bytes must be >= 1")
         self.segment_max_bytes = segment_max_bytes
         self._lock = threading.Lock()
-        self._index: Optional[Dict[str, Tuple[str, int, int]]] = None
+        self._index: Optional[Dict[str, IndexEntry]] = None
         self._decoded: "OrderedDict[str, dict]" = OrderedDict()
         self._active_segment: Optional[str] = None
         self._active_size = 0
@@ -198,13 +327,10 @@ class SegmentResultStore(BaseResultStore):
         record = None if entry is None else self._read_entry(entry)
         return record if record is not None and record.get("key") == key else None
 
-    def _read_entry(self, entry: Tuple[str, int, int]) -> Optional[dict]:
+    def _read_entry(self, entry: IndexEntry) -> Optional[dict]:
         name, offset, length = entry
         try:
-            with self.segment_path(name).open("rb") as handle:
-                handle.seek(offset)
-                blob = handle.read(length)
-            record = json.loads(blob.decode("utf-8"))
+            record = read_record(self.segment_path(name), offset, length)
         except (OSError, ValueError):
             return None
         return record if isinstance(record, dict) else None
@@ -219,12 +345,8 @@ class SegmentResultStore(BaseResultStore):
         self._ensure_loaded()
         for key in sorted(self._index):
             record = self._read_record(key)
-            if record is None:
-                continue
-            payload = {
-                name: value for name, value in record.items() if name != "key"
-            }
-            yield key, payload
+            if record is not None:
+                yield key, {name: v for name, v in record.items() if name != "key"}
 
     # -- write path ----------------------------------------------------------------
 
@@ -232,31 +354,22 @@ class SegmentResultStore(BaseResultStore):
         """Append one record and its index line through the single writer."""
         record = dict(payload)
         record["key"] = key
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")).encode(
-            "utf-8"
-        )
+        line = encode_line(record)
         with self._lock:
             self._ensure_loaded()
             self._ensure_writable()
             if self._active_size > self.segment_max_bytes:
-                self._roll_segment()
+                self._segment_handle.close()
+                self._segment_handle = None
+                self._open_segment(segment_name(self._next_segment_number()))
             offset = self._active_size
-            self._segment_handle.write(line + b"\n")
+            self._segment_handle.write(line)
             self._segment_handle.flush()
-            self._active_size = offset + len(line) + 1
-            index_line = json.dumps(
-                {
-                    "key": key,
-                    "segment": self._active_segment,
-                    "offset": offset,
-                    "length": len(line),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode("utf-8")
-            self._index_handle.write(index_line + b"\n")
+            self._active_size = offset + len(line)
+            entry = (self._active_segment, offset, len(line) - 1)
+            self._index_handle.write(index_line(key, entry))
             self._index_handle.flush()
-            self._index[key] = (self._active_segment, offset, len(line))
+            self._index[key] = entry
             self._decoded.pop(key, None)
             return self.segment_path(self._active_segment)
 
@@ -275,12 +388,10 @@ class SegmentResultStore(BaseResultStore):
 
     def _close_handles(self) -> None:
         """Close both append handles (called with the lock held)."""
-        if self._segment_handle is not None:
-            self._segment_handle.close()
-            self._segment_handle = None
-        if self._index_handle is not None:
-            self._index_handle.close()
-            self._index_handle = None
+        for handle in (self._segment_handle, self._index_handle):
+            if handle is not None:
+                handle.close()
+        self._segment_handle = self._index_handle = None
 
     def drop_keys(self, keys) -> int:
         """Remove entries from the index (their segment bytes stay in place).
@@ -300,23 +411,52 @@ class SegmentResultStore(BaseResultStore):
             for key in present:
                 del self._index[key]
                 self._decoded.pop(key, None)
-            lines = [
-                json.dumps(
-                    {"key": key, "segment": seg, "offset": off, "length": length},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                for key, (seg, off, length) in self._index.items()
-            ]
             # The rewrite replaces the index file under the append handle:
             # close both handles so the next put reopens them together.
             self._close_handles()
-            atomic_write_text(
-                self.index_path,
-                "".join(line + "\n" for line in lines),
-                prefix=".index-",
-            )
+            self._rewrite_index(self._index)
             return len(present)
+
+    def _rewrite_index(self, entries: Dict[str, IndexEntry]) -> None:
+        """Atomically replace ``index.jsonl`` with one line per entry."""
+        lines = b"".join(index_line(key, entry) for key, entry in entries.items())
+        atomic_write_text(self.index_path, lines.decode("utf-8"), prefix=".index-")
+
+    def _ensure_writable(self) -> None:
+        """Open (or reopen) the append handles for the active segment."""
+        if self._segment_handle is not None:
+            return
+        self._open_segment(
+            self._active_segment or segment_name(self._next_segment_number())
+        )
+        self._index_handle = self.index_path.open("ab")
+
+    def _open_segment(self, name: str) -> None:
+        """Make ``name`` the active segment; a new one gets its header,
+        stamping the provenance the store's marker records (an imported
+        store's own), or this environment's when there is no marker."""
+        from repro.workloads.synthetic import TRACE_GENERATOR_PROVENANCE
+
+        path = self.segment_path(name)
+        fresh = not path.exists() or path.stat().st_size == 0
+        self._segment_handle = path.open("ab")
+        self._active_segment = name
+        if fresh:
+            header = encode_line(
+                {
+                    "segment": name,
+                    "store_format": SEGMENT_FORMAT,
+                    "trace_generator": stamped_provenance(self.root)
+                    or TRACE_GENERATOR_PROVENANCE,
+                }
+            )
+            self._segment_handle.write(header)
+            self._segment_handle.flush()
+            self._active_size = len(header)
+
+    def _next_segment_number(self) -> int:
+        sizes, _ = segment_files(self.segments_dir)
+        return max(map(parse_segment_number, sizes), default=0) + 1
 
     # -- loading and recovery ------------------------------------------------------
 
@@ -326,84 +466,12 @@ class SegmentResultStore(BaseResultStore):
         self.segments_dir.mkdir(parents=True, exist_ok=True)
         meta_path = self.root / SEGMENT_META_FILE
         if not meta_path.exists():
-            atomic_write_text(
-                meta_path,
-                json.dumps(
-                    {
-                        "format": SEGMENT_FORMAT,
-                        "segment_max_bytes": self.segment_max_bytes,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n",
-                prefix=".meta-",
-            )
+            meta = {"format": SEGMENT_FORMAT,
+                    "segment_max_bytes": self.segment_max_bytes}
+            text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+            atomic_write_text(meta_path, text, prefix=".meta-")
         self._index = {}
         self._recover()
-
-    def _ensure_writable(self) -> None:
-        """Open (or reopen) the append handles for the active segment."""
-        if self._segment_handle is not None:
-            return
-        if self._active_segment is None:
-            self._active_segment = segment_name(self._next_segment_number())
-            self._active_size = 0
-        path = self.segment_path(self._active_segment)
-        fresh = not path.exists() or path.stat().st_size == 0
-        self._segment_handle = path.open("ab")
-        if fresh:
-            header = json.dumps(
-                self._segment_header(self._active_segment),
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode("utf-8")
-            self._segment_handle.write(header + b"\n")
-            self._segment_handle.flush()
-            self._active_size = len(header) + 1
-        self._index_handle = self.index_path.open("ab")
-
-    def _segment_header(self, name: str) -> dict:
-        """The header line of a new segment.
-
-        It stamps the provenance the store's marker records -- this
-        environment's, once ``put`` has checked it, or an imported store's
-        own -- and this environment's when there is no marker yet.
-        """
-        from repro.workloads.synthetic import TRACE_GENERATOR_PROVENANCE
-
-        return {
-            "segment": name,
-            "store_format": SEGMENT_FORMAT,
-            "trace_generator": stamped_provenance(self.root)
-            or TRACE_GENERATOR_PROVENANCE,
-        }
-
-    def _next_segment_number(self) -> int:
-        numbers = [
-            parse_segment_number(path.name)
-            for path in self.segments_dir.glob("seg-*.jsonl")
-        ]
-        numbers = [number for number in numbers if number is not None]
-        return max(numbers, default=0) + 1
-
-    def _roll_segment(self) -> None:
-        """Start a fresh segment (called with the lock held)."""
-        if self._segment_handle is not None:
-            self._segment_handle.close()
-            self._segment_handle = None
-        self._active_segment = segment_name(self._next_segment_number())
-        self._active_size = 0
-        path = self.segment_path(self._active_segment)
-        self._segment_handle = path.open("ab")
-        header = json.dumps(
-            self._segment_header(self._active_segment),
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        self._segment_handle.write(header + b"\n")
-        self._segment_handle.flush()
-        self._active_size = len(header) + 1
 
     def _recover(self) -> None:
         """Replay the index, repair crash damage, pick the active segment.
@@ -418,126 +486,64 @@ class SegmentResultStore(BaseResultStore):
           records are re-indexed (nothing is re-run);
         * a segment's final record is a partial line -- it is truncated off
           so the next append starts at a clean record boundary.
+
+        A damaged index line ends the replay; the index is then rewritten
+        from the entries before it and whatever the segment tails re-index.
         """
-        index_entries, index_dirty = self._replay_index_file()
-        sizes: Dict[str, int] = {}
-        for path in sorted(self.segments_dir.glob("seg-*.jsonl")):
-            if parse_segment_number(path.name) is not None:
-                sizes[path.name] = path.stat().st_size
+        entries: Dict[str, IndexEntry] = {}
+        dirty = False
+        try:
+            blob = self.index_path.read_bytes()
+        except OSError:
+            blob = b""
+        for _, kind, key, entry in index_lines(blob):
+            if kind != ENTRY:
+                dirty = True
+                break
+            entries[key] = entry
+        sizes, _ = segment_files(self.segments_dir)
 
         # Drop entries whose bytes are gone (missing or shortened segment).
-        dropped = False
-        for key, (name, offset, length) in list(index_entries.items()):
+        for key, (name, offset, length) in list(entries.items()):
             if sizes.get(name, 0) < offset + length + 1:
-                del index_entries[key]
-                dropped = True
+                del entries[key]
+                dirty = True
 
         # Scan every segment's unindexed tail: re-index complete records,
         # truncate a partial final record.
-        recovered: list = []
+        recovered: List[str] = []
         for name, size in sizes.items():
             indexed_end = max(
-                (
-                    offset + length + 1
-                    for (seg, offset, length) in index_entries.values()
-                    if seg == name
-                ),
+                (off + n + 1 for seg, off, n in entries.values() if seg == name),
                 default=0,
             )
-            recovered.extend(self._scan_tail(name, indexed_end, size, index_entries))
+            recovered.extend(self._scan_tail(name, indexed_end, size, entries))
 
-        if index_dirty or dropped:
+        if dirty:
             # The index file disagrees with what survived: rewrite it so the
             # next open replays clean state (atomic, so a crash here is safe).
-            lines = [
-                json.dumps(
-                    {"key": key, "segment": seg, "offset": off, "length": length},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                for key, (seg, off, length) in index_entries.items()
-            ]
-            atomic_write_text(
-                self.index_path,
-                "".join(line + "\n" for line in lines),
-                prefix=".index-",
-            )
+            self._rewrite_index(entries)
         elif recovered:
             # Clean index, but some committed records never got their index
             # line: append the recovered entries.
             with self.index_path.open("ab") as handle:
                 for key in recovered:
-                    seg, off, length = index_entries[key]
-                    handle.write(
-                        json.dumps(
-                            {
-                                "key": key,
-                                "segment": seg,
-                                "offset": off,
-                                "length": length,
-                            },
-                            sort_keys=True,
-                            separators=(",", ":"),
-                        ).encode("utf-8")
-                        + b"\n"
-                    )
+                    handle.write(index_line(key, entries[key]))
 
-        self._index = index_entries
-        # Resume appending to the highest-numbered segment if it has room.
-        names = sorted(sizes)
-        if names:
-            last = names[-1]
+        self._index = entries
+        # Resume appending to the highest-numbered segment if it has room
+        # (its size read again: recovery may have cut its tail).
+        if sizes:
+            last = max(sizes)
             size = self.segment_path(last).stat().st_size
             if size <= self.segment_max_bytes:
-                self._active_segment = last
-                self._active_size = size
-
-    def _replay_index_file(self) -> Tuple[Dict[str, Tuple[str, int, int]], bool]:
-        """Read index.jsonl; returns (entries, dirty flag).
-
-        ``dirty`` is set when the file holds a partial or unparseable line
-        (crash mid index append) -- recovery then rewrites it from the
-        surviving entries.
-        """
-        entries: Dict[str, Tuple[str, int, int]] = {}
-        dirty = False
-        try:
-            blob = self.index_path.read_bytes()
-        except OSError:
-            return entries, False
-        position = 0
-        total = len(blob)
-        while position < total:
-            newline = blob.find(b"\n", position)
-            if newline == -1:
-                dirty = True  # partial final line (crash mid index append)
-                break
-            raw = blob[position:newline]
-            if raw:
-                try:
-                    entry = json.loads(raw.decode("utf-8"))
-                    key = entry["key"]
-                    name = entry["segment"]
-                    offset = int(entry["offset"])
-                    length = int(entry["length"])
-                except (ValueError, KeyError, TypeError):
-                    dirty = True
-                    break
-                entries[key] = (name, offset, length)
-            position = newline + 1
-        return entries, dirty
+                self._active_segment, self._active_size = last, size
 
     def _scan_tail(
-        self,
-        name: str,
-        start: int,
-        size: int,
-        index_entries: Dict[str, Tuple[str, int, int]],
-    ) -> list:
-        """Re-index complete unindexed records; truncate a partial tail.
-
-        Returns the keys recovered from this segment.
-        """
+        self, name: str, start: int, size: int, entries: Dict[str, IndexEntry]
+    ) -> List[str]:
+        """Re-index complete records from byte ``start`` of segment ``name``
+        on and truncate a damaged final line; returns the keys recovered."""
         if start >= size:
             return []
         path = self.segment_path(name)
@@ -548,42 +554,20 @@ class SegmentResultStore(BaseResultStore):
         except OSError:
             return []
         recovered = []
-        truncate_at: Optional[int] = None
-        relative = 0
-        total = len(blob)
-        while relative < total:
-            newline = blob.find(b"\n", relative)
-            absolute = start + relative
-            if newline == -1:
-                truncate_at = absolute  # partial final record
+        for offset, length, kind, record in segment_lines(blob, start):
+            if kind == RECORD:
+                key = record["key"]
+                if key not in entries:
+                    recovered.append(key)
+                entries[key] = (name, offset, length)
+            elif kind in (UNPARSEABLE, PARTIAL):
+                # Stop indexing at damage.  A damaged final line is cut off;
+                # damage mid-file stays for ``store verify`` to report.
+                if offset + length + 1 >= start + len(blob):
+                    try:
+                        with path.open("r+b") as handle:
+                            handle.truncate(offset)
+                    except OSError:
+                        pass
                 break
-            raw = blob[relative:newline]
-            if raw:
-                try:
-                    record = json.loads(raw.decode("utf-8"))
-                except ValueError:
-                    # Mid-file corruption: stop indexing here.  If it is the
-                    # final line, cut it off; otherwise leave the bytes for
-                    # ``store verify`` to report.
-                    if newline + 1 >= total:
-                        truncate_at = absolute
-                    break
-                if (
-                    absolute == 0
-                    and isinstance(record, dict)
-                    and "store_format" in record
-                ):
-                    pass  # segment header, not a record
-                elif isinstance(record, dict) and isinstance(record.get("key"), str):
-                    key = record["key"]
-                    if key not in index_entries:
-                        recovered.append(key)
-                    index_entries[key] = (name, absolute, len(raw))
-            relative = newline + 1
-        if truncate_at is not None:
-            try:
-                with path.open("r+b") as handle:
-                    handle.truncate(truncate_at)
-            except OSError:
-                pass
         return recovered

@@ -2,10 +2,11 @@
 
 Every computed :class:`~repro.core.results.SimulationResult` is persisted
 under a content-hash key in an indexed, append-only segment store
-(:class:`~repro.campaign.segments.SegmentResultStore`), opened through
-:func:`open_store`.  :class:`BaseResultStore` holds what does not depend on
-the on-disk format: the root directory, the canonical entry payload and the
-trace-generator provenance stamp.
+(:class:`~repro.campaign.segments.SegmentResultStore`, the only code that
+encodes or decodes its index and segment files), opened through
+:func:`open_store`.  This module holds what does not depend on that
+format: the root directory, the canonical entry payload and the
+trace-generator provenance marker (:func:`read_provenance`).
 
 Because keys are content hashes of the job (workload recipe + full
 configuration), the store doubles as a cache: re-running a campaign with
@@ -112,8 +113,7 @@ class BaseResultStore:
 
         Idempotent and cheap after the first call.  Raises
         :class:`StoreProvenanceError` when the store was stamped by the
-        other environment, and also when the marker exists but cannot be
-        read -- a damaged marker must not silently disable the guard.
+        other environment or its marker is damaged (:func:`read_provenance`).
         Stores predating the stamp are stamped with the current
         environment on their next write (their old entries use
         pre-provenance job keys, which no current campaign can enumerate,
@@ -121,39 +121,14 @@ class BaseResultStore:
         """
         if self._provenance_checked:
             return
-        marker = self.root / PROVENANCE_FILE
-        try:
-            recorded = json.loads(marker.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            stamped = None
-        except (OSError, ValueError) as error:
-            raise StoreProvenanceError(
-                f"store {self.root} has an unreadable provenance marker "
-                f"({marker.name}: {error}); refusing to guess which trace "
-                f"generator produced its results -- delete or restore the "
-                f"marker by hand"
-            ) from error
-        else:
-            # A marker that parses but has the wrong shape is just as
-            # damaged as one that does not parse: never restamp over it.
-            stamped = (
-                recorded.get("trace_generator")
-                if isinstance(recorded, dict)
-                else None
-            )
-            if not isinstance(stamped, str):
-                raise StoreProvenanceError(
-                    f"store {self.root} has a malformed provenance marker "
-                    f"({marker.name}: no 'trace_generator' string); delete "
-                    f"or restore the marker by hand"
-                )
+        stamped = read_provenance(self.root)
         if stamped is None:
             # Atomic like every other store write: a crash mid-stamp must
             # not leave a truncated marker that poisons the next check.
+            stamp = {"trace_generator": TRACE_GENERATOR_PROVENANCE}
             atomic_write_text(
-                marker,
-                json.dumps({"trace_generator": TRACE_GENERATOR_PROVENANCE}, indent=2)
-                + "\n",
+                self.root / PROVENANCE_FILE,
+                json.dumps(stamp, indent=2) + "\n",
                 prefix=".provenance-",
             )
         elif stamped != TRACE_GENERATOR_PROVENANCE:
@@ -191,15 +166,46 @@ class BaseResultStore:
         self.close()
 
 
-def stamped_provenance(root: Union[str, Path]) -> Optional[str]:
+def read_provenance(root: Union[str, Path]) -> Optional[str]:
     """The trace generator a store's provenance marker names, or None when
-    the marker is absent, unreadable or malformed."""
+    the store has no marker.
+
+    Raises:
+        StoreProvenanceError: when the marker cannot be read or names no
+            generator -- a damaged marker must not silently disable the
+            guard.
+    """
+    root = Path(root)
+    marker = root / PROVENANCE_FILE
     try:
-        marker = json.loads((Path(root) / PROVENANCE_FILE).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        recorded = json.loads(marker.read_text(encoding="utf-8"))
+    except FileNotFoundError:
         return None
-    stamped = marker.get("trace_generator") if isinstance(marker, dict) else None
-    return stamped if isinstance(stamped, str) else None
+    except (OSError, ValueError) as error:
+        raise StoreProvenanceError(
+            f"store {root} has an unreadable provenance marker "
+            f"({marker.name}: {error}); refusing to guess which trace "
+            f"generator produced its results -- delete or restore the "
+            f"marker by hand"
+        ) from error
+    # A marker that parses but has the wrong shape is just as damaged as
+    # one that does not parse: never restamp over it.
+    stamped = recorded.get("trace_generator") if isinstance(recorded, dict) else None
+    if not isinstance(stamped, str):
+        raise StoreProvenanceError(
+            f"store {root} has a malformed provenance marker "
+            f"({marker.name}: no 'trace_generator' string); delete "
+            f"or restore the marker by hand"
+        )
+    return stamped
+
+
+def stamped_provenance(root: Union[str, Path]) -> Optional[str]:
+    """Like :func:`read_provenance`, but None for a damaged marker too."""
+    try:
+        return read_provenance(root)
+    except StoreProvenanceError:
+        return None
 
 
 def legacy_entry_keys(root: Union[str, Path]) -> List[str]:

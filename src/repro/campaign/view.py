@@ -132,17 +132,6 @@ class StoreSweep(SweepResult):
             )
         return result
 
-    def missing_keys(self) -> List[str]:
-        """Keys of cells the store does not hold (empty when complete).
-
-        One ``store.keys()`` snapshot, which the segment store answers from
-        its in-memory index, diffed against the grid's keys.  The tests use
-        it to check a campaign's completeness.
-        """
-        present = set(self.store.keys())
-        wanted = list(self._baseline_keys.values()) + list(self._point_keys.values())
-        return [key for key in wanted if key not in present]
-
     # -- materialisation ---------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:

@@ -37,8 +37,3 @@ class MessageKind(enum.Enum):
     def counter_name(self) -> str:
         """Counter key under which this message kind is recorded."""
         return f"msg_{self.value}"
-
-    @property
-    def carries_data(self) -> bool:
-        """True when the message carries a full cache line."""
-        return self in (MessageKind.DATA_REPLY, MessageKind.WRITEBACK)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.utils.addr import is_power_of_two
 
@@ -328,10 +328,6 @@ class SimulationConfig:
         assert self.refresh is not None
         return self.refresh.label
 
-    def with_refresh(self, refresh: RefreshConfig) -> "SimulationConfig":
-        """Return a copy of this configuration with a different refresh point."""
-        return replace(self, technology=CellTechnology.EDRAM, refresh=refresh)
-
     def as_sram_baseline(self) -> "SimulationConfig":
         """Return the full-SRAM baseline sharing this architecture."""
         return replace(self, technology=CellTechnology.SRAM, refresh=None)
@@ -363,46 +359,14 @@ class SimulationConfig:
         timing_policy: TimingPolicyKind = TimingPolicyKind.REFRINT,
         data_policy: Optional[DataPolicySpec] = None,
     ) -> "SimulationConfig":
-        """A laptop-scale eDRAM configuration (see config.presets)."""
-        from repro.config import presets
+        """A laptop-scale eDRAM configuration: the sweep point of these
+        policies (default data policy WB(32,32)) on the scaled architecture
+        of :mod:`repro.config.presets`."""
+        from repro.config.presets import scaled_architecture
+        from repro.core.sweep import PolicyPoint
 
-        architecture = presets.scaled_architecture()
-        retention_cycles = presets.scaled_retention_cycles(retention_us)
-        refresh = RefreshConfig(
-            retention_cycles=retention_cycles,
-            sentry_margin_cycles=RefreshConfig.derive_sentry_margin(
-                architecture.l3_bank.num_lines, retention_cycles
-            ),
-            timing_policy=timing_policy,
-            l3_data_policy=data_policy or DataPolicySpec.writeback(32, 32),
+        point = PolicyPoint(
+            retention_us, timing_policy, data_policy or DataPolicySpec.writeback(32, 32)
         )
-        return SimulationConfig.edram(refresh, architecture)
+        return point.simulation_config(scaled_architecture())
 
-
-def policy_grid(
-    retention_cycles_options: Tuple[int, ...],
-    timing_policies: Tuple[TimingPolicyKind, ...],
-    data_policies: Tuple[DataPolicySpec, ...],
-    architecture: ArchitectureConfig,
-) -> Dict[str, SimulationConfig]:
-    """Build the full cartesian sweep of Table 5.4 for one architecture.
-
-    Returns a mapping from a unique key ``"{retention}|{label}"`` to the
-    corresponding eDRAM :class:`SimulationConfig`.
-    """
-    grid: Dict[str, SimulationConfig] = {}
-    for retention in retention_cycles_options:
-        margin = RefreshConfig.derive_sentry_margin(
-            architecture.l3_bank.num_lines, retention
-        )
-        for timing in timing_policies:
-            for data in data_policies:
-                refresh = RefreshConfig(
-                    retention_cycles=retention,
-                    sentry_margin_cycles=margin,
-                    timing_policy=timing,
-                    l3_data_policy=data,
-                )
-                key = f"{retention}|{refresh.label}"
-                grid[key] = SimulationConfig.edram(refresh, architecture)
-    return grid

@@ -9,7 +9,7 @@ so the binning and the synthetic generators can never drift apart.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Tuple
 
 from repro.workloads.suite import application_class, application_specs
 
@@ -42,25 +42,3 @@ def classes_consistent_with_specs() -> bool:
     expected = {name for names in APPLICATION_CLASSES.values() for name in names}
     return expected == set(application_specs().keys())
 
-
-def average_by_class(
-    per_application: Mapping[str, float],
-    applications: Iterable[str] | None = None,
-) -> Dict[str, float]:
-    """Average a per-application metric per class and over all applications.
-
-    Returns a mapping with keys ``"class1"``, ``"class2"``, ``"class3"`` and
-    ``"all"``; classes with no application present in ``per_application``
-    are omitted.
-    """
-    names = list(applications) if applications is not None else list(per_application)
-    averages: Dict[str, float] = {}
-    all_values: List[float] = []
-    for app_class, members in APPLICATION_CLASSES.items():
-        values = [per_application[name] for name in members if name in names]
-        if values:
-            averages[f"class{app_class}"] = sum(values) / len(values)
-            all_values.extend(values)
-    if all_values:
-        averages["all"] = sum(all_values) / len(all_values)
-    return averages

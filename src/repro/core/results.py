@@ -69,13 +69,6 @@ class SimulationResult:
         """A raw counter value (0 when never incremented)."""
         return self.counters.get(name, 0)
 
-    def miss_rate(self, level: str) -> float:
-        """Miss rate of one level (l1d / l1i / l2 / l3), if it was exercised."""
-        hits = self.counter(f"{level}_hits")
-        misses = self.counter(f"{level}_misses")
-        total = hits + misses
-        return 0.0 if total == 0 else misses / total
-
     # -- normalisation helpers ---------------------------------------------------
 
     def normalised_memory_energy(self, baseline: "SimulationResult") -> float:
@@ -179,14 +172,3 @@ def _require_positive(value: float, what: str) -> None:
     if value <= 0:
         raise ValueError(f"{what} must be positive for normalisation, got {value}")
 
-
-def average_results(values: List[float]) -> float:
-    """Arithmetic mean of normalised metrics over a set of applications.
-
-    The paper presents per-class and all-application averages of normalised
-    energies and times; an arithmetic mean over the normalised values is
-    used here (the choice of mean does not change any qualitative ranking).
-    """
-    if not values:
-        raise ValueError("cannot average an empty set of results")
-    return sum(values) / len(values)

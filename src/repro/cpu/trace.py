@@ -76,10 +76,6 @@ class TraceStream:
         """The underlying records (read-only view)."""
         return tuple(self._records)
 
-    def total_instructions(self) -> int:
-        """Total instructions represented (memory ops plus gaps)."""
-        return sum(record.gap_instructions + 1 for record in self._records)
-
     def read_fraction(self) -> float:
         """Fraction of data references that are reads."""
         if not self._records:

@@ -22,7 +22,7 @@ backend (array or object) produced them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Tuple
 
 #: Cache-hierarchy levels tracked by the account.
 MEMORY_LEVELS: Tuple[str, ...] = ("l1", "l2", "l3", "dram")
@@ -67,20 +67,6 @@ class EnergyBreakdown:
         return self.memory_total() + sum(
             self.system.get(part, 0.0) for part in SYSTEM_PARTS
         )
-
-    def level_fraction(self, level: str) -> float:
-        """Fraction of memory energy spent at ``level``."""
-        total = self.memory_total()
-        if total == 0:
-            return 0.0
-        return self.by_level.get(level, 0.0) / total
-
-    def component_fraction(self, component: str) -> float:
-        """Fraction of memory energy spent in ``component``."""
-        total = self.memory_total()
-        if total == 0:
-            return 0.0
-        return self.by_component.get(component, 0.0) / total
 
 
 class EnergyAccount:
@@ -163,13 +149,6 @@ class EnergyAccount:
             value for (_, comp), value in self._memory.items() if comp == component
         )
 
-    def merge(self, other: "EnergyAccount") -> None:
-        """Fold another account (e.g. from a second run phase) into this one."""
-        for key, value in other._memory.items():
-            self._memory[key] = self._memory.get(key, 0.0) + value
-        for part, value in other._system.items():
-            self._system[part] += value
-
     def breakdown(self) -> EnergyBreakdown:
         """Return an immutable snapshot of the account."""
         by_level = {level: self.level_total(level) for level in MEMORY_LEVELS}
@@ -180,27 +159,3 @@ class EnergyAccount:
             system=dict(self._system),
         )
 
-
-def normalise(
-    breakdown: EnergyBreakdown, baseline: EnergyBreakdown
-) -> Dict[str, float]:
-    """Normalise a breakdown to a baseline's memory and system totals.
-
-    Returns a flat mapping with per-level and per-component memory fractions
-    (relative to the *baseline memory total*, as in Figs. 6.1 and 6.2) and a
-    ``system`` entry relative to the baseline system total (Fig. 6.3).
-    """
-    memory_base = baseline.memory_total()
-    system_base = baseline.system_total()
-    if memory_base <= 0 or system_base <= 0:
-        raise ValueError("baseline totals must be positive for normalisation")
-    result: Dict[str, float] = {}
-    for level in MEMORY_LEVELS:
-        result[f"level:{level}"] = breakdown.by_level.get(level, 0.0) / memory_base
-    for component in COMPONENTS:
-        result[f"component:{component}"] = (
-            breakdown.by_component.get(component, 0.0) / memory_base
-        )
-    result["memory"] = breakdown.memory_total() / memory_base
-    result["system"] = breakdown.system_total() / system_base
-    return result

@@ -124,9 +124,10 @@ def point_averages(
 ) -> Dict[str, float]:
     """All-application averages of the normalised metrics at one sweep point.
 
-    The grid-cell aggregation every consumer of a sweep shares: the
-    headline summary below, the report tables, and the query service's
-    per-point ``aggregates`` (:mod:`repro.api.answer`).  Works on any
+    The grid-cell aggregation of the headline summary below and the report
+    tables; the query service's per-point ``aggregates``
+    (:func:`repro.api.answer.grid_aggregates`) take the same means, in the
+    same order, of the ratios already on its answers.  Works on any
     ``SweepResult``, including the store-backed
     :class:`~repro.campaign.view.StoreSweep`.
     """

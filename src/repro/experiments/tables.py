@@ -34,10 +34,6 @@ class Table:
     header: Sequence[str]
     rows: Sequence[Sequence[str]]
 
-    def column_count(self) -> int:
-        """Number of columns (from the header)."""
-        return len(self.header)
-
 
 def render_table(table: Table) -> str:
     """Render a table as aligned plain text."""

@@ -13,7 +13,7 @@ energy model applied afterwards.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.coherence.protocol import DirectoryProtocol
 from repro.config.parameters import ArchitectureConfig
@@ -156,13 +156,6 @@ class CacheHierarchy:
             raise KeyError(f"unknown cache level {level!r}")
 
     # -- introspection ---------------------------------------------------------
-
-    def dirty_lines(self) -> Dict[str, int]:
-        """Number of dirty lines per level (summed over instances)."""
-        totals: Dict[str, int] = {"l1i": 0, "l1d": 0, "l2": 0, "l3": 0}
-        for level, _, cache in self.all_caches():
-            totals[level] += cache.count_dirty()
-        return totals
 
     def check_inclusion(self) -> List[str]:
         """Verify that every valid L2/L1 block is present in the L3.

@@ -171,10 +171,6 @@ class Cache:
             set_idx // self._sets_per_group, self.geometry.num_refresh_groups - 1
         )
 
-    def set_of_index(self, index: int) -> int:
-        """The set a global line index belongs to."""
-        return index // self._assoc
-
     def wait_cycles(self, block_address: int, cycle: int) -> int:
         """Cycles an access arriving at ``cycle`` must wait for refresh work.
 
@@ -375,10 +371,6 @@ class Cache:
     def count_valid(self) -> int:
         """Number of valid lines currently held."""
         return len(self.valid_indices_in_range(0, self.geometry.num_lines))
-
-    def count_dirty(self) -> int:
-        """Number of dirty lines currently held."""
-        return len(self.dirty_indices())
 
     # -- vectorized sweeps for the refresh controllers -------------------------
 

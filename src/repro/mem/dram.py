@@ -39,8 +39,3 @@ class MainMemory:
         self.counters.add("dram_accesses")
         self.counters.add("dram_writes")
         return self.access_cycles
-
-    @property
-    def total_accesses(self) -> int:
-        """Total reads plus writes seen so far."""
-        return self.counters.get("dram_accesses")

@@ -85,10 +85,6 @@ class TorusTopology:
                 unique.append(candidate)
         return unique
 
-    def all_vertices(self) -> Iterator[int]:
-        """Iterate over every vertex id."""
-        return iter(range(self.num_vertices))
-
     # -- helpers -----------------------------------------------------------
 
     def _check_vertex(self, vertex: int) -> None:

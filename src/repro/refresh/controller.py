@@ -272,7 +272,7 @@ def level_refresh_config(
     l3_scale = paper_lines["l3"] / config.architecture.l3_bank.num_lines
     multiplier = max(1.0, l3_scale / level_scale)
     retention = max(2, int(round(refresh.retention_cycles * multiplier)))
-    margin = min(num_lines, retention - 1)
+    margin = RefreshConfig.derive_sentry_margin(num_lines, retention)
     return dataclasses.replace(
         refresh, retention_cycles=retention, sentry_margin_cycles=margin
     )

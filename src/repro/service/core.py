@@ -155,7 +155,6 @@ class SweepService:
         unique_points = normalised.unique_points()
 
         answers_by_key: Dict[str, PointAnswer] = {}
-        results_by_key: Dict[str, SimulationResult] = {}
         owned: List[QueryPoint] = []
         waiting: List[Tuple[QueryPoint, "asyncio.Future[SimulationResult]"]] = []
 
@@ -167,7 +166,6 @@ class SweepService:
             result = self.store.get(key) if self.store is not None else None
             if result is not None:
                 self.stats.store_hits += 1
-                results_by_key[key] = result
                 answers_by_key[key] = exact_answer(
                     query_point, result, source="store", store=self.store
                 )
@@ -192,17 +190,16 @@ class SweepService:
             owned.append(query_point)
 
         if owned:
-            results_by_key.update(await self._run_owned(owned))
+            results = await self._run_owned(owned)
             for query_point in owned:
                 answers_by_key[query_point.key] = exact_answer(
                     query_point,
-                    results_by_key[query_point.key],
+                    results[query_point.key],
                     source="simulated",
                     store=self.store,
                 )
         for query_point, future in waiting:
             result = await future
-            results_by_key[query_point.key] = result
             answers_by_key[query_point.key] = exact_answer(
                 query_point, result, source="simulated", store=self.store
             )
@@ -211,7 +208,7 @@ class SweepService:
         response = QueryResponse(
             request=request,
             answers=[answers_by_key[point.key] for point in unique_points],
-            aggregates=grid_aggregates(normalised, self.store, results_by_key),
+            aggregates=grid_aggregates(normalised, self.store, answers_by_key),
         )
         if self.validate_answers:
             from repro.validate.service import check_response
@@ -297,11 +294,6 @@ class SweepService:
         """Wait for every scheduled backfill to finish (tests, shutdown)."""
         while self._backfill_tasks:
             await asyncio.gather(*list(self._backfill_tasks), return_exceptions=True)
-
-    @property
-    def inflight_count(self) -> int:
-        """Number of job hashes currently being simulated or backfilled."""
-        return len(self._inflight)
 
 
 def _retrieve_exception(future: "asyncio.Future") -> None:

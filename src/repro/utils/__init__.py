@@ -1,4 +1,4 @@
-"""Shared low-level utilities: refresh-timer calendar, statistics, address math."""
+"""Shared low-level utilities: refresh-timer calendar, event counter, address math."""
 
 from repro.utils.addr import (
     block_address,
@@ -8,13 +8,11 @@ from repro.utils.addr import (
     log2_int,
 )
 from repro.utils.events import EventQueue
-from repro.utils.statistics import Counter, RunningStat, WeightedAverage
+from repro.utils.statistics import Counter
 
 __all__ = [
     "Counter",
     "EventQueue",
-    "RunningStat",
-    "WeightedAverage",
     "block_address",
     "block_offset",
     "interleaved_bank",

@@ -47,12 +47,3 @@ def interleaved_bank(address: int, block_size: int, num_banks: int) -> int:
     """
     return (address // block_size) % num_banks
 
-
-def set_index(address: int, block_size: int, num_sets: int) -> int:
-    """Return the set index of a byte address within a cache."""
-    return (address // block_size) % num_sets
-
-
-def tag_bits(address: int, block_size: int, num_sets: int) -> int:
-    """Return the tag of a byte address within a cache."""
-    return address // (block_size * num_sets)

@@ -1,11 +1,9 @@
-"""Lightweight statistics helpers used throughout the simulator."""
+"""The event counter the simulator tallies hits, misses and refreshes in."""
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping
 
 
 class Counter:
@@ -41,11 +39,6 @@ class Counter:
         """Return the value of counter ``name`` (0 if never incremented)."""
         return self._counts.get(name, 0)
 
-    def merge(self, other: "Counter") -> None:
-        """Add all counters from ``other`` into this one."""
-        for key, value in other._counts.items():
-            self._counts[key] += value
-
     def as_dict(self) -> Dict[str, int]:
         """Return a plain-dict snapshot of all counters."""
         return dict(self._counts)
@@ -59,89 +52,3 @@ class Counter:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
         return f"Counter({inner})"
-
-
-@dataclass
-class RunningStat:
-    """Streaming mean / variance / min / max (Welford's algorithm)."""
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-    minimum: float = math.inf
-    maximum: float = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the running statistics."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold many samples into the running statistics."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the samples seen so far."""
-        if self.count == 0:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation of the samples seen so far."""
-        return math.sqrt(self.variance)
-
-
-@dataclass
-class WeightedAverage:
-    """Weighted arithmetic mean accumulator."""
-
-    total: float = 0.0
-    weight: float = 0.0
-
-    def add(self, value: float, weight: float = 1.0) -> None:
-        """Add ``value`` with the given ``weight``."""
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
-        self.total += value * weight
-        self.weight += weight
-
-    @property
-    def value(self) -> float:
-        """The weighted mean (0.0 when nothing has been added)."""
-        if self.weight == 0:
-            return 0.0
-        return self.total / self.weight
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of strictly positive values.
-
-    Used for averaging normalised metrics (energy and execution-time ratios)
-    across applications, which is the conventional way to average ratios.
-    """
-    values = list(values)
-    if not values:
-        raise ValueError("geometric_mean of an empty sequence")
-    for index, value in enumerate(values):
-        if value <= 0:
-            raise ValueError(
-                "geometric_mean requires strictly positive values, got "
-                f"{value!r} at index {index}"
-            )
-    log_sum = sum(math.log(v) for v in values)
-    return math.exp(log_sum / len(values))
-
-
-def arithmetic_mean(values: Iterable[float]) -> float:
-    """Plain arithmetic mean; raises on empty input."""
-    values = list(values)
-    if not values:
-        raise ValueError("arithmetic_mean of an empty sequence")
-    return sum(values) / len(values)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.api.answer import AGGREGATE_METRICS
 from repro.api.query import (
     ANSWER_METRICS,
     EXACT_SOURCES,
@@ -46,9 +47,6 @@ from repro.validate.invariants import check_result
 #: Relative tolerance of the surrogate envelope and aggregate checks
 #: (float summation).
 ENVELOPE_RTOL = 1e-9
-
-#: The normalised metrics every served aggregate averages.
-AGGREGATE_METRICS = ("memory", "system", "time")
 
 
 def _check_flags(answer: PointAnswer, where: str, violations: List[str]) -> None:

@@ -7,7 +7,6 @@ from repro.workloads.suite import (
     application_class,
     application_specs,
     build_application,
-    build_suite,
 )
 from repro.workloads.synthetic import SyntheticTraceGenerator
 
@@ -19,5 +18,4 @@ __all__ = [
     "application_class",
     "application_specs",
     "build_application",
-    "build_suite",
 ]

@@ -25,7 +25,7 @@ the same specs work for the paper-sized and the scaled geometries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.config.parameters import ArchitectureConfig, SimulationConfig
 from repro.cpu.trace import TraceStream
@@ -262,20 +262,6 @@ def build_application(
     parameters = _trace_parameters(spec, architecture, length_scale, base_seed)
     generator = SyntheticTraceGenerator(parameters)
     return ApplicationWorkload(spec=spec, traces=tuple(generator.generate()))
-
-
-def build_suite(
-    config: SimulationConfig | ArchitectureConfig,
-    length_scale: float = 1.0,
-    names: List[str] | None = None,
-    seed: int | None = None,
-) -> Dict[str, ApplicationWorkload]:
-    """Generate workloads for all (or a subset of) the paper's applications."""
-    selected = list(names) if names is not None else list(APPLICATION_NAMES)
-    return {
-        name: build_application(name, config, length_scale=length_scale, seed=seed)
-        for name in selected
-    }
 
 
 #: Default RNG seed shared with :class:`SimulationConfig` (the paper's year).

@@ -50,13 +50,13 @@ def arch():
     return scaled_architecture()
 
 
-def query_point_at(retention_us, arch, length_scale=0.05):
+def query_point_at(retention_us, arch):
     request = QueryRequest(
         applications="fft",
         retentions_us=(retention_us,),
         timing_policies=("refrint",),
         data_policies=("WB(32,32)",),
-        length_scale=length_scale,
+        length_scale=0.05,
         include_baseline=False,
     )
     (point,) = request.normalise(arch).points
@@ -65,17 +65,17 @@ def query_point_at(retention_us, arch, length_scale=0.05):
 
 class TestBracketAxis:
     def test_outside_hull_declines(self):
-        assert bracket_axis("retention_us", 25.0, (50.0, 200.0)) is None
-        assert bracket_axis("retention_us", 400.0, (50.0, 200.0)) is None
-        assert bracket_axis("retention_us", 50.0, ()) is None
+        assert bracket_axis(25.0, (50.0, 200.0)) is None
+        assert bracket_axis(400.0, (50.0, 200.0)) is None
+        assert bracket_axis(50.0, ()) is None
 
     def test_on_grid_is_degenerate(self):
-        bracket = bracket_axis("retention_us", 100.0, (50.0, 100.0, 200.0))
+        bracket = bracket_axis(100.0, (50.0, 100.0, 200.0))
         assert (bracket.lo, bracket.hi) == (100.0, 100.0)
         assert bracket.on_grid and bracket.weight == 0.0
 
     def test_between_points(self):
-        bracket = bracket_axis("retention_us", 125.0, (50.0, 100.0, 200.0))
+        bracket = bracket_axis(125.0, (50.0, 100.0, 200.0))
         assert (bracket.lo, bracket.hi) == (100.0, 200.0)
         assert not bracket.on_grid
         assert bracket.weight == pytest.approx(0.25)
@@ -86,8 +86,8 @@ class TestInterpolation:
         store = FakeStore()
         lattice = SurrogateLattice(store, architecture=arch, retentions_us=(50.0, 200.0))
         probe = query_point_at(125.0, arch)
-        lo_job = lattice.corner_job(probe, 50.0, 0.05)
-        hi_job = lattice.corner_job(probe, 200.0, 0.05)
+        lo_job = lattice.corner_job(probe, 50.0)
+        hi_job = lattice.corner_job(probe, 200.0)
         store.results[lo_job.key()] = FakeResult(1000, 800, 2.0, 4.0)
         store.results[hi_job.key()] = FakeResult(2000, 1200, 1.0, 3.0)
         return store, lattice, (lo_job.key(), hi_job.key())
@@ -145,30 +145,3 @@ class TestInterpolation:
         baseline = request.normalise(arch).points[0]
         assert baseline.is_baseline
         assert lattice.interpolate(baseline) is None
-
-    def test_two_axis_bilinear(self, arch):
-        store = FakeStore()
-        lattice = SurrogateLattice(
-            store,
-            architecture=arch,
-            retentions_us=(50.0, 200.0),
-            length_scales=(0.04, 0.08),
-        )
-        probe = query_point_at(125.0, arch, length_scale=0.06)
-        values = {
-            (50.0, 0.04): 100.0,
-            (50.0, 0.08): 200.0,
-            (200.0, 0.04): 300.0,
-            (200.0, 0.08): 400.0,
-        }
-        for (retention, scale), cycles in values.items():
-            job = lattice.corner_job(probe, retention, scale)
-            store.results[job.key()] = FakeResult(cycles, cycles, 1.0, 2.0)
-        answer = lattice.interpolate(probe)
-        # Centre of the cell: the mean of the four corners.
-        assert answer.metrics["execution_cycles"] == pytest.approx(250.0)
-        assert answer.bounds == {
-            "retention_us": [50.0, 200.0],
-            "length_scale": [0.04, 0.08],
-        }
-        assert len(answer.corner_keys) == 4

@@ -12,7 +12,6 @@ from repro.config.parameters import (
     RefreshConfig,
     SimulationConfig,
     TimingPolicyKind,
-    policy_grid,
 )
 from repro.config.presets import (
     PAPER_RETENTION_TIMES_US,
@@ -132,7 +131,7 @@ class TestSimulationConfig:
         baseline = tiny_edram_config.as_sram_baseline()
         assert not baseline.is_edram
         assert baseline.architecture is tiny_edram_config.architecture
-        again = baseline.with_refresh(tiny_edram_config.refresh)
+        again = SimulationConfig.edram(tiny_edram_config.refresh, baseline.architecture)
         assert again.is_edram
 
     def test_scaled_factory(self):
@@ -195,14 +194,3 @@ class TestPresets:
         assert labels == [
             "all", "valid", "dirty", "WB(4,4)", "WB(8,8)", "WB(16,16)", "WB(32,32)",
         ]
-
-    def test_policy_grid_has_42_points(self):
-        arch = scaled_architecture()
-        grid = policy_grid(
-            paper_retention_times_cycles(),
-            (TimingPolicyKind.PERIODIC, TimingPolicyKind.REFRINT),
-            paper_data_policies(),
-            arch,
-        )
-        assert len(grid) == 42
-        assert all(config.is_edram for config in grid.values())

@@ -39,7 +39,6 @@ class TestTraceStream:
 
     def test_statistics(self):
         stream = self.make_stream()
-        assert stream.total_instructions() == 3 + 3
         assert stream.read_fraction() == pytest.approx(2 / 3)
         assert stream.footprint_bytes(64) == 2 * 64
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config.parameters import CellTechnology
 from repro.config.presets import paper_architecture
-from repro.energy.accounting import EnergyAccount, EnergyBreakdown, normalise
+from repro.energy.accounting import EnergyAccount
 from repro.energy.model import ActivitySummary, SystemEnergyModel
 from repro.energy.tables import (
     EDRAM_LEAKAGE_RATIO,
@@ -99,81 +99,6 @@ class TestAccounting:
         account = EnergyAccount()
         with pytest.raises(ValueError):
             account.add_memory("l1d", "magic", 1.0)
-
-    def test_merge(self):
-        left = EnergyAccount()
-        left.add_dynamic("l1d", 1.0)
-        right = EnergyAccount()
-        right.add_dynamic("l1d", 2.0)
-        right.add_core(1.0)
-        left.merge(right)
-        assert left.memory_total() == pytest.approx(3.0)
-        assert left.system_total() == pytest.approx(4.0)
-
-    def test_normalise(self):
-        baseline = EnergyAccount()
-        baseline.add_leakage("l3", 8.0)
-        baseline.add_dynamic("l1d", 2.0)
-        baseline.add_core(10.0)
-        subject = EnergyAccount()
-        subject.add_leakage("l3", 2.0)
-        subject.add_dynamic("l1d", 2.0)
-        subject.add_core(10.0)
-        ratios = normalise(subject.breakdown(), baseline.breakdown())
-        assert ratios["memory"] == pytest.approx(0.4)
-        assert ratios["level:l3"] == pytest.approx(0.2)
-        assert ratios["system"] == pytest.approx(0.7)
-
-
-class TestBreakdownDegenerateCases:
-    def test_empty_breakdown_fractions_are_zero_not_nan(self):
-        empty = EnergyBreakdown()
-        assert empty.memory_total() == 0.0
-        assert empty.system_total() == 0.0
-        for level in ("l1", "l2", "l3", "dram"):
-            assert empty.level_fraction(level) == 0.0
-        for component in ("dynamic", "leakage", "refresh", "dram"):
-            assert empty.component_fraction(component) == 0.0
-
-    def test_fraction_of_absent_key_is_zero(self):
-        breakdown = EnergyBreakdown(
-            by_level={"l1": 3.0}, by_component={"dynamic": 3.0}
-        )
-        assert breakdown.level_fraction("l3") == 0.0
-        assert breakdown.component_fraction("refresh") == 0.0
-        assert breakdown.level_fraction("l1") == pytest.approx(1.0)
-        assert breakdown.component_fraction("dynamic") == pytest.approx(1.0)
-
-    def test_fractions_sum_to_one_when_populated(self):
-        breakdown = EnergyBreakdown(
-            by_level={"l1": 1.0, "l2": 2.0, "l3": 3.0, "dram": 4.0}
-        )
-        total = sum(
-            breakdown.level_fraction(level) for level in ("l1", "l2", "l3", "dram")
-        )
-        assert total == pytest.approx(1.0)
-
-    def test_normalise_rejects_empty_baseline(self):
-        subject = EnergyBreakdown(by_level={"l1": 1.0})
-        with pytest.raises(ValueError, match="must be positive"):
-            normalise(subject, EnergyBreakdown())
-
-    def test_normalise_rejects_memory_free_baseline(self):
-        # A baseline with core energy but no memory energy cannot anchor
-        # the Fig. 6.1/6.2 memory fractions.
-        baseline = EnergyBreakdown(system={"core": 5.0})
-        subject = EnergyBreakdown(by_level={"l1": 1.0})
-        with pytest.raises(ValueError, match="must be positive"):
-            normalise(subject, baseline)
-
-    def test_normalise_of_empty_subject_is_all_zero(self):
-        baseline = EnergyBreakdown(
-            by_level={"l1": 2.0}, by_component={"dynamic": 2.0}, system={"core": 1.0}
-        )
-        ratios = normalise(EnergyBreakdown(), baseline)
-        assert ratios["memory"] == 0.0
-        assert ratios["system"] == 0.0
-        assert all(value == 0.0 for value in ratios.values())
 
 
 class TestSystemEnergyModel:

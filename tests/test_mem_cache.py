@@ -86,7 +86,7 @@ class TestBasicOperation(CacheCase):
         cache = self.cache()
         block = 0x1234 & ~63
         index = cache.fill_block(block, MESI_SHARED, cycle=0)
-        assert cache.set_of_index(index) == cache.set_and_tag(block)[0]
+        assert index // cache.geometry.associativity == cache.set_and_tag(block)[0]
         assert cache.block_address_at(index) == block
 
     def test_counts(self):
@@ -94,7 +94,7 @@ class TestBasicOperation(CacheCase):
         cache.fill_block(0x0, MESI_SHARED, cycle=0)
         cache.fill_block(0x40, MESI_MODIFIED, cycle=0)
         assert cache.count_valid() == 2
-        assert cache.count_dirty() == 1
+        assert len(cache.dirty_indices()) == 1
 
 
 class TestLineState(CacheCase):
@@ -190,7 +190,7 @@ class TestBankInterleaving(CacheCase):
         cache = self.cache(index_interleave=16, index_offset=5)
         block = (5 + 16 * 37) * 64
         index = cache.fill_block(block, MESI_SHARED, cycle=0)
-        assert cache.set_of_index(index) == cache.set_and_tag(block)[0]
+        assert index // cache.geometry.associativity == cache.set_and_tag(block)[0]
         assert cache.block_address_at(index) == block
 
     def test_invalid_interleave_rejected(self):
@@ -216,7 +216,8 @@ class TestRefreshGroups(CacheCase):
         for group in range(geometry.num_refresh_groups):
             start, end = cache.refresh_group_line_range(group)
             for index in range(start, end):
-                assert cache.refresh_group_of_set(cache.set_of_index(index)) == group
+                set_number = index // cache.geometry.associativity
+                assert cache.refresh_group_of_set(set_number) == group
 
     def test_bad_group_rejected(self):
         cache = self.cache()
@@ -318,5 +319,5 @@ def test_property_block_address_roundtrip(blocks, interleave, backend):
         if not owned:
             continue
         index = cache.fill_block(block, MESI_SHARED, cycle=cycle)
-        assert cache.set_of_index(index) == cache.set_and_tag(block)[0]
+        assert index // cache.geometry.associativity == cache.set_and_tag(block)[0]
         assert cache.block_address_at(index) == block

@@ -16,7 +16,7 @@ vertices = st.integers(min_value=0, max_value=TORUS.num_vertices - 1)
 
 class TestTopology:
     def test_coordinates_roundtrip(self):
-        for vertex in TORUS.all_vertices():
+        for vertex in range(TORUS.num_vertices):
             x, y = TORUS.coordinates(vertex)
             assert TORUS.vertex(x, y) == vertex
 

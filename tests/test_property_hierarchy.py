@@ -156,9 +156,9 @@ def test_property_flush_leaves_no_dirty_data(ops):
             hierarchy.read(core, address, cycle)
         cycle += 10
     hierarchy.flush_dirty(cycle)
-    dirty = hierarchy.dirty_lines()
-    assert dirty["l2"] == 0
-    assert dirty["l3"] == 0
+    for level, _, cache in hierarchy.all_caches():
+        if level in ("l2", "l3"):
+            assert cache.dirty_indices() == []
 
 
 @settings(max_examples=10, deadline=None)

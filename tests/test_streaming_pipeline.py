@@ -277,7 +277,7 @@ class TestStoreSweep:
         assert "fft" not in view.baselines
         assert list(view.baselines) == ["blackscholes"]
         assert view.applications == ["blackscholes"]
-        assert len(view.missing_keys()) == len(jobs)
+        assert {job.key() for job in jobs}.isdisjoint(store.keys())
 
     def test_missing_cell_raises_key_error(self, tmp_path, jobs):
         store = SegmentResultStore(tmp_path / "empty")
@@ -285,8 +285,8 @@ class TestStoreSweep:
         with pytest.raises(KeyError, match="not in store"):
             view.baseline("blackscholes")
 
-    def test_missing_keys_empty_when_complete(self, view):
-        assert view.missing_keys() == []
+    def test_store_holds_every_cell_when_complete(self, view, jobs):
+        assert {job.key() for job in jobs} <= set(view.store.keys())
 
     def test_lazy_baselines_is_a_full_mapping(self, view, canned):
         from collections.abc import Mapping
@@ -305,30 +305,6 @@ class TestStoreSweep:
         assert {name: r.to_dict() for name, r in lazy.items()} == {
             name: r.to_dict() for name, r in real.items()
         }
-
-    def test_missing_keys_takes_one_keys_snapshot(self, tmp_path, jobs, canned):
-        results, _ = canned
-        calls = {"keys": 0, "contains": 0}
-
-        class CountingStore(SegmentResultStore):
-            def keys(self):
-                calls["keys"] += 1
-                return super().keys()
-
-            def __contains__(self, key):
-                calls["contains"] += 1
-                return super().__contains__(key)
-
-        store = CountingStore(tmp_path / "store")
-        for job in jobs:
-            store.put(job, results[job.key()])
-        view = StoreSweep(store, jobs, POINTS)
-        calls["keys"] = calls["contains"] = 0
-        assert view.missing_keys() == []
-        # One index snapshot, zero per-cell filesystem probes: completeness
-        # checks stay O(1) store round-trips however large the grid is.
-        assert calls["keys"] == 1
-        assert calls["contains"] == 0
 
 
 class TestParallelStreaming:

@@ -1,4 +1,4 @@
-"""Tests for the parameter sweep, class averaging and figure/table generation."""
+"""Tests for the parameter sweep, class binning and figure/table generation."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import pytest
 
 from repro.config.parameters import DataPolicySpec, TimingPolicyKind
 from repro.config.presets import scaled_architecture
-from repro.core.classes import average_by_class, class_members, class_of
-from repro.core.results import average_results
+from repro.core.classes import class_members, class_of
 from repro.campaign.engine import run_campaign
 from repro.core.sweep import PolicyPoint, default_policy_points
 from repro.experiments.figures import (
@@ -109,19 +108,6 @@ class TestClassAveraging:
         assert "barnes" in class_members(2)
         with pytest.raises(KeyError):
             class_members(4)
-
-    def test_average_by_class(self):
-        per_app = {"fft": 0.4, "fmm": 0.6, "barnes": 1.0, "blackscholes": 2.0}
-        averages = average_by_class(per_app)
-        assert averages["class1"] == pytest.approx(0.5)
-        assert averages["class2"] == pytest.approx(1.0)
-        assert averages["class3"] == pytest.approx(2.0)
-        assert averages["all"] == pytest.approx(1.0)
-
-    def test_average_results_helper(self):
-        assert average_results([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            average_results([])
 
 
 class TestTables:

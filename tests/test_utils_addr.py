@@ -12,8 +12,6 @@ from repro.utils.addr import (
     interleaved_bank,
     is_power_of_two,
     log2_int,
-    set_index,
-    tag_bits,
 )
 
 
@@ -47,23 +45,6 @@ def test_interleaved_bank_spreads_consecutive_blocks():
 def test_block_decomposition_roundtrip(address, block):
     assert block_address(address, block) + block_offset(address, block) == address
     assert block_address(address, block) % block == 0
-
-
-@given(
-    address=st.integers(min_value=0, max_value=2**48),
-    block=st.sampled_from([64]),
-    sets=st.sampled_from([16, 64, 256]),
-)
-def test_set_and_tag_identify_block(address, block, sets):
-    """Two addresses map to the same (set, tag) iff they share a block."""
-    same_block = block_address(address, block) + (address % block)
-    assert set_index(address, block, sets) == set_index(same_block, block, sets)
-    assert tag_bits(address, block, sets) == tag_bits(same_block, block, sets)
-    other = address + block
-    assert (
-        set_index(other, block, sets) != set_index(address, block, sets)
-        or tag_bits(other, block, sets) != tag_bits(address, block, sets)
-    )
 
 
 @given(address=st.integers(min_value=0, max_value=2**48))

@@ -1,18 +1,8 @@
-"""Unit tests for counters and running statistics."""
+"""Unit tests for the event counter."""
 
 from __future__ import annotations
 
-import math
-
-import pytest
-
-from repro.utils.statistics import (
-    Counter,
-    RunningStat,
-    WeightedAverage,
-    arithmetic_mean,
-    geometric_mean,
-)
+from repro.utils.statistics import Counter
 
 
 class TestCounter:
@@ -32,83 +22,8 @@ class TestCounter:
         counter = Counter({"misses": 3})
         assert counter.get("misses") == 3
 
-    def test_merge_sums_counts(self):
-        left = Counter({"a": 1, "b": 2})
-        right = Counter({"b": 3, "c": 4})
-        left.merge(right)
-        assert left.as_dict() == {"a": 1, "b": 5, "c": 4}
-
     def test_as_dict_is_a_snapshot(self):
         counter = Counter({"a": 1})
         snapshot = counter.as_dict()
         counter.add("a")
         assert snapshot == {"a": 1}
-
-
-class TestRunningStat:
-    def test_mean_and_variance(self):
-        stat = RunningStat()
-        stat.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert stat.count == 8
-        assert stat.mean == pytest.approx(5.0)
-        assert stat.variance == pytest.approx(4.0)
-        assert stat.stddev == pytest.approx(2.0)
-        assert stat.minimum == 2.0
-        assert stat.maximum == 9.0
-
-    def test_empty_stat_has_zero_variance(self):
-        stat = RunningStat()
-        assert stat.variance == 0.0
-        assert stat.stddev == 0.0
-
-
-class TestWeightedAverage:
-    def test_weighted_mean(self):
-        avg = WeightedAverage()
-        avg.add(1.0, weight=1.0)
-        avg.add(3.0, weight=3.0)
-        assert avg.value == pytest.approx(2.5)
-
-    def test_empty_average_is_zero(self):
-        assert WeightedAverage().value == 0.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedAverage().add(1.0, weight=-1.0)
-
-
-class TestMeans:
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([2.0, 2.0, 2.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_geometric_mean_error_names_the_offending_value(self):
-        with pytest.raises(ValueError, match=r"got -3\.0 at index 2"):
-            geometric_mean([1.0, 2.0, -3.0, 4.0])
-        with pytest.raises(ValueError, match=r"got 0 at index 0"):
-            geometric_mean([0, 5.0])
-
-    def test_geometric_mean_error_reports_first_offender(self):
-        with pytest.raises(ValueError, match=r"at index 1"):
-            geometric_mean([1.0, 0.0, -1.0])
-
-    def test_geometric_mean_accepts_generators(self):
-        assert geometric_mean(v for v in [1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_arithmetic_mean(self):
-        assert arithmetic_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            arithmetic_mean([])
-
-    def test_means_inequality(self):
-        values = [1.0, 2.0, 8.0]
-        assert geometric_mean(values) <= arithmetic_mean(values)
-        assert math.isclose(
-            geometric_mean([5.0] * 4), arithmetic_mean([5.0] * 4)
-        )

@@ -13,7 +13,6 @@ from repro.workloads.suite import (
     application_class,
     application_specs,
     build_application,
-    build_suite,
 )
 from repro.workloads.synthetic import (
     SHARED_REGION_BASE,
@@ -194,11 +193,6 @@ class TestSuite:
         short = build_application("lu", arch, length_scale=0.1)
         long = build_application("lu", arch, length_scale=0.3)
         assert long.total_references() > short.total_references()
-
-    def test_build_suite_subset(self):
-        arch = scaled_architecture()
-        suite = build_suite(arch, length_scale=0.05, names=["fft", "lu"])
-        assert set(suite) == {"fft", "lu"}
 
     def test_unknown_application_rejected(self):
         arch = scaled_architecture()
