@@ -14,6 +14,7 @@ from repro.api.answer import answer_query, default_run_jobs, exact_answer, surro
 from repro.api.query import (
     ANSWER_METRICS,
     API_VERSION,
+    EncodedResult,
     NormalisedQuery,
     PointAnswer,
     Provenance,
@@ -32,6 +33,7 @@ __all__ = [
     "ANSWER_METRICS",
     "API_VERSION",
     "AxisBracket",
+    "EncodedResult",
     "NormalisedQuery",
     "PointAnswer",
     "Provenance",

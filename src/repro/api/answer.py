@@ -31,13 +31,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.query import (
+    EncodedResult,
     NormalisedQuery,
     PointAnswer,
     Provenance,
     QueryPoint,
     QueryRequest,
     QueryResponse,
-    metrics_from_result,
 )
 from repro.api.surrogate import SurrogateAnswer, SurrogateLattice
 from repro.campaign.jobs import Job
@@ -76,23 +76,25 @@ def store_provenance_fields(
 
 def exact_answer(
     query_point: QueryPoint,
-    result: SimulationResult,
+    encoded: EncodedResult,
     source: str,
     store: Optional[BaseResultStore] = None,
 ) -> PointAnswer:
-    """An ``exact=True`` answer from a simulator result (store or fresh)."""
+    """An ``exact=True`` answer from an encoded simulator result (store or
+    fresh); the answer gets its own copies of the metrics and payload."""
     return PointAnswer(
         application=query_point.application,
         label=query_point.label,
         retention_us=query_point.retention_us,
         exact=True,
-        metrics=metrics_from_result(result),
+        metrics=dict(encoded.metrics),
         provenance=Provenance(
             job_key=query_point.key,
             source=source,
             **store_provenance_fields(store),
         ),
-        result=result.to_dict(),
+        result=encoded.payload_copy(),
+        encoded=encoded,
     )
 
 
@@ -223,7 +225,7 @@ def answer_query(
         result = store.get(query_point.key) if store is not None else None
         if result is not None:
             answers_by_key[query_point.key] = exact_answer(
-                query_point, result, source="store", store=store
+                query_point, EncodedResult.of(result), source="store", store=store
             )
             continue
         if request.allow_surrogate and lattice is not None:
@@ -241,7 +243,8 @@ def answer_query(
             if store is not None:
                 store.put(query_point.job, result)
             answers_by_key[query_point.key] = exact_answer(
-                query_point, result, source="simulated", store=store
+                query_point, EncodedResult.of(result), source="simulated",
+                store=store,
             )
         if store is not None:
             store.flush()

@@ -27,8 +27,10 @@ masquerade as simulator ground truth.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.campaign.jobs import Job
@@ -72,6 +74,40 @@ def metrics_from_result(result) -> Dict[str, float]:
         "memory_energy_j": float(result.memory_energy()),
         "system_energy_j": float(result.system_energy()),
     }
+
+
+@dataclass(frozen=True)
+class EncodedResult:
+    """What every exact answer of one result carries, derived once.
+
+    ``metrics`` are its :data:`ANSWER_METRICS`, ``payload`` its
+    :meth:`SimulationResult.to_dict` and :attr:`text` that payload's JSON.
+    An encoding is shared (the service keeps one per stored key), so
+    nothing may change it: :func:`~repro.api.answer.exact_answer` hands each
+    answer copies of ``metrics`` and ``payload``.
+    """
+
+    metrics: Dict[str, float]
+    payload: Dict[str, object]
+
+    @classmethod
+    def of(cls, result) -> "EncodedResult":
+        """Encode one simulation result."""
+        return cls(metrics_from_result(result), result.to_dict())
+
+    @cached_property
+    def text(self) -> str:
+        """``json.dumps(payload)``, encoded on first use."""
+        return json.dumps(self.payload)
+
+    def payload_copy(self) -> Dict[str, object]:
+        """A copy of ``payload`` with containers of its own (the payload's
+        values are scalars and flat dicts and lists, so two levels are all
+        of it)."""
+        return {
+            name: value.copy() if isinstance(value, (dict, list)) else value
+            for name, value in self.payload.items()
+        }
 
 
 class QueryValidationError(ValueError):
@@ -580,6 +616,9 @@ class PointAnswer:
             baseline, when the query included the baseline.
         result: the full result payload for exact answers (everything
             :meth:`SimulationResult.to_dict` records); None for surrogates.
+        encoded: the :class:`EncodedResult` an exact answer's ``metrics``
+            and ``result`` were copied from, whose JSON text :meth:`to_json`
+            reuses while ``result`` still equals its payload.
     """
 
     application: str
@@ -591,9 +630,17 @@ class PointAnswer:
     bounds: Optional[Dict[str, List[float]]] = None
     normalised: Optional[Dict[str, float]] = None
     result: Optional[Dict[str, object]] = None
+    encoded: Optional[EncodedResult] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON form."""
+        data = self._fields()
+        if self.result is not None:
+            data["result"] = self.result
+        return data
+
+    def _fields(self) -> Dict[str, object]:
+        """The JSON form without ``result``, which comes last."""
         data: Dict[str, object] = {
             "application": self.application,
             "label": self.label,
@@ -606,9 +653,15 @@ class PointAnswer:
             data["bounds"] = {k: list(v) for k, v in self.bounds.items()}
         if self.normalised is not None:
             data["normalised"] = dict(self.normalised)
-        if self.result is not None:
-            data["result"] = self.result
         return data
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, reusing the encoded payload's text
+        for ``result`` while the two are equal."""
+        encoded = self.encoded
+        if encoded is None or self.result != encoded.payload:
+            return json.dumps(self.to_dict())
+        return f'{json.dumps(self._fields())[:-1]}, "result": {encoded.text}}}'
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "PointAnswer":
@@ -671,6 +724,28 @@ class QueryResponse:
                 label: dict(values) for label, values in self.aggregates.items()
             }
         return data
+
+    def to_json(self) -> str:
+        """Exactly ``json.dumps(self.to_dict())``, built without re-encoding
+        the result payloads the answers reuse (:meth:`PointAnswer.to_json`).
+
+        Relies on ``json.dumps``'s default separators, as the answers' own
+        splice does.
+        """
+        head = json.dumps(
+            {
+                "api_version": self.api_version,
+                "exact": self.exact,
+                "request": self.request.to_dict(),
+            }
+        )
+        answers = ", ".join(answer.to_json() for answer in self.answers)
+        tail = (
+            ""
+            if self.aggregates is None
+            else f', "aggregates": {json.dumps(self.aggregates)}'
+        )
+        return f'{head[:-1]}, "answers": [{answers}]{tail}}}'
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "QueryResponse":

@@ -23,8 +23,9 @@ approximation masquerade as measurement:
   :mod:`repro.validate.service` re-checks on served answers.
 
 :class:`SurrogateLattice` is deliberately store-backed and stateless
-between calls: it re-reads corners through the store's own cache layers, so
-a backfilled exact result is picked up without invalidation logic.
+between calls: it reads its two corners from the store on every call (the
+store keeps no decoded results), so a backfilled exact result is picked up
+without invalidation logic.
 """
 
 from __future__ import annotations

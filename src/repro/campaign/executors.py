@@ -51,17 +51,19 @@ from repro.workloads.suite import ApplicationWorkload, WorkloadRequest
 ProgressFn = Callable[[str], None]
 
 #: Per-process LRU of regenerated workloads: trace generation is pure in
-#: (request, architecture), so consecutive jobs of the same application reuse
-#: one trace -- in the parent for serial runs and in each worker for parallel
-#: ones.  Jobs are enumerated contiguously per application, so a handful of
-#: entries captures nearly all reuse; the bound keeps long-lived processes
-#: (notebooks, services) from pinning every trace ever generated.
+#: (request, architecture), so jobs of the same application reuse one trace
+#: -- in the parent for serial runs and in each worker for parallel ones.
+#: It outlives a ``run``: a service's backfills arrive one job per batch, and
+#: the backfills of one workload share its trace.  Jobs are enumerated
+#: contiguously per application, so a handful of entries captures nearly
+#: all reuse; the bound keeps long-lived processes (notebooks, services)
+#: from pinning every trace ever generated.
 _WORKLOAD_CACHE: "OrderedDict[Tuple[WorkloadRequest, ArchitectureConfig], ApplicationWorkload]" = (
     OrderedDict()
 )
 _WORKLOAD_CACHE_MAX = 4
 #: Guards every compound use of the cache: the service runs executor
-#: batches in worker threads, and one batch's ``clear()`` must not land
+#: batches in worker threads, and one batch's eviction must not land
 #: between another's lookup and its ``move_to_end``.
 _WORKLOAD_CACHE_LOCK = threading.Lock()
 
@@ -148,17 +150,10 @@ class SerialExecutor:
         self, jobs: Sequence[Job], progress: Optional[ProgressFn] = None
     ) -> Iterator[Tuple[Job, SimulationResult]]:
         """Yield ``(job, result)`` in submission order."""
-        try:
-            for job in jobs:
-                if progress is not None:
-                    progress(f"{job.application}: {job.label}")
-                yield job, execute_job(job)
-        finally:
-            # Traces are only worth caching within one campaign; release the
-            # memory so long-lived parent processes don't pin dead workloads.
-            # (Parallel workers' caches are bounded and die with the pool.)
-            with _WORKLOAD_CACHE_LOCK:
-                _WORKLOAD_CACHE.clear()
+        for job in jobs:
+            if progress is not None:
+                progress(f"{job.application}: {job.label}")
+            yield job, execute_job(job)
 
 
 class ParallelExecutor:

@@ -19,8 +19,9 @@ recovery would repair the very damage a scan must report.
 ``gc``
     Delete orphaned files (segments no index entry references, stray files
     in the root), rewrite the index without entries whose records are
-    corrupt or mismatched, and repair crash damage (truncated tails,
-    unindexed records) by re-running the store's recovery.
+    corrupt or mismatched, repair crash damage (truncated tails, unindexed
+    tail records) by re-running the store's recovery, and index every other
+    unindexed record whose payload passes ``verify``'s checks.
 
 ``verify``
     Re-derive each entry's content hash from the persisted canonical job
@@ -103,6 +104,11 @@ class StoreReport:
     #: Keys whose index entries gc dropped (the record bytes stay in the
     #: append-only segment; a resume re-runs them).
     dropped_keys: List[str] = field(default_factory=list)
+    #: Where the unindexed records whose payloads pass ``verify``'s checks
+    #: lie, by key (the last such record of a key wins); gc indexes them.
+    unindexed: Dict[str, IndexEntry] = field(default_factory=dict)
+    #: Keys gc indexed from ``unindexed``.
+    reindexed_keys: List[str] = field(default_factory=list)
 
     @property
     def problems(self) -> List[EntryStatus]:
@@ -259,14 +265,16 @@ def _scan_segment_store(root: Path, check_hashes: bool) -> StoreReport:
                 # A record whose key is indexed elsewhere was superseded by
                 # a later put of the same key (a sweep re-run without
                 # resume): its bytes are dead, not damage.
+                key = value["key"]
                 if (offset, length) not in claimed.get(name, ()) and (
-                    value["key"] not in entries
+                    key not in entries
                 ):
+                    problem = _payload_problem(key, value, check_hash=True)
+                    if problem is None:
+                        report.unindexed[key] = (name, offset, length)
+                        problem = "run store gc to reindex"
                     report.flag(
-                        path,
-                        f"unindexed record at byte {offset} "
-                        f"(reopen the store to reindex)",
-                        value["key"],
+                        path, f"unindexed record at byte {offset} ({problem})", key
                     )
             else:
                 report.flag(path, f"foreign line at byte {offset}")
@@ -319,14 +327,17 @@ def store_gc(
 ) -> StoreReport:
     """Repair a store: drop orphans and unrecoverable entries.
 
-    Crash damage (truncated tails, unindexed records) is repaired by the
-    store's own recovery, index entries whose records are corrupt or
+    Crash damage (truncated tails, unindexed tail records) is repaired by
+    the store's own recovery, index entries whose records are corrupt or
     mismatched are dropped from the index (``dropped_keys``; the
-    append-only segment bytes are left in place), and orphaned files are
-    deleted.  Entries that merely predate hash-payload recording are kept,
-    since their results are still loadable.
+    append-only segment bytes are left in place), every other unindexed
+    record whose payload passes ``verify``'s checks is indexed
+    (``reindexed_keys``), and orphaned files are deleted.  Entries that
+    merely predate hash-payload recording are kept, since their results are
+    still loadable.
 
-    Returns the report with ``removed``/``dropped_keys`` filled in.
+    Returns the report with ``removed``/``dropped_keys``/``reindexed_keys``
+    filled in.
     """
     root = store.root if isinstance(store, BaseResultStore) else Path(store)
     report = scan_store(root, check_hashes=False)
@@ -335,9 +346,9 @@ def store_gc(
     if dry_run:
         report.removed.extend(report.orphans)
         return report
-    # 1. Let recovery repair crash damage (reindex unindexed records,
-    #    truncate partial tails, rewrite a damaged index); loading the
-    #    index is what triggers it.
+    # 1. Let recovery repair crash damage (reindex unindexed tail records,
+    #    truncate partial tails, delete segments left without a record,
+    #    rewrite a damaged index); loading the index is what triggers it.
     segment_store = SegmentResultStore(root)
     len(segment_store)
     # 2. Drop index entries whose indexed records are structurally bad
@@ -349,11 +360,21 @@ def store_gc(
     if bad_keys:
         report.dropped_keys.extend(sorted(bad_keys))
         segment_store.drop_keys(bad_keys)
+        # A dropped entry can have hidden its key's own record.
+        rescanned = scan_store(root, check_hashes=False)
+    # 3. Index the unindexed records recovery's tail walk does not reach.
+    report.reindexed_keys.extend(sorted(rescanned.unindexed))
+    segment_store.index_records(rescanned.unindexed)
     segment_store.close()
-    # 3. Delete orphaned files.
+    # 4. Delete orphaned files; recovery already deleted the segments that
+    #    held no record, which the first scan counted as orphans.
     for path in rescanned.orphans:
         path.unlink(missing_ok=True)
-        report.removed.append(path)
+    report.removed.extend(
+        path
+        for path in dict.fromkeys([*report.orphans, *rescanned.orphans])
+        if not path.exists()
+    )
     return report
 
 

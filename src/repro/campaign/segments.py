@@ -45,23 +45,19 @@ parent, which is that single writer.  One process writes a store at a
 time: two processes appending to one store concurrently would interleave
 their segment and index appends.
 
-Reads through :meth:`SegmentResultStore.get` are memoised: the store keeps
-the decoded ``result`` dicts of the last :data:`DECODED_CACHE_ENTRIES` keys
-it served, so a query service answering the same grid again skips the
-segment read and the JSON decode.  Every call still builds a fresh
-:class:`~repro.core.results.SimulationResult` (``from_dict`` copies every
-container), so no caller shares mutable state with the cache or another
-caller.  ``put_record`` and ``drop_keys`` evict the keys they touch;
-``iter_records`` and ``store verify`` always read the segments.  A record
-that holds another key than the index entry pointing at it reads as a
-miss everywhere (``store verify`` reports it as an index mismatch).
+Every :meth:`SegmentResultStore.get` reads its record from the segment and
+builds a new :class:`~repro.core.results.SimulationResult`; the store keeps
+no decoded results.  A caller that reads one key many times keeps what it
+derives from the read itself, as the query service keeps each stored
+result's encoded answer (:mod:`repro.service.core`).  A record that holds
+another key than the index entry pointing at it reads as a miss
+everywhere (``store verify`` reports it as an index mismatch).
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -89,12 +85,6 @@ SEGMENT_FORMAT = "refrint-segment-v1"
 #: and any ``gc`` rewrite small while a 100k-point campaign still fits in a
 #: few hundred segments.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
-
-#: Decoded results :meth:`SegmentResultStore.get` keeps, least recently
-#: used first.  An entry is ~7 KiB at the scaled geometry, and 256 of them
-#: cover every point of a served three-application grid at three
-#: retentions (161 keys).
-DECODED_CACHE_ENTRIES = 256
 
 #: Where one record lives: segment name, byte offset, length without the
 #: newline.
@@ -250,7 +240,6 @@ class SegmentResultStore(BaseResultStore):
         self.segment_max_bytes = segment_max_bytes
         self._lock = threading.Lock()
         self._index: Optional[Dict[str, IndexEntry]] = None
-        self._decoded: "OrderedDict[str, dict]" = OrderedDict()
         self._active_segment: Optional[str] = None
         self._active_size = 0
         self._segment_handle = None
@@ -290,34 +279,16 @@ class SegmentResultStore(BaseResultStore):
     def get(self, key: str) -> Optional[SimulationResult]:
         """Load one result, or None when absent or unreadable.
 
-        Every call returns a new result; a key read before is rebuilt from
-        its cached decoded dict instead of from the segment.  An index entry
-        pointing at another key's record is a miss, and nothing of that
-        record enters the cache.
+        Every call reads the segment and returns a new result.  An index
+        entry pointing at another key's record is a miss.
         """
-        with self._lock:
-            data = self._decoded.get(key)
-            if data is not None:
-                self._decoded.move_to_end(key)
-        if data is not None:
-            return SimulationResult.from_dict(data)
-        self._ensure_loaded()
-        entry = self._index.get(key)
-        record = None if entry is None else self._read_entry(entry)
-        if record is None or record.get("key") != key:
+        record = self._read_record(key)
+        if record is None:
             return None
         try:
-            data = record["result"]
-            result = SimulationResult.from_dict(data)
+            return SimulationResult.from_dict(record["result"])
         except (KeyError, TypeError, ValueError):
             return None
-        with self._lock:
-            # Skip the cache if a put or drop moved the key meanwhile.
-            if self._index is not None and self._index.get(key) == entry:
-                self._decoded[key] = data
-                if len(self._decoded) > DECODED_CACHE_ENTRIES:
-                    self._decoded.popitem(last=False)
-        return result
 
     def _read_record(self, key: str) -> Optional[dict]:
         """The record indexed under ``key``, or None when absent, unreadable
@@ -370,7 +341,6 @@ class SegmentResultStore(BaseResultStore):
             self._index_handle.write(index_line(key, entry))
             self._index_handle.flush()
             self._index[key] = entry
-            self._decoded.pop(key, None)
             return self.segment_path(self._active_segment)
 
     def flush(self) -> None:
@@ -410,12 +380,27 @@ class SegmentResultStore(BaseResultStore):
                 return 0
             for key in present:
                 del self._index[key]
-                self._decoded.pop(key, None)
             # The rewrite replaces the index file under the append handle:
             # close both handles so the next put reopens them together.
             self._close_handles()
             self._rewrite_index(self._index)
             return len(present)
+
+    def index_records(self, entries: Dict[str, IndexEntry]) -> None:
+        """File records already in the segments under their keys.
+
+        Used by ``store gc`` for complete records that no index line files
+        and that recovery's tail walk never reaches (they lie before their
+        segment's last indexed record).  The index is rewritten atomically,
+        as by :meth:`drop_keys`.
+        """
+        if not entries:
+            return
+        with self._lock:
+            self._ensure_loaded()
+            self._index.update(entries)
+            self._close_handles()
+            self._rewrite_index(self._index)
 
     def _rewrite_index(self, entries: Dict[str, IndexEntry]) -> None:
         """Atomically replace ``index.jsonl`` with one line per entry."""
@@ -487,6 +472,10 @@ class SegmentResultStore(BaseResultStore):
         * a segment's final record is a partial line -- it is truncated off
           so the next append starts at a clean record boundary.
 
+        A segment left with nothing but its header (or nothing at all) is
+        deleted: it holds no result, and ``store verify`` would report it as
+        a stray file.
+
         A damaged index line ends the replay; the index is then rewritten
         from the entries before it and whatever the segment tails re-index.
         """
@@ -510,14 +499,17 @@ class SegmentResultStore(BaseResultStore):
                 dirty = True
 
         # Scan every segment's unindexed tail: re-index complete records,
-        # truncate a partial final record.
+        # truncate a partial final record, delete a segment left without one.
         recovered: List[str] = []
-        for name, size in sizes.items():
+        for name, size in list(sizes.items()):
             indexed_end = max(
                 (off + n + 1 for seg, off, n in entries.values() if seg == name),
                 default=0,
             )
-            recovered.extend(self._scan_tail(name, indexed_end, size, entries))
+            keys, kept = self._scan_tail(name, indexed_end, size, entries)
+            recovered.extend(keys)
+            if not kept:
+                del sizes[name]
 
         if dirty:
             # The index file disagrees with what survived: rewrite it so the
@@ -531,8 +523,8 @@ class SegmentResultStore(BaseResultStore):
                     handle.write(index_line(key, entries[key]))
 
         self._index = entries
-        # Resume appending to the highest-numbered segment if it has room
-        # (its size read again: recovery may have cut its tail).
+        # Resume appending to the highest-numbered segment left if it has
+        # room (its size read again: recovery may have cut its tail).
         if sizes:
             last = max(sizes)
             size = self.segment_path(last).stat().st_size
@@ -541,26 +533,25 @@ class SegmentResultStore(BaseResultStore):
 
     def _scan_tail(
         self, name: str, start: int, size: int, entries: Dict[str, IndexEntry]
-    ) -> List[str]:
+    ) -> Tuple[List[str], bool]:
         """Re-index complete records from byte ``start`` of segment ``name``
-        on and truncate a damaged final line; returns the keys recovered."""
-        if start >= size:
-            return []
+        on and truncate a damaged final line.  A segment with no indexed
+        record (``start`` 0) that is left with no line but its header is
+        deleted.  Returns the keys recovered and whether the segment is
+        kept."""
         path = self.segment_path(name)
-        try:
-            with path.open("rb") as handle:
-                handle.seek(start)
-                blob = handle.read()
-        except OSError:
-            return []
+        blob = b""
+        if start < size:
+            try:
+                with path.open("rb") as handle:
+                    handle.seek(start)
+                    blob = handle.read()
+            except OSError:
+                return [], True
         recovered = []
+        kept = start > 0
         for offset, length, kind, record in segment_lines(blob, start):
-            if kind == RECORD:
-                key = record["key"]
-                if key not in entries:
-                    recovered.append(key)
-                entries[key] = (name, offset, length)
-            elif kind in (UNPARSEABLE, PARTIAL):
+            if kind in (UNPARSEABLE, PARTIAL):
                 # Stop indexing at damage.  A damaged final line is cut off;
                 # damage mid-file stays for ``store verify`` to report.
                 if offset + length + 1 >= start + len(blob):
@@ -568,6 +559,19 @@ class SegmentResultStore(BaseResultStore):
                         with path.open("r+b") as handle:
                             handle.truncate(offset)
                     except OSError:
-                        pass
+                        return recovered, True
+                else:
+                    kept = True
                 break
-        return recovered
+            if kind == RECORD:
+                key = record["key"]
+                if key not in entries:
+                    recovered.append(key)
+                entries[key] = (name, offset, length)
+            kept = kept or kind != HEADER
+        if not kept:
+            try:
+                path.unlink()
+            except OSError:
+                return recovered, True
+        return recovered, kept

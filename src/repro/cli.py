@@ -527,7 +527,11 @@ def _run_store(args, out) -> int:
             print(f"{verb} {path.name}", file=out)
         for key in report.dropped_keys:
             print(f"dropped index entry {key[:16]}...", file=out)
-        kept = len(report.entries) - len(report.problems)
+        for key in report.reindexed_keys:
+            print(f"reindexed record {key[:16]}...", file=out)
+        kept = (
+            len(report.entries) - len(report.problems) + len(report.reindexed_keys)
+        )
         print(f"{verb} {len(report.removed)} files, kept {kept} entries", file=out)
         return 0
     # verify

@@ -21,12 +21,24 @@ a job up and claiming it) into four buckets per unique job hash:
 Every counter in :class:`ServiceStats` is exact -- queries, store hits,
 jobs executed, coalesced waits, surrogates, backfills -- because exact
 counts, not timing, are this repo's test and CI currency.
+
+What a stored answer is made of is derived once per service, not once per
+query, in two bounded LRUs touched only on the event-loop thread: each
+distinct request's normalisation and unique points
+(:data:`NORMALISED_QUERY_POINTS`), and each stored key's
+:class:`~repro.api.query.EncodedResult` -- metrics, ``to_dict`` payload and
+its JSON text, made from the store's read of the record
+(:data:`ENCODED_RESULT_ENTRIES`).  Every answer gets its own copies, and a
+key the service puts is evicted, so the next answer for it is the bytes a
+fresh service would serve.  A job's result is a pure function of its
+content hash, so a kept encoding never goes stale.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.api.answer import (
@@ -38,6 +50,8 @@ from repro.api.answer import (
     surrogate_answer_for,
 )
 from repro.api.query import (
+    EncodedResult,
+    NormalisedQuery,
     PointAnswer,
     QueryPoint,
     QueryRequest,
@@ -52,6 +66,19 @@ from repro.core.results import SimulationResult
 #: Default bound on simulator batches running concurrently in worker
 #: threads; everything beyond it waits on the loop (where waiting is free).
 DEFAULT_MAX_CONCURRENT_BATCHES = 2
+
+#: Query points (one per application and cell, ~4 KiB each with its job)
+#: that the normalisations a service keeps may hold together; the least
+#: recently used request goes first.  The distinct queries of a
+#: ``serve-mixed`` benchmark run (126 point queries, 3 one-application
+#: grids, 32 what-ifs) hold 445.
+NORMALISED_QUERY_POINTS = 2048
+
+#: Stored results whose :class:`EncodedResult` a service keeps, least
+#: recently used first.  An entry is ~4 KiB at the scaled geometry, and
+#: 256 of them cover every point of a served three-application grid at
+#: three retentions (129 keys).
+ENCODED_RESULT_ENTRIES = 256
 
 
 @dataclass
@@ -137,6 +164,12 @@ class SweepService:
         self._inflight: Dict[str, "asyncio.Future[SimulationResult]"] = {}
         self._batch_semaphore = asyncio.Semaphore(max(1, max_concurrent_batches))
         self._backfill_tasks: Set["asyncio.Task"] = set()
+        # Both LRUs are touched only on the event-loop thread.
+        self._normalised: "OrderedDict[str, Tuple[NormalisedQuery, List[QueryPoint]]]" = (
+            OrderedDict()
+        )
+        self._normalised_points = 0
+        self._encoded: "OrderedDict[str, EncodedResult]" = OrderedDict()
 
     # -- the query path -----------------------------------------------------------
 
@@ -151,8 +184,7 @@ class SweepService:
 
     async def _answer(self, request: QueryRequest) -> QueryResponse:
         loop = asyncio.get_running_loop()
-        normalised = request.normalise(self.architecture)
-        unique_points = normalised.unique_points()
+        normalised, unique_points = self._normalise(request)
 
         answers_by_key: Dict[str, PointAnswer] = {}
         owned: List[QueryPoint] = []
@@ -163,11 +195,11 @@ class SweepService:
         # claim (or both miss) the same job hash.
         for query_point in unique_points:
             key = query_point.key
-            result = self.store.get(key) if self.store is not None else None
-            if result is not None:
+            encoded = self._stored(key)
+            if encoded is not None:
                 self.stats.store_hits += 1
                 answers_by_key[key] = exact_answer(
-                    query_point, result, source="store", store=self.store
+                    query_point, encoded, source="store", store=self.store
                 )
                 continue
             inflight = self._inflight.get(key)
@@ -194,14 +226,17 @@ class SweepService:
             for query_point in owned:
                 answers_by_key[query_point.key] = exact_answer(
                     query_point,
-                    results[query_point.key],
+                    EncodedResult.of(results[query_point.key]),
                     source="simulated",
                     store=self.store,
                 )
         for query_point, future in waiting:
             result = await future
             answers_by_key[query_point.key] = exact_answer(
-                query_point, result, source="simulated", store=self.store
+                query_point,
+                EncodedResult.of(result),
+                source="simulated",
+                store=self.store,
             )
 
         attach_normalised(normalised, answers_by_key)
@@ -217,6 +252,52 @@ class SweepService:
             if violations:
                 self.stats.validation_failures += len(violations)
         return response
+
+    def _normalise(
+        self, request: QueryRequest
+    ) -> Tuple[NormalisedQuery, List[QueryPoint]]:
+        """The request's normalisation and unique points, derived once per
+        distinct request.
+
+        Keyed on the request's repr, not the request: ``32 == 32.0``, so a
+        ``WB(32.0,32)`` request equals and hashes like ``WB(32,32)``, yet
+        normalises to other jobs.  A dataclass repr names every field with
+        its type-faithful repr (the job-digest memo of
+        :mod:`repro.campaign.jobs` rests on the same property).
+        """
+        memo_key = repr(request)
+        entry = self._normalised.get(memo_key)
+        if entry is not None:
+            self._normalised.move_to_end(memo_key)
+            return entry
+        normalised = request.normalise(self.architecture)
+        entry = (normalised, normalised.unique_points())
+        self._normalised[memo_key] = entry
+        self._normalised_points += len(normalised.points)
+        while self._normalised_points > NORMALISED_QUERY_POINTS:
+            _, (evicted, _) = self._normalised.popitem(last=False)
+            self._normalised_points -= len(evicted.points)
+        return entry
+
+    def _stored(self, key: str) -> Optional[EncodedResult]:
+        """The encoded stored result of ``key``, or None on a store miss.
+
+        The encoding is made from the store's read of the record, never
+        from a fresh result: a stored result's counters come back in key
+        order, a fresh one's in insertion order, so only the read gives the
+        bytes every later answer serves.  Misses are not remembered.
+        """
+        encoded = self._encoded.get(key)
+        if encoded is not None:
+            self._encoded.move_to_end(key)
+            return encoded
+        result = self.store.get(key) if self.store is not None else None
+        if result is None:
+            return None
+        encoded = self._encoded[key] = EncodedResult.of(result)
+        if len(self._encoded) > ENCODED_RESULT_ENTRIES:
+            self._encoded.popitem(last=False)
+        return encoded
 
     # -- execution ----------------------------------------------------------------
 
@@ -250,6 +331,8 @@ class SweepService:
         if self.store is not None:
             for job, result in zip(jobs, results):
                 self.store.put(job, result)
+                # The next answer for the key encodes the store's read.
+                self._encoded.pop(job.key(), None)
             self.store.flush()
         return results
 

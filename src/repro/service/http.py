@@ -18,7 +18,9 @@ GET       ``/v1/stats``  the service's exact counters
 
 Malformed requests never reach the simulator: bad JSON, unknown fields,
 unparseable policies and oversized bodies all return a 4xx whose body
-carries the validation message verbatim.
+carries the validation message verbatim.  A query's body is
+:meth:`~repro.api.query.QueryResponse.to_json`, the bytes of
+``json.dumps(response.to_dict())`` without re-encoding stored payloads.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ class HttpError(Exception):
         self.status = status
 
 
-def _encode_response(status: int, payload: dict) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
+def _encode_response(status: int, text: str) -> bytes:
+    body = text.encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
         f"Content-Type: application/json\r\n"
@@ -112,7 +114,8 @@ async def _read_request(
 
 async def _route(
     service: SweepService, method: str, path: str, body: Optional[bytes]
-) -> Tuple[int, dict]:
+) -> Tuple[int, str]:
+    """The status and JSON text answering one request."""
     if path == "/v1/query":
         if method != "POST":
             raise HttpError(405, "use POST for /v1/query")
@@ -127,25 +130,25 @@ async def _route(
         except QueryValidationError as exc:
             raise HttpError(400, str(exc)) from None
         response = await service.answer(request)
-        return 200, response.to_dict()
+        return 200, response.to_json()
     if path == "/v1/health":
         if method != "GET":
             raise HttpError(405, "use GET for /v1/health")
         store = service.store
-        return 200, {
+        return 200, json.dumps({
             "status": "ok",
             "store_backend": None if store is None else store.backend_name,
             "store_root": None if store is None else str(store.root),
             "surrogate": service.lattice is not None,
-        }
+        })
     if path == "/v1/schema":
         if method != "GET":
             raise HttpError(405, "use GET for /v1/schema")
-        return 200, QueryRequest.json_schema()
+        return 200, json.dumps(QueryRequest.json_schema())
     if path == "/v1/stats":
         if method != "GET":
             raise HttpError(405, "use GET for /v1/stats")
-        return 200, service.stats.to_dict()
+        return 200, json.dumps(service.stats.to_dict())
     raise HttpError(404, f"no such endpoint {path!r}")
 
 
@@ -161,12 +164,13 @@ async def handle_connection(
         except ConnectionResetError:
             return
         try:
-            status, payload = await _route(service, method, path, body)
+            status, text = await _route(service, method, path, body)
         except HttpError as exc:
-            status, payload = exc.status, {"error": str(exc)}
+            status, text = exc.status, json.dumps({"error": str(exc)})
         except Exception as exc:  # a bug, not a bad request: say so, stay up
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        writer.write(_encode_response(status, payload))
+            status = 500
+            text = json.dumps({"error": f"{type(exc).__name__}: {exc}"})
+        writer.write(_encode_response(status, text))
         await writer.drain()
     finally:
         writer.close()

@@ -10,9 +10,11 @@ import sys
 import threading
 import time
 import typing
+from collections import OrderedDict
 
 import pytest
 
+import repro.campaign.executors as executors
 import repro.campaign.jobs as jobs_module
 from repro.campaign.engine import CampaignStats, make_executor, run_campaign
 from repro.campaign.executors import (
@@ -290,39 +292,36 @@ class TestExecutors:
 
     def test_workload_cache_survives_concurrent_batches(self, arch, monkeypatch):
         """The service runs executor batches in worker threads: one batch
-        clearing the workload cache must not break another's lookup."""
-        # Instant builds keep the cache warm, so lookups race the clears
-        # often (unguarded, the first KeyError comes within milliseconds).
+        evicting a workload from the cache must not break another's lookup."""
+        # Instant builds of more workloads than the cache holds keep lookups
+        # racing evictions (unguarded, the first KeyError comes within
+        # milliseconds).  The stub workloads go with the patched cache.
+        monkeypatch.setattr(executors, "_WORKLOAD_CACHE", OrderedDict())
         monkeypatch.setattr(
             WorkloadRequest, "build", lambda self, architecture: object()
         )
         jobs = [
-            Job(WorkloadRequest(name), SimulationConfig.sram(arch))
+            Job(WorkloadRequest(name, seed=seed), SimulationConfig.sram(arch))
+            for seed in range(executors._WORKLOAD_CACHE_MAX // 2 + 1)
             for name in ("fft", "blackscholes")
         ]
         errors = []
         deadline = time.monotonic() + 0.5
 
-        def build():
+        def build(order):
             try:
                 while time.monotonic() < deadline:
-                    for job in jobs:
+                    for job in order:
                         build_workload(job)
             except Exception as exc:
                 errors.append(exc)
 
-        def clear():
-            try:
-                while time.monotonic() < deadline:
-                    for _ in SerialExecutor().run([]):
-                        pass
-            except Exception as exc:
-                errors.append(exc)
-
-        # More threads than cores, half of them building, half clearing.
+        # More threads than cores, half of them building in reverse order.
         count = max((os.cpu_count() or 1) + 2, 4)
         threads = [
-            threading.Thread(target=build if index % 2 else clear, daemon=True)
+            threading.Thread(
+                target=build, args=(jobs[::-1] if index % 2 else jobs,), daemon=True
+            )
             for index in range(count)
         ]
         interval = sys.getswitchinterval()
@@ -334,9 +333,9 @@ class TestExecutors:
                 thread.join(timeout=max(0.0, deadline + 1.0 - time.monotonic()))
         finally:
             sys.setswitchinterval(interval)
-            list(SerialExecutor().run([]))  # drops the stub workloads
         assert errors == []
         assert not any(thread.is_alive() for thread in threads)
+        assert len(executors._WORKLOAD_CACHE) == executors._WORKLOAD_CACHE_MAX
 
 
 class TestResume:

@@ -22,7 +22,6 @@ from repro.campaign.maintenance import (
     store_verify,
 )
 from repro.campaign.segments import (
-    DECODED_CACHE_ENTRIES,
     SEGMENT_META_FILE,
     SegmentResultStore,
     parse_segment_number,
@@ -193,8 +192,8 @@ class TestRoundTripAndRollover:
         assert legacy_payloads == seg_payloads
 
 
-class TestDecodedResultCache:
-    """``get`` serves repeat reads from decoded dicts, never shared objects."""
+class TestUncachedReads:
+    """``get`` reads the segment on every call and shares no object."""
 
     def test_each_get_returns_a_fresh_result(self, tmp_path, campaign_stores):
         _, seg_root, _ = campaign_stores
@@ -208,20 +207,6 @@ class TestDecodedResultCache:
         first.per_core_finish_cycles.append(-1)
         assert store.get(key).to_dict() == pristine == second.to_dict()
 
-    def test_repeat_get_skips_the_segment(
-        self, tmp_path, campaign_stores, monkeypatch
-    ):
-        _, seg_root, _ = campaign_stores
-        store = SegmentResultStore(clone_store(seg_root, tmp_path / "warm"))
-        key = sorted(store.keys())[0]
-        expected = store.get(key).to_dict()
-
-        def no_disk(entry):
-            raise AssertionError("a cached key was read from its segment")
-
-        monkeypatch.setattr(store, "_read_entry", no_disk)
-        assert store.get(key).to_dict() == expected
-
     def test_writes_evict_their_keys(self, tmp_path, campaign_stores):
         _, seg_root, _ = campaign_stores
         store = SegmentResultStore(clone_store(seg_root, tmp_path / "evict"))
@@ -234,19 +219,6 @@ class TestDecodedResultCache:
         assert store.get(dropped) is not None
         store.drop_keys([dropped])
         assert store.get(dropped) is None
-        store.close()
-
-    def test_cache_stays_within_its_bound(self, tmp_path, campaign_stores):
-        _, seg_root, _ = campaign_stores
-        store = SegmentResultStore(clone_store(seg_root, tmp_path / "bound"))
-        _, payload = next(iter(store.iter_records()))
-        keys = [f"{number:064x}" for number in range(DECODED_CACHE_ENTRIES + 8)]
-        for key in keys:
-            store.put_record(key, payload)
-        for key in keys + keys[:4]:
-            assert store.get(key) is not None
-            assert len(store._decoded) <= DECODED_CACHE_ENTRIES
-        assert len(store._decoded) == DECODED_CACHE_ENTRIES
         store.close()
 
 
@@ -441,7 +413,6 @@ class TestMismatchedRecord:
         store = SegmentResultStore(root)
         assert victim in store
         assert store.get(victim) is None
-        assert victim not in store._decoded
         assert store.get(victim) is None
         assert store.get(other) is not None
         assert victim not in dict(store.iter_records())

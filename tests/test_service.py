@@ -11,16 +11,24 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+from collections import OrderedDict
 
 import pytest
 
+import repro.campaign.executors as executors
+import repro.service.core as service_core
+import repro.workloads.suite as suite
 from repro.api import Query, QueryValidationError, answer_query
 from repro.api.answer import default_run_jobs
 from repro.api.surrogate import SurrogateLattice
 from repro.campaign.store import open_store
 from repro.campaign.view import StoreSweep
+from repro.config.parameters import DataPolicySpec
+from repro.core.results import SimulationResult
+from repro.energy.accounting import EnergyBreakdown
 from repro.experiments.runner import point_averages
 from repro.service import SweepService, make_service, serve
+from repro.service.http import _encode_response, _route
 from repro.validate.service import check_response
 
 LENGTH_SCALE = 0.05
@@ -262,6 +270,214 @@ class TestSurrogates:
         assert response.exact
         assert runner.jobs == 1
         assert service.stats.surrogate_answers == 0
+
+
+def synthetic_results(jobs):
+    """A stub executor: one made-up result per job, no simulation."""
+    return [
+        SimulationResult(
+            config=None,
+            application=job.application,
+            execution_cycles=1000 + index,
+            busy_core_cycles=500 + index,
+            counters={"l1d_misses": 9, "l1d_hits": 7},
+            energy=EnergyBreakdown(
+                by_level={"l1": 1.0 + index}, by_component={"dynamic": 1.0}
+            ),
+            per_core_finish_cycles=[1000 + index],
+            restored_label=job.label,
+        )
+        for index, job in enumerate(jobs)
+    ]
+
+
+def served_keys(response):
+    return [answer.provenance.job_key for answer in response.answers]
+
+
+def normalised_keys(query):
+    return [point.key for point in query.normalise().unique_points()]
+
+
+class TestWorkDoneOnce:
+    """A service derives each normalisation, stored answer and trace once,
+    and every response is the bytes the uncached path gives."""
+
+    def test_to_json_is_json_dumps_of_to_dict(self, seeded_store, grid_store):
+        store, cold = grid_store
+        service, _ = make_seeded_service(seeded_store)
+        lattice = SurrogateLattice(seeded_store, retentions_us=(50.0, 200.0))
+
+        async def stored():
+            return [
+                await service.answer(SEED_QUERY),
+                await service.answer(SEED_QUERY.with_options(include_baseline=False)),
+            ]
+
+        responses = [cold, answer_query(GRID_QUERY, store=store)]
+        responses.extend(asyncio.run(stored()))
+        # 90us is off-grid and never backfilled: a surrogate answer beside
+        # an exact baseline, without aggregates.
+        responses.append(
+            answer_query(
+                SEED_QUERY.with_options(retentions_us=(90.0,)),
+                store=seeded_store,
+                lattice=lattice,
+            )
+        )
+        sources = {a.provenance.source for r in responses for a in r.answers}
+        assert sources == {"store", "simulated", "surrogate"}
+        assert [r.aggregates is not None for r in responses] == [
+            True, True, True, False, False,
+        ]
+        assert any(a.normalised is None for a in responses[3].answers)
+        for response in responses:
+            assert response.to_json() == json.dumps(response.to_dict())
+
+    def test_http_bodies_match_the_uncached_facade(self, grid_store):
+        store, _ = grid_store
+        service = make_service(store=store)
+        body = json.dumps(GRID_QUERY.to_dict()).encode("utf-8")
+
+        async def twice():
+            served = []
+            for _ in range(2):
+                status, text = await _route(service, "POST", "/v1/query", body)
+                served.append(_encode_response(status, text).split(b"\r\n\r\n", 1)[1])
+            return served
+
+        first, second = asyncio.run(twice())
+        expected = json.dumps(answer_query(GRID_QUERY, store=store).to_dict())
+        assert first == second == expected.encode("utf-8")
+        assert service.stats.store_hits == 20
+
+    def test_equal_requests_normalise_under_their_own_keys(self):
+        whole = SEED_QUERY.with_options(
+            data_policies=(DataPolicySpec.writeback(32, 32),)
+        )
+        fractional = SEED_QUERY.with_options(
+            data_policies=(DataPolicySpec.writeback(32.0, 32),)
+        )
+        assert whole == fractional and hash(whole) == hash(fractional)
+        assert normalised_keys(whole) != normalised_keys(fractional)
+        service = SweepService(run_jobs=synthetic_results)
+
+        async def scenario():
+            return [await service.answer(q) for q in (whole, fractional, whole)]
+
+        responses = asyncio.run(scenario())
+        assert [served_keys(r) for r in responses] == [
+            normalised_keys(whole), normalised_keys(fractional), normalised_keys(whole),
+        ]
+
+    def test_mutating_an_answer_leaves_the_next_response_alone(self, seeded_store):
+        service, _ = make_seeded_service(seeded_store)
+
+        async def scenario():
+            first = await service.answer(SEED_QUERY)
+            expected = first.to_json()
+            answer = first.answers[1]
+            answer.result["execution_cycles"] = -1
+            answer.result["counters"]["l3_misses"] = -1
+            answer.result["energy_by_level"]["l3"] = -1.0
+            answer.result["per_core_finish_cycles"].append(-1)
+            answer.metrics["memory_energy_j"] *= 2
+            # The edited answer encodes its edits...
+            assert first.to_json() == json.dumps(first.to_dict()) != expected
+            # ...and the next response serves the stored values.
+            return expected, (await service.answer(SEED_QUERY)).to_json()
+
+        expected, again = asyncio.run(scenario())
+        assert again == expected
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            SEED_QUERY.with_options(retentions_us=(85.0,), allow_surrogate=False),
+            SEED_QUERY.with_options(retentions_us=(175.0,)),
+        ],
+        ids=["owned-miss", "backfill"],
+    )
+    def test_a_simulated_key_is_next_served_from_the_store(self, seeded_store, query):
+        service, runner = make_seeded_service(seeded_store)
+
+        async def scenario():
+            first = await service.answer(query)
+            await service.drain_backfills()
+            second = await service.answer(query)
+            fresh, _ = make_seeded_service(seeded_store)
+            return first, second, await fresh.answer(query)
+
+        first, second, fresh = asyncio.run(scenario())
+        assert runner.jobs == 1
+        assert first.answers[-1].provenance.source in ("simulated", "surrogate")
+        assert {a.provenance.source for a in second.answers} == {"store"}
+        assert second.to_json() == fresh.to_json()
+
+    def test_backfills_of_one_workload_share_one_trace(
+        self, seeded_store, monkeypatch
+    ):
+        monkeypatch.setattr(executors, "_WORKLOAD_CACHE", OrderedDict())
+        builds = []
+        build = suite.build_application
+        monkeypatch.setattr(
+            suite,
+            "build_application",
+            lambda *args, **kwargs: builds.append(args) or build(*args, **kwargs),
+        )
+        service, runner = make_seeded_service(seeded_store)
+
+        async def scenario():
+            for retention in (60.0, 140.0):
+                query = SEED_QUERY.with_options(retentions_us=(retention,))
+                assert not (await service.answer(query)).exact
+                await service.drain_backfills()
+
+        asyncio.run(scenario())
+        assert service.stats.backfills_completed == 2 and runner.batches == 2
+        assert len(builds) == 1
+
+    def test_memos_stay_within_their_bounds(self, seeded_store, monkeypatch):
+        queries = (
+            SEED_QUERY, SEED_QUERY.with_options(include_baseline=False), SEED_QUERY,
+        )
+
+        async def serve_all(service, check=lambda: None):
+            served = []
+            for query in queries:
+                served.append((await service.answer(query)).to_json())
+                check()
+            return served
+
+        expected = asyncio.run(serve_all(make_seeded_service(seeded_store)[0]))
+        # SEED_QUERY normalises to 3 points, without its baseline to 2.
+        monkeypatch.setattr(service_core, "ENCODED_RESULT_ENTRIES", 2)
+        monkeypatch.setattr(service_core, "NORMALISED_QUERY_POINTS", 3)
+        service, _ = make_seeded_service(seeded_store)
+
+        def kept_points():
+            return sum(len(n.points) for n, _ in service._normalised.values())
+
+        def within_bounds():
+            assert len(service._encoded) <= 2
+            assert kept_points() == service._normalised_points <= 3
+
+        assert asyncio.run(serve_all(service, within_bounds)) == expected
+        assert len(service._encoded) == 2 and len(service._normalised) == 1
+
+    def test_a_put_evicts_its_key(self, tmp_path):
+        store = open_store(tmp_path / "store")
+        service = SweepService(store=store, run_jobs=synthetic_results)
+
+        async def scenario():
+            await service.answer(SEED_QUERY)
+            await service.answer(SEED_QUERY)
+            assert set(service._encoded) == set(normalised_keys(SEED_QUERY))
+            job = SEED_QUERY.normalise().points[0].job
+            await service._execute([job])
+            return job.key()
+
+        assert asyncio.run(scenario()) not in service._encoded
 
 
 class TestServedAnswerValidation:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -156,6 +157,56 @@ class TestGc:
         # ...but verify flags them as unverifiable.
         report = store_verify(store)
         assert any("no hash payload" in e.problem for e in report.problems)
+
+
+class TestReindex:
+    """``store gc`` indexes what ``store verify`` calls unindexed."""
+
+    def test_gc_reindexes_a_record_behind_a_dropped_entry(self, tmp_path):
+        root = tmp_path / "store"
+        store = open_store(root)
+        jobs = [make_job(name) for name in ("fft", "barnes", "lu", "radix", "ocean")]
+        for job in jobs:
+            store.put(job, make_result(job.application))
+        store.close()
+        # The first index entry points at the second record: gc drops it,
+        # which leaves the first record unindexed before indexed ones, out
+        # of reach of recovery's tail walk.
+        index = root / "index.jsonl"
+        lines = [json.loads(line) for line in index.read_text().splitlines()]
+        lines[0]["offset"], lines[0]["length"] = lines[1]["offset"], lines[1]["length"]
+        index.write_text(
+            "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+        )
+        victim = jobs[0].key()
+        assert lines[0]["key"] == victim
+        assert not store_verify(root).ok
+
+        report = store_gc(root)
+        assert report.dropped_keys == [victim] == report.reindexed_keys
+        assert store_verify(root).ok
+        reopened = open_store(root)
+        assert reopened.get(victim).to_dict() == make_result("fft").to_dict()
+        assert sorted(reopened.keys()) == sorted(job.key() for job in jobs)
+
+    def test_verify_names_gc_for_what_reopening_cannot_reindex(self, tmp_path):
+        store, jobs = populate(tmp_path / "store")
+        offset = store._index[jobs[0].key()][1]
+        store.drop_keys([jobs[0].key()])
+        store.close()
+        def problems():
+            return [entry.problem for entry in store_verify(store.root).problems]
+
+        expected = [f"unindexed record at byte {offset} (run store gc to reindex)"]
+        assert problems() == expected
+        assert jobs[0].key() not in open_store(store.root)
+        assert problems() == expected
+        out = io.StringIO()
+        assert cli_main(["store", "gc", str(store.root)], out=out) == 0
+        assert f"reindexed record {jobs[0].key()[:16]}..." in out.getvalue()
+        assert "kept 2 entries" in out.getvalue()
+        assert store_verify(store.root).ok
+        assert jobs[0].key() in open_store(store.root)
 
 
 class TestRewrittenKeys:
